@@ -1,12 +1,13 @@
-// Live observability walkthrough (DESIGN.md §11): run S-EnKF with an
-// injected straggler so rank 0's in-band monitor WARNs in real time,
-// then print the cross-rank aggregation — per-rank phase table, read
-// skew, helper-thread backlog — and the measured-vs-model drift table.
+// Observability walkthrough (DESIGN.md §11): run S-EnKF with an injected
+// straggler, so rank 0's straggler check WARNs once per stage when the
+// run ends, then print the cross-rank aggregation — per-rank phase
+// table, read skew, helper-thread backlog — and the measured-vs-model
+// drift table.  Stalls are caught live, while a stage is still stuck,
+// by the SENKF_WATCHDOG stall watchdog (DESIGN.md §16).
 //
 // The same data lands on disk with zero code changes on any binary:
 //   SENKF_REPORT=report.json ./monitored_run   # machine-readable report
-//   SENKF_SKEW_WARN=4        ./monitored_run   # raise the WARN threshold
-//   SENKF_SKEW_WARN=off      ./monitored_run   # silence the monitor
+//   SENKF_WATCHDOG=on        ./monitored_run   # live stall deadlines
 //   SENKF_FAULTS="straggler=0:0.03" ./monitored_run   # pick the delay
 //   SENKF_SAMPLE_MS=5        ./monitored_run   # continuous sampling
 //   SENKF_TRACE=trace.json   ./monitored_run   # flow-event trace export
@@ -49,8 +50,8 @@ int main() {
   config.analysis.halo = grid::Halo{2, 1};
 
   // Default demo: I/O rank ordinal 0 pays 20 ms per bar read, so every
-  // stage's read skew trips the monitor while the run executes — watch
-  // for "read straggler" WARN lines interleaved with this output.
+  // stage's read skew trips the straggler check — watch for one "read
+  // straggler" WARN line per stage just before the tables below.
   // SENKF_FAULTS (when set) overrides the demo plan.
   std::optional<pfs::FaultPlan> faults = pfs::fault_plan_from_env();
   if (!faults.has_value()) faults = pfs::parse_fault_plan("straggler=0:0.02");
@@ -82,13 +83,15 @@ int main() {
   // Drift table: measured per-rank per-stage phase seconds vs the
   // uncalibrated cost model (eqs. (7)-(9)); large values are expected —
   // the gap *is* the recalibration signal an auto-tuning loop would use.
+  // The trend is fitted to the milli-unit drift gauges; it is printed
+  // relative, like the drift itself.
   const telemetry::RunReport report = telemetry::run_report_copy();
   std::cout << "\nModel drift (measured vs eqs. (7)-(9), relative):\n";
   for (const auto& [phase, rel] : report.drift) {
     const tuning::DriftTrend trend = tuning::drift_trend(phase);
-    std::printf("  %-5s %+9.3f   trend: %zu pts, mean %+.1f, slope %+.2f/s\n",
-                phase.c_str(), rel, trend.points, trend.mean,
-                trend.slope_per_s);
+    std::printf("  %-5s %+9.3f   trend: %zu pts, mean %+.3f, slope %+.3f/s\n",
+                phase.c_str(), rel, trend.points, trend.mean / 1e3,
+                trend.slope_per_s / 1e3);
   }
 
   // Critical-path attribution (DESIGN.md §13): where this cycle's wall
@@ -109,7 +112,7 @@ int main() {
     }
   }
 
-  std::cout << "\nMonitor gauges:\n  senkf.skew.stage_read = "
+  std::cout << "\nStraggler gauges:\n  senkf.skew.stage_read = "
             << telemetry::Registry::global().gauge_value("senkf.skew.stage_read")
             << " (milli-ratio)\n  senkf.straggler.last_rank = "
             << telemetry::Registry::global().gauge_value(

@@ -59,7 +59,6 @@ std::vector<grid::Field> lenkf(const EnsembleStore& store,
   parcomm::Runtime::run(n_procs, [&](parcomm::Communicator& world) {
     const grid::SubdomainId my_id =
         decomposition.subdomain_of_rank(static_cast<Index>(world.rank()));
-    const grid::Rect my_expansion = decomposition.expansion(my_id);
 
     // --- obtain local data: single reader, serial scatter ----------------
     // Members are held as views: rank 0 views its own extracted pieces

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <map>
@@ -40,10 +39,6 @@ constexpr int kResultTag = 2;
 /// I/O-group control channel (straggler re-issue protocol); never touches
 /// computation ranks, so wildcards on it cannot steal result messages.
 constexpr int kIoCtrlTag = 3;
-/// Live observability samples to rank 0's in-band monitor (per-stage
-/// phase deltas + per-rank done markers); only used when
-/// MonitorOptions::enabled.
-constexpr int kTelemetryTag = 4;
 /// Run-end binomial-tree reduce of per-rank metric snapshots.
 constexpr int kTelemetryReduceTag = 5;
 
@@ -63,10 +58,6 @@ constexpr std::uint64_t kKindAbort = 2;
 constexpr std::uint64_t kCtrlReissue = 0;
 constexpr std::uint64_t kCtrlAck = 1;
 constexpr std::uint64_t kCtrlDone = 2;
-
-/// Payload discriminators on kTelemetryTag.
-constexpr std::uint64_t kSampleStage = 0;
-constexpr std::uint64_t kSampleDone = 1;
 
 /// Process-wide cumulative phase counters (what SENKF_TRACE-era tooling
 /// and the registry snapshot expose).  SenkfStats no longer diffs these:
@@ -117,24 +108,14 @@ struct RankLocal {
   telemetry::Counter reissued;
 };
 
-/// What rank 0's in-band monitor learned, read by senkf() after the run.
-struct MonitorTotals {
-  std::uint64_t warns = 0;
-  double worst_stage_ratio = 0.0;
-  double worst_group_ratio = 0.0;
-  std::int32_t worst_rank = -1;
-};
-
 /// Run-scoped observability state shared by every rank thread.
 struct ObservabilityContext {
-  MonitorOptions monitor;
   /// Set by any unwinding rank before its exception propagates, so
-  /// blocking observability receives (monitor loop, reduce tree) degrade
-  /// within one poll interval instead of hitting the mailbox deadline.
+  /// blocking reduce-tree receives degrade within one poll interval
+  /// instead of hitting the mailbox deadline.
   std::atomic<bool> run_failed{false};
   /// Rank 0 only, written after its reduce completes.
   telemetry::MetricsSnapshot aggregate;
-  MonitorTotals totals;
   /// Cost-model-derived stall deadlines for the liveops watchdog
   /// (DESIGN.md §16); all-zero when the watchdog is off, which makes
   /// every WatchdogScope a no-op.
@@ -153,81 +134,18 @@ std::int64_t ratio_milli(double ratio) {
   return static_cast<std::int64_t>(ratio * 1e3);
 }
 
-/// Rank 0's in-band health monitor: drains kTelemetryTag until every
-/// rank's done marker arrived (or the run failed), evaluating each stage
-/// once all I/O ranks reported it — per-stage critical path and read
-/// skew across ranks and concurrent groups, `senkf.skew.*` /
-/// `senkf.straggler.*` gauges, and a WARN naming the straggler when the
-/// stage's slowest acquisition exceeds the configured ratio.
-void run_monitor(parcomm::Communicator& world, const SenkfConfig& config,
-                 ObservabilityContext& ctx) {
-  telemetry::set_thread_rank(0);
-  auto& registry = telemetry::Registry::global();
-  telemetry::Counter& warns = registry.counter("senkf.straggler.warns");
-  telemetry::Gauge& last_straggler = registry.gauge("senkf.straggler.last_rank");
-  telemetry::Gauge& stage_skew_gauge = registry.gauge("senkf.skew.stage_read");
-  telemetry::Gauge& group_skew_gauge = registry.gauge("senkf.skew.group_read");
+/// A stage WARNs as a read straggler when its slowest bar acquisition is
+/// at least kStragglerRatio × the stage mean and at least kStragglerFloorS
+/// long — μs-scale in-memory reads jitter past any pure ratio.
+constexpr double kStragglerRatio = 2.0;
+constexpr double kStragglerFloorS = 1e-3;
 
-  const Index total = config.total_ranks();
-  const Index io_ranks = config.io_ranks();
-  Index done = 0;
-  std::map<std::uint64_t, std::vector<telemetry::RankSample>> stages;
-  while (done < total) {
-    std::optional<parcomm::Envelope> envelope = world.recv_for(
-        parcomm::kAnySource, kTelemetryTag, std::chrono::milliseconds(100));
-    if (!envelope.has_value()) {
-      if (ctx.run_failed.load(std::memory_order_relaxed)) return;
-      continue;
-    }
-    parcomm::Unpacker unpacker(envelope->payload);
-    const auto kind = unpacker.get<std::uint64_t>();
-    if (kind == kSampleDone) {
-      ++done;
-      continue;
-    }
-    SENKF_REQUIRE(kind == kSampleStage, "senkf: unknown telemetry sample kind");
-    telemetry::RankSample sample;
-    sample.rank = static_cast<std::int32_t>(unpacker.get<std::uint64_t>());
-    const auto stage = unpacker.get<std::uint64_t>();
-    sample.is_io = 1;
-    sample.group = static_cast<std::int32_t>(unpacker.get<std::uint64_t>());
-    sample.read_s =
-        static_cast<double>(unpacker.get<std::uint64_t>()) / 1e9;
-    sample.obtain_s =
-        static_cast<double>(unpacker.get<std::uint64_t>()) / 1e9;
-    sample.send_s =
-        static_cast<double>(unpacker.get<std::uint64_t>()) / 1e9;
-
-    auto& samples = stages[stage];
-    samples.push_back(sample);
-    if (samples.size() < io_ranks) continue;
-
-    // Stage complete: evaluate its read balance.
-    const telemetry::SkewStats skew = telemetry::read_skew(samples);
-    const telemetry::SkewStats group_skew =
-        telemetry::group_read_skew(samples);
-    if (skew.ratio > ctx.totals.worst_stage_ratio) {
-      ctx.totals.worst_stage_ratio = skew.ratio;
-      ctx.totals.worst_rank = skew.max_rank;
-      stage_skew_gauge.set(ratio_milli(skew.ratio));
-    }
-    if (group_skew.ratio > ctx.totals.worst_group_ratio) {
-      ctx.totals.worst_group_ratio = group_skew.ratio;
-      group_skew_gauge.set(ratio_milli(group_skew.ratio));
-    }
-    if (skew.ratio >= ctx.monitor.skew_warn_ratio &&
-        skew.max_s >= ctx.monitor.min_warn_seconds) {
-      warns.add(1);
-      ctx.totals.warns += 1;
-      last_straggler.set(skew.max_rank);
-      SENKF_LOG_WARN("senkf: stage ", stage, " read straggler: rank ",
-                     skew.max_rank, " took ", skew.max_s,
-                     " s vs stage mean ", skew.mean_s, " s (x",
-                     skew.mean_s > 0.0 ? skew.max_s / skew.mean_s : 0.0,
-                     ", threshold x", ctx.monitor.skew_warn_ratio, ")");
-    }
-    stages.erase(stage);
-  }
+template <typename T>
+T sum_over_ranks(const std::vector<telemetry::RankSample>& ranks,
+                 T telemetry::RankSample::*field) {
+  T sum{};
+  for (const telemetry::RankSample& r : ranks) sum += r.*field;
+  return sum;
 }
 
 /// Stage-indexed buffers filled by the helper thread and drained by the
@@ -643,7 +561,7 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
   const auto perform_read = [&](Index member, grid::IndexRange rows,
                                 Index l) -> grid::Patch {
     // obtain_ns covers the whole degraded acquisition — injected delay,
-    // backoff sleeps, retries — which is what the straggler monitor must
+    // backoff sleeps, retries — which is what the straggler check must
     // see; read_ns mirrors the global bar-read span (successful read
     // time only).
     telemetry::ScopedTimerNs obtain_timer(local.obtain_ns);
@@ -766,7 +684,7 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
   const std::string series_prefix =
       "ts.rank" + std::to_string(world.rank()) + ".";
   for (Index l = 0; l < config.layers; ++l) {
-    // Stage baseline for the per-stage sample shipped to the monitor.
+    // Stage baselines for the per-stage series points below.
     const std::uint64_t stage_read0 = local.read_ns.value();
     const std::uint64_t stage_obtain0 = local.obtain_ns.value();
     const std::uint64_t stage_send0 = local.send_ns.value();
@@ -823,17 +741,17 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
     }
     batch.flush(world, phases, &local.send_ns);
 
-    // Per-stage boundary: ship this stage's phase deltas to rank 0's
-    // monitor and fold the acquisition time into the aggregate
-    // histogram.  Note the re-issue path can attribute a served peer's
-    // read to the server's current stage — stage attribution is
+    // Per-stage boundary: fold this stage's acquisition time into the
+    // aggregate histogram.  Note the re-issue path can attribute a served
+    // peer's read to the server's current stage — stage attribution is
     // best-effort under degradation, totals stay exact.
     const std::uint64_t stage_obtain_ns = local.obtain_ns.value() - stage_obtain0;
     mine.observe_histogram("senkf.rank.stage_obtain_us", stage_obtain_bounds(),
                            static_cast<double>(stage_obtain_ns) / 1e3);
     // One time-series point per stage boundary; the series ride the
-    // run-end reduce to rank 0, where the drift gauges and report read
-    // them as per-rank trends (DESIGN.md §13).
+    // run-end reduce to rank 0, where the straggler check rebuilds each
+    // stage's read balance from obtain_s (DESIGN.md §11) and the report
+    // carries them as per-rank trends (DESIGN.md §13).
     const std::int64_t stage_t = telemetry::now_ns();
     mine.append_series(series_prefix + "obtain_s", stage_t,
                        static_cast<double>(stage_obtain_ns) / 1e9);
@@ -843,17 +761,6 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
     mine.append_series(
         series_prefix + "send_s", stage_t,
         static_cast<double>(local.send_ns.value() - stage_send0) / 1e9);
-    if (ctx.monitor.enabled) {
-      parcomm::Packer sample;
-      sample.put<std::uint64_t>(kSampleStage);
-      sample.put<std::uint64_t>(static_cast<std::uint64_t>(world.rank()));
-      sample.put<std::uint64_t>(l);
-      sample.put<std::uint64_t>(group);
-      sample.put<std::uint64_t>(local.read_ns.value() - stage_read0);
-      sample.put<std::uint64_t>(stage_obtain_ns);
-      sample.put<std::uint64_t>(local.send_ns.value() - stage_send0);
-      world.send(0, kTelemetryTag, sample.take());
-    }
   }
 
   if (reissue_enabled) {
@@ -869,14 +776,7 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
     // ~BarReader waits for any abandoned slow read still in flight.
   }
 
-  if (ctx.monitor.enabled) {
-    parcomm::Packer done;
-    done.put<std::uint64_t>(kSampleDone);
-    done.put<std::uint64_t>(static_cast<std::uint64_t>(world.rank()));
-    world.send(0, kTelemetryTag, done.take());
-  }
-
-  // Run-end aggregation: this rank's sample + counters join the binomial
+  // Run-end aggregation: this rank's sample and series join the binomial
   // reduce toward rank 0 (result only meaningful there).
   telemetry::RankSample sample;
   sample.rank = world.rank();
@@ -888,13 +788,6 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
   sample.retries = local.retries.value();
   sample.reissued = local.reissued.value();
   mine.ranks.push_back(sample);
-  mine.add_counter("senkf.rank.read_ns", local.read_ns.value());
-  mine.add_counter("senkf.rank.obtain_ns", local.obtain_ns.value());
-  mine.add_counter("senkf.rank.send_ns", local.send_ns.value());
-  mine.add_counter("senkf.rank.retries", local.retries.value());
-  mine.add_counter("senkf.rank.reissued", local.reissued.value());
-  mine.observe_gauge("senkf.rank.obtain_ns",
-                     static_cast<std::int64_t>(local.obtain_ns.value()));
   (void)parcomm::reduce_snapshots(
       world, kTelemetryReduceTag, std::move(mine),
       [&ctx] { return ctx.run_failed.load(std::memory_order_relaxed); });
@@ -928,41 +821,6 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   PhaseCounters& phases = PhaseCounters::get();
   RankLocal local;
   StageBuffers buffers(config.layers, n_members);
-
-  // Rank 0 hosts the in-band health monitor on its own thread (live
-  // per-stage skew while the pipeline runs).  A monitor failure is
-  // logged, never propagated — observability must not kill a healthy
-  // run.  The join guard runs on every exit path; the fail guard
-  // (declared after it, so destroyed first during unwinding) flips
-  // run_failed before the join, which is what lets the monitor loop —
-  // and every peer's reduce — give up within one poll interval when
-  // this rank unwinds.
-  std::exception_ptr monitor_error;
-  std::thread monitor;
-  struct MonitorJoinGuard {
-    std::thread& thread;
-    ~MonitorJoinGuard() {
-      if (thread.joinable()) thread.join();
-    }
-  } monitor_join{monitor};
-  struct FailGuard {
-    ObservabilityContext& ctx;
-    int entry_exceptions = std::uncaught_exceptions();
-    ~FailGuard() {
-      if (std::uncaught_exceptions() > entry_exceptions) {
-        ctx.run_failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  } fail_guard{ctx};
-  if (my_rank == 0 && ctx.monitor.enabled) {
-    monitor = std::thread([&world, &config, &ctx, &monitor_error] {
-      try {
-        run_monitor(world, config, ctx);
-      } catch (...) {
-        monitor_error = std::current_exception();
-      }
-    });
-  }
 
   // Helper thread (§4.2): drains block and dead-member messages for this
   // rank into the stage buffers until every (stage, member) pair is
@@ -1135,12 +993,6 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
 
   phases.messages.add(helper_messages);
   local.messages.add(helper_messages);
-  if (ctx.monitor.enabled) {
-    parcomm::Packer done_marker;
-    done_marker.put<std::uint64_t>(kSampleDone);
-    done_marker.put<std::uint64_t>(static_cast<std::uint64_t>(my_rank));
-    world.send(0, kTelemetryTag, done_marker.take());
-  }
 
   // Run-end aggregation leg: this rank's per-run numbers join the
   // binomial reduce toward rank 0.  The cancellation predicate keeps the
@@ -1155,12 +1007,6 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
     sample.retries = local.retries.value();
     sample.backlog_peak = backlog_peak;
     mine.ranks.push_back(sample);
-    mine.add_counter("senkf.rank.wait_ns", local.wait_ns.value());
-    mine.add_counter("senkf.rank.update_ns", local.update_ns.value());
-    mine.add_counter("senkf.rank.messages", local.messages.value());
-    mine.add_counter("senkf.rank.retries", local.retries.value());
-    mine.observe_gauge("senkf.rank.backlog_peak",
-                       static_cast<std::int64_t>(backlog_peak));
     return parcomm::reduce_snapshots(
         world, kTelemetryReduceTag, std::move(mine),
         [&ctx] { return ctx.run_failed.load(std::memory_order_relaxed); });
@@ -1217,20 +1063,6 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   }
   *result_out = std::move(fields);
   *dropped_out = dropped;
-
-  // Every rank's done marker is in flight before its result payload, so
-  // the monitor drains promptly; join it before the reduce so
-  // ctx.totals is complete when senkf() reads it.
-  if (monitor.joinable()) monitor.join();
-  if (monitor_error) {
-    try {
-      std::rethrow_exception(monitor_error);
-    } catch (const std::exception& error) {
-      SENKF_LOG_WARN("senkf: in-band monitor failed: ", error.what());
-    } catch (...) {
-      SENKF_LOG_WARN("senkf: in-band monitor failed");
-    }
-  }
   ctx.aggregate = finish_telemetry();
 }
 
@@ -1278,42 +1110,27 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   const std::int64_t run_start_ns = telemetry::now_ns();
 
   // Observability plane state shared by every rank thread of this run.
-  // SENKF_SKEW_WARN overrides the configured straggler threshold
-  // (a positive ratio, or "off"/"0"/"false" to disable the monitor).
   ObservabilityContext ctx;
-  ctx.monitor = config.monitor;
-  if (const char* env = std::getenv("SENKF_SKEW_WARN")) {
-    const std::string value(env);
-    if (value == "off" || value == "0" || value == "false") {
-      ctx.monitor.enabled = false;
-    } else if (!value.empty()) {
-      char* end = nullptr;
-      const double ratio = std::strtod(value.c_str(), &end);
-      if (end != value.c_str() && ratio > 0.0) {
-        ctx.monitor.skew_warn_ratio = ratio;
-      }
-    }
-  }
 
-  // Arm the watchdog's per-phase deadlines from the same cost model the
-  // auto-tuner and the drift tracker use (predictions are per I/O rank
+  // The §4.3 cost model of this run, shared by the watchdog deadlines and
+  // the drift record below (the auto-tuner evaluates the same model).
+  tuning::CostModelParams model_params;
+  model_params.members = static_cast<std::uint64_t>(store.members());
+  model_params.nx = static_cast<std::uint64_t>(store.grid().nx());
+  model_params.ny = static_cast<std::uint64_t>(store.grid().ny());
+  const tuning::CostModel model(model_params);
+  vcluster::SenkfParams params;
+  params.n_sdx = static_cast<std::uint64_t>(config.n_sdx);
+  params.n_sdy = static_cast<std::uint64_t>(config.n_sdy);
+  params.layers = static_cast<std::uint64_t>(config.layers);
+  params.n_cg = static_cast<std::uint64_t>(config.n_cg);
+
+  // Arm the watchdog's per-phase deadlines (predictions are per I/O rank
   // per stage — exactly the granularity the scopes below arm at).  Only
-  // derived when the monitor thread is actually running; otherwise the
+  // derived when the watchdog thread is actually running; otherwise the
   // deadlines stay zero and every WatchdogScope is a no-op.
-  if (telemetry::liveops::watchdog_running()) {
-    tuning::CostModelParams mp;
-    mp.members = static_cast<std::uint64_t>(store.members());
-    mp.nx = static_cast<std::uint64_t>(store.grid().nx());
-    mp.ny = static_cast<std::uint64_t>(store.grid().ny());
-    vcluster::SenkfParams params;
-    params.n_sdx = static_cast<std::uint64_t>(config.n_sdx);
-    params.n_sdy = static_cast<std::uint64_t>(config.n_sdy);
-    params.layers = static_cast<std::uint64_t>(config.layers);
-    params.n_cg = static_cast<std::uint64_t>(config.n_cg);
-    const tuning::CostModel model(mp);
-    if (model.feasible(params)) {
-      ctx.deadlines = tuning::phase_deadlines(model, params);
-    }
+  if (telemetry::liveops::watchdog_running() && model.feasible(params)) {
+    ctx.deadlines = tuning::phase_deadlines(model, params);
   }
 
   // When drop_unreadable_members is off, the failing io rank broadcasts
@@ -1329,8 +1146,8 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
         static_cast<int>(config.total_ranks()),
         [&](parcomm::Communicator& world) {
           // Any unwinding rank flips run_failed first, so peers blocked
-          // in observability receives (monitor loop, reduce tree) give up
-          // within one poll interval instead of the mailbox deadline.
+          // in reduce-tree receives give up within one poll interval
+          // instead of the mailbox deadline.
           try {
             if (layout.is_io(world.rank())) {
               try {
@@ -1365,16 +1182,16 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   SENKF_REQUIRE(!result.empty(), "senkf: no result produced");
 
   // Everything below derives from the run's own aggregate, never from
-  // process-cumulative counters.
+  // process-cumulative counters.  Every total is a sum over the per-rank
+  // samples, so the report's "phases = Σ ranks" invariant holds by
+  // construction.
+  using telemetry::RankSample;
   telemetry::MetricsSnapshot& agg = ctx.aggregate;
   agg.sort_ranks();
-  const auto seconds = [&agg](const char* name) {
-    return static_cast<double>(agg.counter(name)) / 1e9;
-  };
-  const double io_read_s = seconds("senkf.rank.read_ns");
-  const double io_send_s = seconds("senkf.rank.send_ns");
-  const double comp_wait_s = seconds("senkf.rank.wait_ns");
-  const double comp_update_s = seconds("senkf.rank.update_ns");
+  const double io_read_s = sum_over_ranks(agg.ranks, &RankSample::read_s);
+  const double io_send_s = sum_over_ranks(agg.ranks, &RankSample::send_s);
+  const double comp_wait_s = sum_over_ranks(agg.ranks, &RankSample::wait_s);
+  const double comp_update_s = sum_over_ranks(agg.ranks, &RankSample::update_s);
 
   const telemetry::SkewStats run_skew = telemetry::read_skew(agg.ranks);
   const std::uint64_t backlog_peak = telemetry::drain_backlog_peak(agg.ranks);
@@ -1383,6 +1200,29 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   registry.gauge("senkf.backlog.peak")
       .set(static_cast<std::int64_t>(backlog_peak));
 
+  // Straggler check (DESIGN.md §11): every stage's read balance, rebuilt
+  // from the I/O ranks' per-stage obtain_s series that rode the reduce.
+  double worst_stage_ratio = 0.0;
+  double worst_group_ratio = 0.0;
+  std::uint64_t straggler_warns = 0;
+  const std::vector<telemetry::StageSkew> stages =
+      telemetry::stage_read_skew(agg);
+  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
+    const telemetry::SkewStats& skew = stages[stage].read;
+    worst_stage_ratio = std::max(worst_stage_ratio, skew.ratio);
+    worst_group_ratio = std::max(worst_group_ratio, stages[stage].group.ratio);
+    if (skew.ratio < kStragglerRatio || skew.max_s < kStragglerFloorS) continue;
+    ++straggler_warns;
+    registry.gauge("senkf.straggler.last_rank").set(skew.max_rank);
+    SENKF_LOG_WARN("senkf: stage ", stage, " read straggler: rank ",
+                   skew.max_rank, " took ", skew.max_s, " s vs stage mean ",
+                   skew.mean_s, " s (x", skew.ratio, ", threshold x",
+                   kStragglerRatio, ")");
+  }
+  registry.counter("senkf.straggler.warns").add(straggler_warns);
+  registry.gauge("senkf.skew.stage_read").set(ratio_milli(worst_stage_ratio));
+  registry.gauge("senkf.skew.group_read").set(ratio_milli(worst_group_ratio));
+
   // Measured vs model (eqs. (7)–(9)) in the model's native
   // normalization: read/comm per I/O rank per stage, comp per
   // computation rank per stage (the fig09 convention).
@@ -1390,18 +1230,9 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
       static_cast<double>(config.io_ranks() * config.layers);
   const double comp_norm =
       static_cast<double>(config.computation_ranks() * config.layers);
-  tuning::CostModelParams mp;
-  mp.members = static_cast<std::uint64_t>(store.members());
-  mp.nx = static_cast<std::uint64_t>(store.grid().nx());
-  mp.ny = static_cast<std::uint64_t>(store.grid().ny());
-  vcluster::SenkfParams params;
-  params.n_sdx = static_cast<std::uint64_t>(config.n_sdx);
-  params.n_sdy = static_cast<std::uint64_t>(config.n_sdy);
-  params.layers = static_cast<std::uint64_t>(config.layers);
-  params.n_cg = static_cast<std::uint64_t>(config.n_cg);
   const tuning::PhaseDrift drift = tuning::record_model_drift(
-      tuning::CostModel(mp), params, io_read_s / io_norm,
-      io_send_s / io_norm, comp_update_s / comp_norm);
+      model, params, io_read_s / io_norm, io_send_s / io_norm,
+      comp_update_s / comp_norm);
 
   // Cycle boundary: snapshot the registry into the process time-series
   // (the drift gauges set above become a per-cycle trend point), then
@@ -1420,11 +1251,11 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     stats->io_send_seconds = io_send_s;
     stats->comp_wait_seconds = comp_wait_s;
     stats->comp_update_seconds = comp_update_s;
-    stats->messages = agg.counter("senkf.rank.messages");
-    stats->read_retries = agg.counter("senkf.rank.retries");
-    stats->bars_reissued = agg.counter("senkf.rank.reissued");
+    stats->messages = sum_over_ranks(agg.ranks, &RankSample::messages);
+    stats->read_retries = sum_over_ranks(agg.ranks, &RankSample::retries);
+    stats->bars_reissued = sum_over_ranks(agg.ranks, &RankSample::reissued);
     stats->dropped_members = dropped;
-    stats->straggler_warns = ctx.totals.warns;
+    stats->straggler_warns = straggler_warns;
     stats->read_skew = run_skew.ratio;
     stats->ranks = agg.ranks;
   }
@@ -1441,9 +1272,6 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   config_entry("n_cg", config.n_cg);
   config_entry("analysis_threads", config.analysis_threads);
   config_entry("members", store.members());
-  config_entry("monitor_enabled",
-               static_cast<int>(ctx.monitor.enabled));
-  config_entry("skew_warn_ratio", ctx.monitor.skew_warn_ratio);
   report.phases = {{"io_read_s", io_read_s},
                    {"io_send_s", io_send_s},
                    {"comp_wait_s", comp_wait_s},
@@ -1454,9 +1282,9 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   report.skew = {{"read.ratio", run_skew.ratio},
                  {"read.max_s", run_skew.max_s},
                  {"read.mean_s", run_skew.mean_s},
-                 {"stage.worst_ratio", ctx.totals.worst_stage_ratio},
-                 {"group.worst_ratio", ctx.totals.worst_group_ratio}};
-  report.straggler_warns = ctx.totals.warns;
+                 {"stage.worst_ratio", worst_stage_ratio},
+                 {"group.worst_ratio", worst_group_ratio}};
+  report.straggler_warns = straggler_warns;
   report.dropped_members.assign(dropped.begin(), dropped.end());
   report.aggregate = std::move(ctx.aggregate);
   telemetry::set_run_report(std::move(report));

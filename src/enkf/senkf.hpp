@@ -13,8 +13,8 @@
 //                       computation rank (i, j);
 //     computation rank (i, j):  a *helper thread* drains the incoming
 //                       block messages into stage buffers and signals the
-//                       main thread, which runs the local analysis of
-//                       layer l−... as soon as its stage data is complete —
+//                       main thread, which starts the local analysis of
+//                       layer l as soon as its stage data is complete —
 //                       overlapping its update of stage l with the
 //                       reading/communication of stage l+1.
 //
@@ -51,24 +51,6 @@ struct FaultToleranceOptions {
   bool drop_unreadable_members = true;
 };
 
-/// Cross-rank observability plane (DESIGN.md §11).  When enabled, every
-/// rank ships per-stage phase samples to rank 0 over a dedicated tag;
-/// rank 0's in-band monitor computes per-stage read skew across I/O
-/// ranks and concurrent groups, publishing `senkf.skew.*` /
-/// `senkf.straggler.*` gauges and WARN-logging stragglers while the run
-/// executes.  At run end all ranks' snapshots reduce to rank 0 along a
-/// binomial tree; SenkfStats and the SENKF_REPORT run report are derived
-/// from that aggregate.
-struct MonitorOptions {
-  bool enabled = true;
-  /// WARN when a stage's slowest bar acquisition exceeds this multiple
-  /// of the stage mean (env override: SENKF_SKEW_WARN=<ratio>|off).
-  double skew_warn_ratio = 2.0;
-  /// Ignore stages whose slowest acquisition is below this absolute
-  /// time — μs-scale in-memory reads always jitter past any ratio.
-  double min_warn_seconds = 1e-3;
-};
-
 struct SenkfConfig {
   Index n_sdx = 1;
   Index n_sdy = 1;
@@ -83,7 +65,6 @@ struct SenkfConfig {
   Index analysis_threads = 0;
   AnalysisOptions analysis;
   FaultToleranceOptions fault;
-  MonitorOptions monitor;
 
   Index computation_ranks() const { return n_sdx * n_sdy; }
   Index io_ranks() const { return n_cg * n_sdy; }
@@ -96,7 +77,9 @@ struct SenkfConfig {
 /// each rank accumulates its phase times into rank-local counters
 /// (clock-identical to the global `senkf.*` counters — CountedSpan feeds
 /// both from one clock pair) and the per-rank samples reduce to rank 0
-/// at run end.  Because the numbers are per-run by construction,
+/// at run end; each total below is the sum of `ranks`.  Rank 0 also
+/// rebuilds every stage's read balance there and WARNs on stragglers
+/// (DESIGN.md §11).  Because the numbers are per-run by construction,
 /// back-to-back runs in one process never inherit each other's totals,
 /// and a Registry::reset() between runs cannot skew them.
 /// `comp_update_seconds` sums the execution time of each analysis task
@@ -116,7 +99,7 @@ struct SenkfStats {
   /// (sorted); the returned ensemble holds the surviving members in
   /// member order.
   std::vector<Index> dropped_members;
-  /// Straggler WARNs the in-band monitor raised during this run.
+  /// Straggler WARNs the run-end per-stage read-skew check raised.
   std::uint64_t straggler_warns = 0;
   /// Whole-run bar-acquisition skew across I/O ranks (slowest / mean;
   /// 1 = perfectly balanced, 0 = no I/O samples).

@@ -169,7 +169,7 @@ class Queue {
         return std::move(*slot);
       }
     };
-    return Awaiter{this};
+    return Awaiter{this, std::nullopt};
   }
 
  private:

@@ -413,6 +413,36 @@ SkewStats group_read_skew(const std::vector<RankSample>& ranks) {
   return skew_of(per_group);
 }
 
+std::vector<StageSkew> stage_read_skew(const MetricsSnapshot& snapshot) {
+  std::vector<std::vector<RankSample>> stages;
+  for (const RankSample& r : snapshot.ranks) {
+    if (!r.is_io) continue;
+    const auto it = snapshot.series.find(
+        "ts.rank" + std::to_string(r.rank) + ".obtain_s");
+    if (it == snapshot.series.end()) continue;
+    // Points the ring bound evicted were the earliest stages.
+    const auto first = static_cast<std::size_t>(it->second.dropped);
+    const std::vector<SeriesPoint>& points = it->second.points;
+    if (stages.size() < first + points.size()) {
+      stages.resize(first + points.size());
+    }
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      RankSample sample;
+      sample.rank = r.rank;
+      sample.is_io = 1;
+      sample.group = r.group;
+      sample.obtain_s = points[i].value;
+      stages[first + i].push_back(sample);
+    }
+  }
+  std::vector<StageSkew> out;
+  out.reserve(stages.size());
+  for (const std::vector<RankSample>& samples : stages) {
+    out.push_back({read_skew(samples), group_read_skew(samples)});
+  }
+  return out;
+}
+
 std::uint64_t drain_backlog_peak(const std::vector<RankSample>& ranks) {
   std::uint64_t peak = 0;
   for (const RankSample& r : ranks) {

@@ -127,6 +127,18 @@ SkewStats read_skew(const std::vector<RankSample>& ranks);
 /// slowest group id.
 SkewStats group_read_skew(const std::vector<RankSample>& ranks);
 
+/// Read balance of one pipeline stage.
+struct StageSkew {
+  SkewStats read;   ///< across I/O ranks (as read_skew)
+  SkewStats group;  ///< across concurrent groups (as group_read_skew)
+};
+
+/// Per-stage read skew, indexed by stage.  Each I/O rank's per-stage
+/// samples are rebuilt from its `ts.rank<r>.obtain_s` series (one point
+/// per stage, in stage order); computation ranks and I/O ranks without
+/// that series are ignored.
+std::vector<StageSkew> stage_read_skew(const MetricsSnapshot& snapshot);
+
 /// Peak helper-thread drain backlog across computation ranks.
 std::uint64_t drain_backlog_peak(const std::vector<RankSample>& ranks);
 

@@ -4,12 +4,13 @@
 // plane (aggregate.hpp) ships one end-of-run cut.  This module adds the
 // time axis: a TimeSeriesRecorder snapshots registry deltas on a cadence
 // — every SENKF_SAMPLE_MS from a background thread, and/or explicitly at
-// cycle boundaries — into bounded per-metric rings, so drift gauges and
-// the straggler monitor see trends instead of one final point.  Counter
-// samples record the delta since the previous sample, gauges record the
-// level.  Series ride to rank 0 inside MetricsSnapshot through the
-// existing binomial-tree reduction and land in the run report (schema
-// v2).
+// cycle boundaries — into bounded per-metric rings, so drift gauges show
+// trends instead of one final point.  Counter samples record the delta
+// since the previous sample, gauges record the level.  The engines'
+// per-stage `ts.rankN.*` series ride to rank 0 inside MetricsSnapshot
+// through the existing binomial-tree reduction, where the run-end
+// straggler check reads them (DESIGN.md §11), and land in the run report
+// (schema v2).
 //
 // Memory is bounded by construction: each series keeps at most
 // `capacity` newest points (evictions are counted, never silent), and

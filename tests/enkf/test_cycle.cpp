@@ -169,7 +169,9 @@ TEST(Inflation, IncreasesAnalysisSpreadMonotonically) {
     config.analysis.inflation = inflation;
     const auto analysis = senkf(store, observations, ys, config);
     const double spread = ensemble_spread(analysis);
-    if (previous >= 0.0) EXPECT_GT(spread, previous);
+    if (previous >= 0.0) {
+      EXPECT_GT(spread, previous);
+    }
     previous = spread;
   }
 }

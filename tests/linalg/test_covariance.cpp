@@ -105,7 +105,9 @@ TEST(TaperCovariance, ZeroesLongRangeKeepsDiagonal) {
   for (Index i = 0; i < 6; ++i) {
     EXPECT_DOUBLE_EQ(tapered(i, i), m(i, i));  // distance 0 → weight 1
     for (Index j = 0; j < 6; ++j) {
-      if (dist(i, j) >= 2.0) EXPECT_DOUBLE_EQ(tapered(i, j), 0.0);
+      if (dist(i, j) >= 2.0) {
+        EXPECT_DOUBLE_EQ(tapered(i, j), 0.0);
+      }
     }
   }
   EXPECT_TRUE(is_symmetric(tapered));

@@ -252,9 +252,13 @@ TEST(Communicator, ConsecutiveSplitsDoNotInterfere) {
     EXPECT_EQ(b->size(), 2);
     // Traffic in one must not leak into the other.
     if (a->rank() == 0) a->send_doubles(1, 1, {1.0});
-    if (a->rank() == 1) EXPECT_EQ(a->recv_doubles(0, 1)[0], 1.0);
+    if (a->rank() == 1) {
+      EXPECT_EQ(a->recv_doubles(0, 1)[0], 1.0);
+    }
     if (b->rank() == 0) b->send_doubles(1, 1, {2.0});
-    if (b->rank() == 1) EXPECT_EQ(b->recv_doubles(0, 1)[0], 2.0);
+    if (b->rank() == 1) {
+      EXPECT_EQ(b->recv_doubles(0, 1)[0], 2.0);
+    }
   });
 }
 

@@ -1,11 +1,13 @@
 // Merge-operator and wire-codec units for the cross-rank aggregation
 // plane (DESIGN.md §11): counters add, gauges keep distribution stats,
 // histograms add bucketwise, rank samples concatenate; encode/decode is
-// an exact round trip and rejects truncated payloads.
+// an exact round trip and rejects truncated payloads; per-stage read
+// skew is rebuilt from the ranks' obtain_s series.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -135,7 +137,7 @@ TEST(SnapshotTest, MergeWithEmptySnapshotIsIdentity) {
 
 MetricsSnapshot sample_snapshot() {
   MetricsSnapshot s;
-  s.add_counter("senkf.rank.read_ns", 1234567);
+  s.add_counter("io_read_ns", 1234567);
   s.add_counter("messages", 42);
   s.observe_gauge("backlog", 3);
   s.observe_gauge("backlog", -1);
@@ -294,6 +296,91 @@ TEST(SkewTest, DrainBacklogPeakIsTheMaxOverCompRanks) {
   ranks.push_back(a);
   ranks.push_back(b);
   EXPECT_EQ(drain_backlog_peak(ranks), 5u);
+}
+
+// One rank's run-end contribution: its sample plus one obtain_s series
+// point per stage.
+MetricsSnapshot stage_snapshot(RankSample sample,
+                               const std::vector<double>& obtain_s) {
+  MetricsSnapshot s;
+  const std::string name =
+      "ts.rank" + std::to_string(sample.rank) + ".obtain_s";
+  for (std::size_t stage = 0; stage < obtain_s.size(); ++stage) {
+    sample.obtain_s += obtain_s[stage];
+    s.append_series(name, 1000 * static_cast<std::int64_t>(stage + 1),
+                    obtain_s[stage]);
+  }
+  s.ranks.push_back(sample);
+  return s;
+}
+
+TEST(SkewTest, StageReadSkewRebuildsStagesFromObtainSeries) {
+  // Four I/O ranks in two concurrent groups, rank 6 slow in stage 1
+  // only.  Computation rank 0's series and I/O rank 8 (no series at all)
+  // must not enter any stage.
+  RankSample comp;
+  comp.rank = 0;
+  const std::vector<MetricsSnapshot> parts{
+      stage_snapshot(comp, {9.0, 9.0, 9.0}),
+      stage_snapshot(io_sample(4, 0, 0.0), {0.01, 0.01, 0.01}),
+      stage_snapshot(io_sample(5, 0, 0.0), {0.01, 0.01, 0.01}),
+      stage_snapshot(io_sample(6, 1, 0.0), {0.01, 0.05, 0.01}),
+      stage_snapshot(io_sample(7, 1, 0.0), {0.01, 0.01, 0.01}),
+      stage_snapshot(io_sample(8, 1, 0.0), {}),
+  };
+  MetricsSnapshot whole;
+  for (const MetricsSnapshot& part : parts) whole.merge(part);
+
+  const std::vector<StageSkew> stages = stage_read_skew(whole);
+  ASSERT_EQ(stages.size(), 3u);
+  for (const std::size_t balanced : {0u, 2u}) {
+    EXPECT_EQ(stages[balanced].read.samples, 4u);
+    EXPECT_NEAR(stages[balanced].read.ratio, 1.0, 1e-12);
+    EXPECT_NEAR(stages[balanced].group.ratio, 1.0, 1e-12);
+  }
+  const SkewStats& slow = stages[1].read;
+  EXPECT_EQ(slow.samples, 4u);
+  EXPECT_EQ(slow.max_rank, 6);
+  EXPECT_DOUBLE_EQ(slow.max_s, 0.05);
+  EXPECT_NEAR(slow.mean_s, 0.02, 1e-12);
+  EXPECT_GT(slow.ratio, 2.0);
+  // Group 1 (ranks 6, 7) read 0.06 s in stage 1 against group 0's 0.02 s.
+  const SkewStats& group = stages[1].group;
+  EXPECT_EQ(group.samples, 2u);
+  EXPECT_EQ(group.max_rank, 1);
+  EXPECT_NEAR(group.max_s, 0.06, 1e-12);
+  EXPECT_NEAR(group.ratio, 1.5, 1e-12);
+
+  // The reduce's wire trip and merge order change nothing.
+  MetricsSnapshot wired;
+  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
+    wired.merge(MetricsSnapshot::decode(it->encode()));
+  }
+  const std::vector<StageSkew> again = stage_read_skew(wired);
+  ASSERT_EQ(again.size(), stages.size());
+  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
+    EXPECT_EQ(again[stage].read.max_rank, stages[stage].read.max_rank);
+    EXPECT_EQ(again[stage].read.samples, stages[stage].read.samples);
+    EXPECT_DOUBLE_EQ(again[stage].read.ratio, stages[stage].read.ratio);
+    EXPECT_EQ(again[stage].group.max_rank, stages[stage].group.max_rank);
+    EXPECT_DOUBLE_EQ(again[stage].group.ratio, stages[stage].group.ratio);
+  }
+}
+
+TEST(SkewTest, StageReadSkewCountsEvictedStages) {
+  // A series whose ring evicted its two oldest points still lands its
+  // remaining points on the stages they belong to.
+  MetricsSnapshot s;
+  s.ranks.push_back(io_sample(4, 0, 0.0));
+  SeriesData& series = s.series["ts.rank4.obtain_s"];
+  series.dropped = 2;
+  series.points.push_back({1000, 0.5});
+  const std::vector<StageSkew> stages = stage_read_skew(s);
+  ASSERT_EQ(stages.size(), 3u);
+  EXPECT_EQ(stages[0].read.samples, 0u);
+  EXPECT_EQ(stages[1].read.samples, 0u);
+  EXPECT_EQ(stages[2].read.samples, 1u);
+  EXPECT_DOUBLE_EQ(stages[2].read.max_s, 0.5);
 }
 
 TEST(JsonWriterTest, WritesEscapedNestedDocuments) {

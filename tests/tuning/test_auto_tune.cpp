@@ -117,7 +117,9 @@ TEST(Algorithm2, MoreProcessorsNeverWorsenTheModelledTotal) {
   double prev = -1.0;
   for (const std::uint64_t np : {60u, 120u, 240u, 480u}) {
     const auto result = auto_tune(model, np, 1e-4);
-    if (prev >= 0.0) EXPECT_LE(result.t_total, prev * (1.0 + 1e-12));
+    if (prev >= 0.0) {
+      EXPECT_LE(result.t_total, prev * (1.0 + 1e-12));
+    }
     prev = result.t_total;
   }
 }
