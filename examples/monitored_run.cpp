@@ -1,9 +1,9 @@
 // Observability walkthrough (DESIGN.md §11): run S-EnKF with an injected
-// straggler, so rank 0's straggler check WARNs once per stage when the
-// run ends, then print the cross-rank aggregation — per-rank phase
-// table, read skew, helper-thread backlog — and the measured-vs-model
-// drift table.  Stalls are caught live, while a stage is still stuck,
-// by the SENKF_WATCHDOG stall watchdog (DESIGN.md §16).
+// straggler, so the run-end straggler check WARNs once per stage, then
+// print what the run ledger gives — per-rank phase table, read skew,
+// helper-thread backlog — and the measured-vs-model drift table.  Stalls
+// are caught live, while a stage is still stuck, by the SENKF_WATCHDOG
+// stall watchdog (DESIGN.md §16).
 //
 // The same data lands on disk with zero code changes on any binary:
 //   SENKF_REPORT=report.json ./monitored_run   # machine-readable report
@@ -66,7 +66,7 @@ int main() {
   const auto analysis = enkf::senkf(faulty, observations, ys, config, &stats);
   std::cout << "\nAnalysis members: " << analysis.size() << "\n\n";
 
-  // Per-rank phase table straight from the aggregation tree.
+  // Per-rank phase table straight from the run ledger.
   std::printf("%5s %5s %5s %9s %9s %9s %9s %9s %8s\n", "rank", "io", "grp",
               "read_s", "obtain_s", "send_s", "wait_s", "update_s", "msgs");
   for (const auto& r : stats.ranks) {

@@ -1,7 +1,6 @@
 #include "enkf/senkf.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -16,7 +15,6 @@
 
 #include "enkf/faulty_store.hpp"
 #include "enkf/patch_wire.hpp"
-#include "parcomm/metrics_channel.hpp"
 #include "parcomm/runtime.hpp"
 #include "support/logging.hpp"
 #include "support/thread_pool.hpp"
@@ -39,8 +37,6 @@ constexpr int kResultTag = 2;
 /// I/O-group control channel (straggler re-issue protocol); never touches
 /// computation ranks, so wildcards on it cannot steal result messages.
 constexpr int kIoCtrlTag = 3;
-/// Run-end binomial-tree reduce of per-rank metric snapshots.
-constexpr int kTelemetryReduceTag = 5;
 
 /// Payload discriminators on kBlockTag (first u64 of every message).
 /// A kKindBlock message is a framed multi-block batch:
@@ -60,10 +56,9 @@ constexpr std::uint64_t kCtrlAck = 1;
 constexpr std::uint64_t kCtrlDone = 2;
 
 /// Process-wide cumulative phase counters (what SENKF_TRACE-era tooling
-/// and the registry snapshot expose).  SenkfStats no longer diffs these:
-/// per-run numbers come from the rank-local counters below, aggregated
-/// over the telemetry reduce tree, so back-to-back runs and registry
-/// resets cannot contaminate a run's stats.
+/// and the registry snapshot expose).  SenkfStats never diffs these: its
+/// per-run numbers come from the run ledger below, so back-to-back runs
+/// and registry resets cannot contaminate a run's stats.
 struct PhaseCounters {
   telemetry::Counter& io_read_ns;
   telemetry::Counter& io_send_ns;
@@ -93,29 +88,45 @@ struct PhaseCounters {
 
 };
 
-/// Rank-local phase accumulators, zeroed per run per rank.  Atomic
-/// counters because helper / pool / reader threads of the same rank feed
-/// them; the dual-counter CountedSpan adds the same interval here and to
-/// the global PhaseCounters from one clock pair.
-struct RankLocal {
+/// One (rank, stage) cell of the run ledger.  Atomic counters because
+/// the rank's helper, pool and reader threads feed them; the dual-counter
+/// CountedSpan adds the same interval here and to the global
+/// PhaseCounters from one clock pair.
+struct StageCell {
   telemetry::Counter read_ns;    ///< bar-read spans (mirrors senkf.io_read_ns)
   telemetry::Counter obtain_ns;  ///< full acquisition incl. injected delays
   telemetry::Counter send_ns;
   telemetry::Counter wait_ns;
   telemetry::Counter update_ns;
+  /// When the rank's main thread closed the stage: the timestamp of the
+  /// stage's series points.
+  std::int64_t boundary_ns = 0;
+};
+
+/// One rank's per-run counts in the run ledger.
+struct RankCounts {
   telemetry::Counter messages;
   telemetry::Counter retries;
   telemetry::Counter reissued;
+  std::uint64_t backlog_peak = 0;  ///< written by the rank's main thread
 };
 
-/// Run-scoped observability state shared by every rank thread.
+/// Run-scoped observability state shared by every rank thread.  The run
+/// ledger (DESIGN.md §11) is a StageCell per (rank, stage) plus a
+/// RankCounts per rank.  A rank's threads write only that rank's entries,
+/// and senkf() reads the ledger only after Runtime::run has joined every
+/// rank thread, so the per-run numbers need no messages and no merge.
 struct ObservabilityContext {
-  /// Set by any unwinding rank before its exception propagates, so
-  /// blocking reduce-tree receives degrade within one poll interval
-  /// instead of hitting the mailbox deadline.
-  std::atomic<bool> run_failed{false};
-  /// Rank 0 only, written after its reduce completes.
-  telemetry::MetricsSnapshot aggregate;
+  ObservabilityContext(Index n_ranks, Index n_stages)
+      : stages(n_stages), cells(n_ranks * n_stages), counts(n_ranks) {}
+
+  StageCell& cell(int rank, Index stage) {
+    return cells[static_cast<Index>(rank) * stages + stage];
+  }
+
+  Index stages;
+  std::vector<StageCell> cells;  ///< rank-major, `stages` cells per rank
+  std::vector<RankCounts> counts;
   /// Cost-model-derived stall deadlines for the liveops watchdog
   /// (DESIGN.md §16); all-zero when the watchdog is off, which makes
   /// every WatchdogScope a no-op.
@@ -371,13 +382,14 @@ class BlockBatch {
   }
 
   /// Sends the accumulated batches (one message per destination) and
-  /// resets.  A batch with no members sends nothing.
+  /// resets; the send time also lands in `stage_send_ns`.  A batch with
+  /// no members sends nothing.
   void flush(parcomm::Communicator& world, PhaseCounters& phases,
-             telemetry::Counter* local_send_ns = nullptr) {
+             telemetry::Counter& stage_send_ns) {
     if (members_added_ == 0) return;
     telemetry::CountedSpan send_span(telemetry::Category::kSend,
                                      "block_scatter", phases.io_send_ns,
-                                     local_send_ns,
+                                     &stage_send_ns,
                                      static_cast<std::int32_t>(l_));
     for (Index i = 0; i < config_.n_sdx; ++i) {
       world.send(layout_.comp_rank(i, slot_), kBlockTag, packers_[i].take());
@@ -403,10 +415,10 @@ void scatter_bar(parcomm::Communicator& world, const RankLayout& layout,
                  const grid::Decomposition& decomposition,
                  const SenkfConfig& config, Index l, Index member, Index slot,
                  const grid::Patch& bar, PhaseCounters& phases,
-                 telemetry::Counter* local_send_ns = nullptr) {
+                 telemetry::Counter& stage_send_ns) {
   BlockBatch batch(layout, decomposition, config, l, slot, 1);
   batch.add(member, bar);
-  batch.flush(world, phases, local_send_ns);
+  batch.flush(world, phases, stage_send_ns);
 }
 
 /// Tells every computation rank of latitude row `slot` that `member` is
@@ -531,8 +543,9 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
   const Index group = layout.io_group(world.rank());
   const Index slot = layout.io_slot(world.rank());
   const Index n_members = store.members();
+  const int my_rank = world.rank();
   PhaseCounters& phases = PhaseCounters::get();
-  RankLocal local;
+  RankCounts& counts = ctx.counts[static_cast<Index>(my_rank)];
   const pfs::FaultInjector* injector = injector_of(store);
   const int io_ordinal =
       world.rank() - static_cast<int>(config.computation_ranks());
@@ -557,14 +570,18 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
   // the store read under the retry policy (TransientReadError → capped
   // exponential backoff with deterministic jitter → retry; exhaustion →
   // PermanentReadError).  Runs on the main thread, or on the BarReader
-  // worker when straggler re-issue is armed.
+  // worker when straggler re-issue is armed.  Its time lands in this
+  // rank's ledger cell of stage l, even when the main thread has moved on
+  // (an abandoned read finishes late) or l is a peer's stage (a served
+  // re-issue).
   const auto perform_read = [&](Index member, grid::IndexRange rows,
                                 Index l) -> grid::Patch {
+    StageCell& cell = ctx.cell(my_rank, l);
     // obtain_ns covers the whole degraded acquisition — injected delay,
     // backoff sleeps, retries — which is what the straggler check must
     // see; read_ns mirrors the global bar-read span (successful read
     // time only).
-    telemetry::ScopedTimerNs obtain_timer(local.obtain_ns);
+    telemetry::ScopedTimerNs obtain_timer(cell.obtain_ns);
     // Traced sibling of obtain_ns: the critical-path walker needs the
     // injected delay and backoff sleeps covered by a span, or a straggler
     // shows up as untracked time instead of disk time on this rank.
@@ -588,13 +605,13 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
         [&] {
           telemetry::CountedSpan read_span(telemetry::Category::kRead,
                                            "bar_read", phases.io_read_ns,
-                                           &local.read_ns,
+                                           &cell.read_ns,
                                            static_cast<std::int32_t>(l));
           return store.read_bar(member, rows);
         },
         [&](int) {
           phases.read_retries.add(1);
-          local.retries.add(1);
+          counts.retries.add(1);
         });
   };
 
@@ -642,7 +659,7 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
       try {
         const grid::Patch bar = perform_read(member, bar_rows(req_slot, l), l);
         scatter_bar(world, layout, decomposition, config, l, member, req_slot,
-                    bar, phases, &local.send_ns);
+                    bar, phases, ctx.cell(my_rank, l).send_ns);
       } catch (const pfs::PermanentReadError&) {
         handle_permanent(member, req_slot);
       }
@@ -680,14 +697,7 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
 
   const Index members_per_group =
       (n_members + config.n_cg - 1) / config.n_cg;
-  telemetry::MetricsSnapshot mine;
-  const std::string series_prefix =
-      "ts.rank" + std::to_string(world.rank()) + ".";
   for (Index l = 0; l < config.layers; ++l) {
-    // Stage baselines for the per-stage series points below.
-    const std::uint64_t stage_read0 = local.read_ns.value();
-    const std::uint64_t stage_obtain0 = local.obtain_ns.value();
-    const std::uint64_t stage_send0 = local.send_ns.value();
     const grid::IndexRange rows = bar_rows(slot, l);
     // One coalesced batch per (destination, layer): every member's block
     // rides in the same message (re-issued stragglers arrive separately
@@ -731,7 +741,7 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
                      request.take());
           pending_acks.insert({l, member});
           phases.bars_reissued.add(1);
-          local.reissued.add(1);
+          counts.reissued.add(1);
           SENKF_LOG_WARN("senkf: io rank ", world.rank(),
                          " re-issued bar (stage ", l, ", member ", member,
                          ") past the straggler deadline");
@@ -739,28 +749,9 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
         }
       }
     }
-    batch.flush(world, phases, &local.send_ns);
-
-    // Per-stage boundary: fold this stage's acquisition time into the
-    // aggregate histogram.  Note the re-issue path can attribute a served
-    // peer's read to the server's current stage — stage attribution is
-    // best-effort under degradation, totals stay exact.
-    const std::uint64_t stage_obtain_ns = local.obtain_ns.value() - stage_obtain0;
-    mine.observe_histogram("senkf.rank.stage_obtain_us", stage_obtain_bounds(),
-                           static_cast<double>(stage_obtain_ns) / 1e3);
-    // One time-series point per stage boundary; the series ride the
-    // run-end reduce to rank 0, where the straggler check rebuilds each
-    // stage's read balance from obtain_s (DESIGN.md §11) and the report
-    // carries them as per-rank trends (DESIGN.md §13).
-    const std::int64_t stage_t = telemetry::now_ns();
-    mine.append_series(series_prefix + "obtain_s", stage_t,
-                       static_cast<double>(stage_obtain_ns) / 1e9);
-    mine.append_series(
-        series_prefix + "read_s", stage_t,
-        static_cast<double>(local.read_ns.value() - stage_read0) / 1e9);
-    mine.append_series(
-        series_prefix + "send_s", stage_t,
-        static_cast<double>(local.send_ns.value() - stage_send0) / 1e9);
+    batch.flush(world, phases, ctx.cell(my_rank, l).send_ns);
+    // Stage boundary: the timestamp of the stage's series points.
+    ctx.cell(my_rank, l).boundary_ns = telemetry::now_ns();
   }
 
   if (reissue_enabled) {
@@ -775,22 +766,6 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
     }
     // ~BarReader waits for any abandoned slow read still in flight.
   }
-
-  // Run-end aggregation: this rank's sample and series join the binomial
-  // reduce toward rank 0 (result only meaningful there).
-  telemetry::RankSample sample;
-  sample.rank = world.rank();
-  sample.is_io = 1;
-  sample.group = static_cast<std::int32_t>(group);
-  sample.read_s = static_cast<double>(local.read_ns.value()) / 1e9;
-  sample.obtain_s = static_cast<double>(local.obtain_ns.value()) / 1e9;
-  sample.send_s = static_cast<double>(local.send_ns.value()) / 1e9;
-  sample.retries = local.retries.value();
-  sample.reissued = local.reissued.value();
-  mine.ranks.push_back(sample);
-  (void)parcomm::reduce_snapshots(
-      world, kTelemetryReduceTag, std::move(mine),
-      [&ctx] { return ctx.run_failed.load(std::memory_order_relaxed); });
 }
 
 /// Yˢ restricted to the surviving members (column k of the input belongs
@@ -819,7 +794,7 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   const Index n_members = store.members();
   const int my_rank = world.rank();
   PhaseCounters& phases = PhaseCounters::get();
-  RankLocal local;
+  RankCounts& counts = ctx.counts[static_cast<Index>(my_rank)];
   StageBuffers buffers(config.layers, n_members);
 
   // Helper thread (§4.2): drains block and dead-member messages for this
@@ -897,23 +872,20 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   // the main thread blocked in take_stage, comp_update the summed
   // execution time of the analysis tasks (recorded inside each task, on
   // whichever pool thread ran it).
-  std::uint64_t backlog_peak = 0;
-  telemetry::MetricsSnapshot mine;
-  const std::string series_prefix =
-      "ts.rank" + std::to_string(my_rank) + ".";
   for (Index l = 0; l < config.layers; ++l) {
+    StageCell& cell = ctx.cell(my_rank, l);
     // Helper-thread drain backlog: stages already complete but not yet
     // consumed by the analysis loop.  Its peak is the depth of the
     // read-ahead the overlap achieved (0 = the main thread always waits).
     const Index completed = buffers.completed_stages();
     if (completed > l) {
-      backlog_peak = std::max<std::uint64_t>(backlog_peak, completed - l);
+      counts.backlog_peak =
+          std::max<std::uint64_t>(counts.backlog_peak, completed - l);
     }
-    const std::uint64_t stage_wait0 = local.wait_ns.value();
     {
       telemetry::CountedSpan wait_span(telemetry::Category::kWait,
                                        "stage_wait", phases.comp_wait_ns,
-                                       &local.wait_ns,
+                                       &cell.wait_ns,
                                        static_cast<std::int32_t>(l));
       // A stage overrunning its end-to-end prediction means an upstream
       // rank stalled; the watchdog names this wait (and its stage) while
@@ -926,16 +898,15 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
       wait_span.set_flow(telemetry::FlowDir::kIn,
                          stage_data[l].cause.span_id);
     }
-    mine.append_series(
-        series_prefix + "wait_s", telemetry::now_ns(),
-        static_cast<double>(local.wait_ns.value() - stage_wait0) / 1e9);
+    // Stage boundary: the timestamp of the stage's wait_s point.
+    cell.boundary_ns = telemetry::now_ns();
 
     pool.submit([&, l, my_rank] {
       telemetry::set_thread_rank(my_rank);
       telemetry::CountedSpan update_span(telemetry::Category::kUpdate,
                                          "local_analysis",
                                          phases.comp_update_ns,
-                                         &local.update_ns,
+                                         &ctx.cell(my_rank, l).update_ns,
                                          static_cast<std::int32_t>(l));
       const grid::Rect target = decomposition.layer(my_id, l, config.layers);
       const StageBuffers::Stage& stage = stage_data[l];
@@ -992,29 +963,10 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   if (helper_error) std::rethrow_exception(helper_error);
 
   phases.messages.add(helper_messages);
-  local.messages.add(helper_messages);
-
-  // Run-end aggregation leg: this rank's per-run numbers join the
-  // binomial reduce toward rank 0.  The cancellation predicate keeps the
-  // receive legs from stalling on a peer that unwound instead of sending.
-  const auto finish_telemetry = [&] {
-    telemetry::RankSample sample;
-    sample.rank = my_rank;
-    sample.is_io = 0;
-    sample.wait_s = static_cast<double>(local.wait_ns.value()) / 1e9;
-    sample.update_s = static_cast<double>(local.update_ns.value()) / 1e9;
-    sample.messages = local.messages.value();
-    sample.retries = local.retries.value();
-    sample.backlog_peak = backlog_peak;
-    mine.ranks.push_back(sample);
-    return parcomm::reduce_snapshots(
-        world, kTelemetryReduceTag, std::move(mine),
-        [&ctx] { return ctx.run_failed.load(std::memory_order_relaxed); });
-  };
+  counts.messages.add(helper_messages);
 
   if (world.rank() != 0) {
     world.send(0, kResultTag, results.take());
-    (void)finish_telemetry();
     return;
   }
 
@@ -1035,7 +987,7 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
         [&] { return store.load_member(member); },
         [&](int) {
           phases.read_retries.add(1);
-          local.retries.add(1);
+          counts.retries.add(1);
         }));
   }
   // Result payloads are consumed in place: each patch becomes a view
@@ -1063,7 +1015,65 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   }
   *result_out = std::move(fields);
   *dropped_out = dropped;
-  ctx.aggregate = finish_telemetry();
+}
+
+double seconds(std::uint64_t ns) { return static_cast<double>(ns) / 1e9; }
+
+/// The run's aggregate, read off the ledger once every rank thread has
+/// joined: one RankSample per rank in rank order, one `ts.rankN.*` point
+/// per stage at its boundary time (DESIGN.md §13), and the per-stage
+/// acquisition histogram.  `stage_samples[l]` receives the I/O ranks'
+/// stage-l samples (obtain_s = that stage's acquisition) for the
+/// straggler check.
+telemetry::MetricsSnapshot read_ledger(
+    ObservabilityContext& ctx, const RankLayout& layout,
+    std::vector<std::vector<telemetry::RankSample>>& stage_samples) {
+  telemetry::MetricsSnapshot agg;
+  stage_samples.assign(ctx.stages, {});
+  for (Index r = 0; r < ctx.counts.size(); ++r) {
+    const int rank = static_cast<int>(r);
+    telemetry::RankSample sample;
+    sample.rank = rank;
+    sample.is_io = layout.is_io(rank) ? 1 : 0;
+    if (sample.is_io != 0) {
+      sample.group = static_cast<std::int32_t>(layout.io_group(rank));
+    }
+    const std::string prefix = "ts.rank" + std::to_string(rank) + ".";
+    for (Index l = 0; l < ctx.stages; ++l) {
+      const StageCell& cell = ctx.cell(rank, l);
+      const double read_s = seconds(cell.read_ns.value());
+      const double obtain_s = seconds(cell.obtain_ns.value());
+      const double send_s = seconds(cell.send_ns.value());
+      const double wait_s = seconds(cell.wait_ns.value());
+      sample.read_s += read_s;
+      sample.obtain_s += obtain_s;
+      sample.send_s += send_s;
+      sample.wait_s += wait_s;
+      sample.update_s += seconds(cell.update_ns.value());
+      if (sample.is_io == 0) {
+        agg.append_series(prefix + "wait_s", cell.boundary_ns, wait_s);
+        continue;
+      }
+      agg.observe_histogram("senkf.rank.stage_obtain_us",
+                            stage_obtain_bounds(), obtain_s * 1e6);
+      agg.append_series(prefix + "obtain_s", cell.boundary_ns, obtain_s);
+      agg.append_series(prefix + "read_s", cell.boundary_ns, read_s);
+      agg.append_series(prefix + "send_s", cell.boundary_ns, send_s);
+      telemetry::RankSample stage;
+      stage.rank = rank;
+      stage.is_io = 1;
+      stage.group = sample.group;
+      stage.obtain_s = obtain_s;
+      stage_samples[l].push_back(stage);
+    }
+    const RankCounts& counts = ctx.counts[r];
+    sample.messages = counts.messages.value();
+    sample.retries = counts.retries.value();
+    sample.reissued = counts.reissued.value();
+    sample.backlog_peak = counts.backlog_peak;
+    agg.ranks.push_back(sample);
+  }
+  return agg;
 }
 
 }  // namespace
@@ -1110,7 +1120,7 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   const std::int64_t run_start_ns = telemetry::now_ns();
 
   // Observability plane state shared by every rank thread of this run.
-  ObservabilityContext ctx;
+  ObservabilityContext ctx(config.total_ranks(), config.layers);
 
   // The §4.3 cost model of this run, shared by the watchdog deadlines and
   // the drift record below (the auto-tuner evaluates the same model).
@@ -1145,25 +1155,17 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     parcomm::Runtime::run(
         static_cast<int>(config.total_ranks()),
         [&](parcomm::Communicator& world) {
-          // Any unwinding rank flips run_failed first, so peers blocked
-          // in reduce-tree receives give up within one poll interval
-          // instead of the mailbox deadline.
-          try {
-            if (layout.is_io(world.rank())) {
-              try {
-                run_io_rank(world, layout, decomposition, store, config, ctx);
-              } catch (const pfs::PermanentReadError&) {
-                const std::lock_guard<std::mutex> lock(abort_mutex);
-                if (!abort_error) abort_error = std::current_exception();
-                throw;
-              }
-            } else {
-              run_comp_rank(world, layout, decomposition, store, observations,
-                            perturbed, config, ctx, &result, &dropped);
+          if (layout.is_io(world.rank())) {
+            try {
+              run_io_rank(world, layout, decomposition, store, config, ctx);
+            } catch (const pfs::PermanentReadError&) {
+              const std::lock_guard<std::mutex> lock(abort_mutex);
+              if (!abort_error) abort_error = std::current_exception();
+              throw;
             }
-          } catch (...) {
-            ctx.run_failed.store(true, std::memory_order_relaxed);
-            throw;
+          } else {
+            run_comp_rank(world, layout, decomposition, store, observations,
+                          perturbed, config, ctx, &result, &dropped);
           }
         });
   } catch (...) {
@@ -1181,13 +1183,13 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
 
   SENKF_REQUIRE(!result.empty(), "senkf: no result produced");
 
-  // Everything below derives from the run's own aggregate, never from
+  // Everything below derives from the run ledger, never from
   // process-cumulative counters.  Every total is a sum over the per-rank
   // samples, so the report's "phases = Σ ranks" invariant holds by
   // construction.
   using telemetry::RankSample;
-  telemetry::MetricsSnapshot& agg = ctx.aggregate;
-  agg.sort_ranks();
+  std::vector<std::vector<RankSample>> stage_samples;
+  telemetry::MetricsSnapshot agg = read_ledger(ctx, layout, stage_samples);
   const double io_read_s = sum_over_ranks(agg.ranks, &RankSample::read_s);
   const double io_send_s = sum_over_ranks(agg.ranks, &RankSample::send_s);
   const double comp_wait_s = sum_over_ranks(agg.ranks, &RankSample::wait_s);
@@ -1200,13 +1202,13 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   registry.gauge("senkf.backlog.peak")
       .set(static_cast<std::int64_t>(backlog_peak));
 
-  // Straggler check (DESIGN.md §11): every stage's read balance, rebuilt
-  // from the I/O ranks' per-stage obtain_s series that rode the reduce.
+  // Straggler check (DESIGN.md §11): every stage's read balance across
+  // the I/O ranks' ledger cells of that stage.
   double worst_stage_ratio = 0.0;
   double worst_group_ratio = 0.0;
   std::uint64_t straggler_warns = 0;
   const std::vector<telemetry::StageSkew> stages =
-      telemetry::stage_read_skew(agg);
+      telemetry::stage_read_skew(stage_samples);
   for (std::size_t stage = 0; stage < stages.size(); ++stage) {
     const telemetry::SkewStats& skew = stages[stage].read;
     worst_stage_ratio = std::max(worst_stage_ratio, skew.ratio);
@@ -1286,7 +1288,7 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
                  {"group.worst_ratio", worst_group_ratio}};
   report.straggler_warns = straggler_warns;
   report.dropped_members.assign(dropped.begin(), dropped.end());
-  report.aggregate = std::move(ctx.aggregate);
+  report.aggregate = std::move(agg);
   telemetry::set_run_report(std::move(report));
 
   return result;

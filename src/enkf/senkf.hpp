@@ -73,15 +73,16 @@ struct SenkfConfig {
 
 /// Per-run instrumentation (numeric-plane analogue of Fig. 9's phases).
 ///
-/// Every field is derived from the run's own cross-rank aggregation:
-/// each rank accumulates its phase times into rank-local counters
+/// Every field is derived from the run's own ledger: each rank
+/// accumulates its phase times per stage into its own ledger cells
 /// (clock-identical to the global `senkf.*` counters — CountedSpan feeds
-/// both from one clock pair) and the per-rank samples reduce to rank 0
-/// at run end; each total below is the sum of `ranks`.  Rank 0 also
-/// rebuilds every stage's read balance there and WARNs on stragglers
-/// (DESIGN.md §11).  Because the numbers are per-run by construction,
-/// back-to-back runs in one process never inherit each other's totals,
-/// and a Registry::reset() between runs cannot skew them.
+/// both from one clock pair), and senkf() reads the ledger once every
+/// rank thread has joined; each total below is the sum of `ranks`.
+/// From the same ledger it checks every stage's read balance and WARNs
+/// on stragglers (DESIGN.md §11).  Because the numbers are per-run by
+/// construction, back-to-back runs in one process never inherit each
+/// other's totals, and a Registry::reset() between runs cannot skew
+/// them.
 /// `comp_update_seconds` sums the execution time of each analysis task
 /// on whichever pool thread ran it — with `analysis_threads > 1` it can
 /// exceed a rank's wall-clock (work ran concurrently), and
@@ -104,7 +105,7 @@ struct SenkfStats {
   /// Whole-run bar-acquisition skew across I/O ranks (slowest / mean;
   /// 1 = perfectly balanced, 0 = no I/O samples).
   double read_skew = 0.0;
-  /// Per-rank phase samples (sorted by rank) from the aggregation tree.
+  /// Per-rank phase samples (in rank order) from the run ledger.
   std::vector<telemetry::RankSample> ranks;
 };
 

@@ -1,13 +1,11 @@
-// Cross-rank metric aggregation (DESIGN.md §11): per-rank snapshots of
-// the metrics registry plus phase samples, merge operators for reducing
-// them toward rank 0, and a byte-level wire codec.
+// Cross-rank metric views (DESIGN.md §11): per-rank phase samples, the
+// run-level MetricsSnapshot the report carries (counters, gauge
+// distributions, histograms, rank samples and per-rank series), and the
+// skew statistics computed over the samples.
 //
-// This layer sits below parcomm, so it knows nothing about transport:
-// encode()/decode() produce plain byte vectors that the message plane
-// (parcomm/metrics_channel.hpp) ships inside SharedPayload envelopes.
-// Merge semantics: counters add, gauges keep min/max/sum/sumsq/count,
-// histograms add bucketwise (bounds must match), rank samples
-// concatenate.
+// S-EnKF fills one snapshot per run from its run ledger after every rank
+// thread has joined, so nothing here is shipped between ranks or merged;
+// MetricsSnapshot::capture() gives the same shape to a registry dump.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +20,7 @@
 
 namespace senkf::telemetry {
 
-/// Distribution of one gauge across the ranks that observed it.
+/// Distribution of one gauge's observations.
 struct GaugeStat {
   std::int64_t min = 0;
   std::int64_t max = 0;
@@ -31,11 +29,11 @@ struct GaugeStat {
   std::uint64_t count = 0;
 
   void observe(std::int64_t v);
-  void merge(const GaugeStat& other);
   double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
 };
 
-/// A histogram's mergeable state; bucketwise-add requires equal bounds.
+/// A histogram's bucket counts, with "le" bucket placement as in
+/// metrics.hpp's Histogram.
 struct HistogramState {
   std::vector<double> bounds;
   std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 entries
@@ -43,13 +41,11 @@ struct HistogramState {
   double sum = 0.0;
 
   void observe(double v);
-  /// Throws std::logic_error when the bounds differ.
-  void merge(const HistogramState& other);
 };
 
-/// One rank's phase totals for a run, shipped to rank 0 and surfaced in
-/// SenkfStats / the run report.  Times are seconds of wall clock inside
-/// the respective phase on that rank.
+/// One rank's phase totals for a run, surfaced in SenkfStats and the run
+/// report.  Times are seconds of wall clock inside the respective phase
+/// on that rank.
 struct RankSample {
   std::int32_t rank = -1;
   std::uint8_t is_io = 0;
@@ -65,7 +61,8 @@ struct RankSample {
   std::uint64_t backlog_peak = 0;  ///< comp: max stages buffered ahead of use
 };
 
-/// A mergeable bundle of metrics: the unit the aggregation tree reduces.
+/// One run's metrics: what the report's "run.aggregate" and "run.ranks"
+/// sections are written from.
 class MetricsSnapshot {
  public:
   std::map<std::string, std::uint64_t> counters;
@@ -73,41 +70,20 @@ class MetricsSnapshot {
   std::map<std::string, HistogramState> histograms;
   std::vector<RankSample> ranks;
   /// Per-rank trend series (DESIGN.md §13), e.g. "ts.rank3.obtain_s":
-  /// bounded rings that ride the same reduction tree as the scalars so
-  /// rank 0 sees every rank's per-stage trajectory, not just its total.
+  /// one point per stage, so the report shows every rank's per-stage
+  /// trajectory, not just its total.
   std::map<std::string, SeriesData> series;
 
-  void add_counter(std::string_view name, std::uint64_t v);
-  void observe_gauge(std::string_view name, std::int64_t v);
+  /// Throws std::logic_error when `name` was observed with other bounds.
   void observe_histogram(std::string_view name,
                          const std::vector<double>& bounds, double v);
   void append_series(std::string_view name, std::int64_t t_ns, double value);
 
   std::uint64_t counter(std::string_view name) const;
 
-  /// Counters add, gauges stat-merge, histograms add bucketwise (bounds
-  /// mismatch throws std::logic_error), rank samples concatenate, series
-  /// merge-sort keeping the newest kDefaultSeriesCapacity points.
-  void merge(const MetricsSnapshot& other);
-
-  /// Sorts rank samples by rank id (the tree merge interleaves them).
-  void sort_ranks();
-
-  std::vector<std::byte> encode() const;
-  static MetricsSnapshot decode(const std::byte* data, std::size_t size);
-  static MetricsSnapshot decode(const std::vector<std::byte>& bytes) {
-    return decode(bytes.data(), bytes.size());
-  }
-
   /// Captures every metric currently in the registry: counters and
   /// histograms verbatim, each gauge as a single observation.
   static MetricsSnapshot capture(const Registry& registry);
-
-  /// Same, minus a baseline: counter and histogram values are subtracted
-  /// saturating at zero (a reset between captures never wraps); gauges
-  /// keep their current value (deltas are meaningless for levels).
-  static MetricsSnapshot capture_delta(const Registry& registry,
-                                       const MetricsSnapshot& baseline);
 };
 
 /// Imbalance of one per-rank quantity: slowest vs mean.
@@ -133,11 +109,11 @@ struct StageSkew {
   SkewStats group;  ///< across concurrent groups (as group_read_skew)
 };
 
-/// Per-stage read skew, indexed by stage.  Each I/O rank's per-stage
-/// samples are rebuilt from its `ts.rank<r>.obtain_s` series (one point
-/// per stage, in stage order); computation ranks and I/O ranks without
-/// that series are ignored.
-std::vector<StageSkew> stage_read_skew(const MetricsSnapshot& snapshot);
+/// Per-stage read skew: `stages[l]` holds stage l's samples, whose
+/// obtain_s is that stage's acquisition time; computation-rank samples
+/// are ignored, as in read_skew.
+std::vector<StageSkew> stage_read_skew(
+    const std::vector<std::vector<RankSample>>& stages);
 
 /// Peak helper-thread drain backlog across computation ranks.
 std::uint64_t drain_backlog_peak(const std::vector<RankSample>& ranks);

@@ -19,8 +19,8 @@ class CountedSpan {
   }
 
   /// Same interval additionally accumulated into a rank-local counter
-  /// (the aggregation plane's per-rank samples, DESIGN.md §11), so the
-  /// global and per-rank views stay clock-identical.
+  /// (a cell of S-EnKF's run ledger, DESIGN.md §11), so the global and
+  /// per-rank views stay clock-identical.
   CountedSpan(Category category, const char* name, Counter& ns_counter,
               Counter* local_ns, std::int32_t stage = -1)
       : counter_(ns_counter), local_(local_ns), name_(name),

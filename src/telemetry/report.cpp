@@ -364,30 +364,32 @@ void write_run_report(std::ostream& out) {
   const MetricsSnapshot registry = MetricsSnapshot::capture(Registry::global());
   write_snapshot(json, registry);
 
-  // Latency quantiles for every microsecond histogram (queue/exec wait,
-  // stage obtain) — the triage view; the raw buckets stay available in
-  // the metrics dump above.
+  // Latency quantiles for every microsecond histogram, the registry's
+  // (thread-pool queue/exec wait) and the run's (stage obtain) — the
+  // triage view; the raw buckets stay available in the dumps above.
+  // Names are disjoint by convention ("senkf.rank.*" lives in the run).
   json.key("latency").begin_object();
-  for (const auto& [name, h] : registry.histograms) {
-    if (name.size() < 3 || name.compare(name.size() - 3, 3, "_us") != 0) {
-      continue;
+  for (const auto* histograms :
+       {&registry.histograms, &report.aggregate.histograms}) {
+    for (const auto& [name, h] : *histograms) {
+      if (name.size() < 3 || name.compare(name.size() - 3, 3, "_us") != 0) {
+        continue;
+      }
+      json.key(name)
+          .begin_object()
+          .field("p50", histogram_quantile(h.bounds, h.buckets, 0.50))
+          .field("p90", histogram_quantile(h.bounds, h.buckets, 0.90))
+          .field("p99", histogram_quantile(h.bounds, h.buckets, 0.99))
+          .field("count", h.count)
+          .end_object();
     }
-    json.key(name)
-        .begin_object()
-        .field("p50", histogram_quantile(h.bounds, h.buckets, 0.50))
-        .field("p90", histogram_quantile(h.bounds, h.buckets, 0.90))
-        .field("p99", histogram_quantile(h.bounds, h.buckets, 0.99))
-        .field("count", h.count)
-        .end_object();
   }
   json.end_object();
 
   // Time-series section: the process sampler's registry-delta series
-  // unioned with the per-rank series that rode the aggregation tree
-  // (names are disjoint by convention — "ts.rankN.*" vs metric names).
+  // unioned with the run's per-rank series (names are disjoint by
+  // convention — "ts.rankN.*" vs metric names).
   {
-    const SampleEnvConfig sample =
-        parse_sample_env(std::getenv("SENKF_SAMPLE_MS"));
     const TimeSeriesRecorder& recorder = TimeSeriesRecorder::global();
     std::map<std::string, SeriesData> series = recorder.snapshot();
     for (const auto& [name, s] : report.aggregate.series) {
@@ -395,7 +397,7 @@ void write_run_report(std::ostream& out) {
     }
     json.key("timeseries")
         .begin_object()
-        .field("sample_interval_ms", sample.interval_ms)
+        .field("sample_interval_ms", sampler_interval_ms())
         .field("samples", recorder.samples())
         .field("capacity", static_cast<std::uint64_t>(recorder.capacity()));
     json.key("series");

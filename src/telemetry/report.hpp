@@ -1,11 +1,13 @@
 // Versioned machine-readable run reports (DESIGN.md §11).
 //
-// A run (senkf/penkf/lenkf) populates the process-global RunReport with
-// its config, per-rank samples, cross-rank aggregate, phase breakdown,
-// model drift and skew summary.  `SENKF_REPORT=<path>` arms an atexit
-// export of that state as JSON (schema "senkf-run-report" v1); the fault
-// path calls flush_exports() so an aborting run still leaves a partial
-// report + trace on disk before the exception unwinds past atexit.
+// senkf() and the service scheduler populate the process-global
+// RunReport: config, phase breakdown, model drift, skew summary and the
+// run's aggregate (per-rank samples, histograms and series); the
+// scheduler adds per-job SLO records.  `SENKF_REPORT=<path>` arms an
+// atexit export of that state as JSON (schema "senkf-run-report",
+// version RunReport::kVersion); the fault path calls flush_exports() so
+// an aborting run still leaves a partial report + trace on disk before
+// the exception unwinds past atexit.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +56,7 @@ struct RunReport {
   /// profiler/watchdog never armed.
   static constexpr int kVersion = 4;
 
-  std::string kind;     ///< "senkf", "penkf", "lenkf", ...
+  std::string kind;     ///< "senkf" or "service"
   bool valid = false;   ///< a run populated this report
   bool partial = false; ///< the run aborted; numbers cover the prefix
   /// Ordered config key/value pairs (stringified; order preserved).
@@ -67,8 +69,8 @@ struct RunReport {
   std::map<std::string, double> skew;
   std::uint64_t straggler_warns = 0;
   std::vector<std::uint64_t> dropped_members;
-  /// Cross-rank aggregate: per-rank samples + merged counters/gauges/
-  /// histograms from the reduction tree.
+  /// The run's aggregate: per-rank samples, histograms and per-rank
+  /// series (S-EnKF reads them off its run ledger).
   MetricsSnapshot aggregate;
   /// Per-job SLO accounting for service runs (empty for single runs).
   /// The writer derives the per-tenant totals from this list, so tenant
@@ -109,10 +111,11 @@ void mark_run_partial();
 /// Copy of the current global report (tests, examples).
 RunReport run_report_copy();
 
-/// Writes schema "senkf-run-report" v2: the global RunReport plus the
-/// per-cycle critical paths, p50/p90/p99 latency quantiles for every
-/// "*_us" histogram, the time-series section (sampler + aggregated
-/// per-rank series), and a dump of every metric currently in the
+/// Writes schema "senkf-run-report" version RunReport::kVersion: the
+/// global RunReport plus the per-cycle critical paths, p50/p90/p99
+/// latency quantiles for every "*_us" histogram of the registry and the
+/// run, the time-series section (sampler + the run's per-rank series),
+/// the pluggable sections, and a dump of every metric currently in the
 /// registry.
 void write_run_report(std::ostream& out);
 void write_run_report(const std::string& path);

@@ -143,6 +143,7 @@ std::condition_variable g_sampler_cv;
 std::thread g_sampler_thread;
 bool g_sampler_running = false;
 bool g_sampler_stop = false;
+std::int64_t g_sampler_interval_ms = 0;
 
 void sampler_loop(std::chrono::milliseconds interval) {
   std::unique_lock<std::mutex> lock(g_sampler_mutex);
@@ -169,6 +170,7 @@ bool ensure_sampler_started() {
   g_sampler_thread =
       std::thread(sampler_loop, std::chrono::milliseconds(config.interval_ms));
   g_sampler_running = true;
+  g_sampler_interval_ms = config.interval_ms;
   // Registered at first start — i.e. after the pre-main trace/report
   // handlers — so LIFO atexit order stops the sampler before those
   // exporters run, and the final report sees a quiesced recorder.
@@ -191,6 +193,11 @@ void stop_sampler() {
   }
   g_sampler_cv.notify_all();
   if (to_join.joinable()) to_join.join();
+}
+
+std::int64_t sampler_interval_ms() {
+  std::lock_guard<std::mutex> lock(g_sampler_mutex);
+  return g_sampler_interval_ms;
 }
 
 }  // namespace senkf::telemetry

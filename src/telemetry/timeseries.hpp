@@ -1,16 +1,15 @@
 // Continuous time-series telemetry (DESIGN.md §13).
 //
-// The registry (metrics.hpp) is a point-in-time view; the aggregation
-// plane (aggregate.hpp) ships one end-of-run cut.  This module adds the
-// time axis: a TimeSeriesRecorder snapshots registry deltas on a cadence
-// — every SENKF_SAMPLE_MS from a background thread, and/or explicitly at
-// cycle boundaries — into bounded per-metric rings, so drift gauges show
+// The registry (metrics.hpp) is a point-in-time view and the run report
+// (report.hpp) one end-of-run cut.  This module adds the time axis: a
+// TimeSeriesRecorder snapshots registry deltas on a cadence — every
+// SENKF_SAMPLE_MS from a background thread, and/or explicitly at cycle
+// boundaries — into bounded per-metric rings, so drift gauges show
 // trends instead of one final point.  Counter samples record the delta
-// since the previous sample, gauges record the level.  The engines'
-// per-stage `ts.rankN.*` series ride to rank 0 inside MetricsSnapshot
-// through the existing binomial-tree reduction, where the run-end
-// straggler check reads them (DESIGN.md §11), and land in the run report
-// (schema v2).
+// since the previous sample, gauges record the level.  S-EnKF adds
+// per-rank `ts.rankN.*` series, one point per stage read off its run
+// ledger (DESIGN.md §11); the run report writes both kinds in its
+// `timeseries` section.
 //
 // Memory is bounded by construction: each series keeps at most
 // `capacity` newest points (evictions are counted, never silent), and
@@ -48,7 +47,8 @@ struct SeriesData {
   void append(std::int64_t t_ns, double value, std::size_t capacity);
 
   /// Merge-sorts the other series in, keeping the newest `capacity`
-  /// points (the aggregation tree folds many ranks into one bundle).
+  /// points and both sides' eviction counts (the report writer unions
+  /// the sampler's series with a run's per-rank series this way).
   void merge(const SeriesData& other, std::size_t capacity);
 };
 
@@ -106,5 +106,10 @@ bool ensure_sampler_started();
 
 /// Stops the background sampler and joins its thread (idempotent).
 void stop_sampler();
+
+/// The period (ms) the background sampler last started with, or 0 if it
+/// never started in this process.  Kept after stop_sampler(), because the
+/// atexit report export runs once the sampler has stopped.
+std::int64_t sampler_interval_ms();
 
 }  // namespace senkf::telemetry

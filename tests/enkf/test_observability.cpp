@@ -1,8 +1,9 @@
 // Cross-rank observability acceptance gate (DESIGN.md §11).
 //
-//  * SenkfStats derives from the run's own aggregation tree: aggregated
-//    phase totals equal the sum of the per-rank samples, and back-to-back
-//    runs (even across a Registry::reset) never inherit totals;
+//  * SenkfStats derives from the run's own ledger: the phase totals
+//    equal the sum of the per-rank samples, and back-to-back runs (even
+//    across a Registry::reset) never inherit totals;
+//  * a run sends only data-plane messages (block batches and results);
 //  * the SENKF_REPORT writer emits schema-valid JSON whose run section
 //    matches the stats facade;
 //  * model.drift.* gauges are populated after every run;
@@ -104,8 +105,8 @@ TEST(Observability, AggregatedTotalsEqualSumOfPerRankSamples) {
     }
   }
 
-  // The facade's totals are the per-rank sums — the aggregation-tree
-  // counter and the concatenated samples are two views of one number.
+  // The facade's totals are the per-rank sums — the ledger's totals and
+  // the per-rank samples are two views of one number.
   EXPECT_NEAR(sum_over_ranks(stats.ranks, &telemetry::RankSample::read_s),
               stats.io_read_seconds, 1e-9);
   EXPECT_NEAR(sum_over_ranks(stats.ranks, &telemetry::RankSample::send_s),
@@ -165,11 +166,38 @@ TEST(Observability, RunReportJsonMatchesTheAggregate) {
   EXPECT_NEAR(run.at("phases").at("io_read_s").as_number(),
               stats.io_read_seconds, 1e-12);
 
+  // The run's per-stage acquisition histogram gets latency quantiles:
+  // one observation per I/O rank per stage.
+  const testjson::Value& stage_obtain =
+      doc.at("latency").at("senkf.rank.stage_obtain_us");
+  EXPECT_DOUBLE_EQ(stage_obtain.at("count").as_number(),
+                   static_cast<double>(senkf_config().io_ranks() *
+                                       senkf_config().layers));
+
   // Drift section mirrors the gauges (milli-units in the registry).
   EXPECT_TRUE(run.at("drift").has("read"));
   EXPECT_TRUE(run.at("drift").has("comm"));
   EXPECT_TRUE(run.at("drift").has("comp"));
   EXPECT_TRUE(doc.at("metrics").at("counters").has("senkf.io_read_ns"));
+}
+
+TEST(Observability, SenkfSendsOnlyDataPlaneMessages) {
+  const World w(48);
+  const SenkfConfig config = senkf_config();
+  (void)senkf(w.store, w.observations, w.ys, config);  // warm-up run
+
+  auto& registry = telemetry::Registry::global();
+  const std::uint64_t before = registry.counter_value("parcomm.messages");
+  (void)senkf(w.store, w.observations, w.ys, config);
+  const std::uint64_t sent =
+      registry.counter_value("parcomm.messages") - before;
+
+  // Every I/O rank sends one block batch per stage to each computation
+  // rank of its row, and every computation rank but 0 sends its results
+  // to rank 0: 4·3·4 + 7 = 55 on this layout.  Telemetry adds nothing.
+  const std::uint64_t batches =
+      config.io_ranks() * config.layers * config.n_sdx;
+  EXPECT_EQ(sent, batches + config.computation_ranks() - 1);
 }
 
 TEST(Observability, ModelDriftGaugesArePopulated) {

@@ -1,13 +1,10 @@
-// Merge-operator and wire-codec units for the cross-rank aggregation
-// plane (DESIGN.md §11): counters add, gauges keep distribution stats,
-// histograms add bucketwise, rank samples concatenate; encode/decode is
-// an exact round trip and rejects truncated payloads; per-stage read
-// skew is rebuilt from the ranks' obtain_s series.
+// Units for the run-level metric views (DESIGN.md §11): gauges keep
+// distribution stats, histograms place values in "le" buckets, registry
+// captures are race-free, read skew finds the straggler rank, group and
+// stage, and the run report writes the snapshot as schema-valid JSON.
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,114 +30,23 @@ TEST(GaugeStatTest, ObserveTracksDistribution) {
   EXPECT_DOUBLE_EQ(stat.mean(), 4.0);
 }
 
-TEST(GaugeStatTest, MergeWithEmptyIsIdentityBothWays) {
-  GaugeStat a;
-  a.observe(7);
-  GaugeStat empty;
-  GaugeStat left = a;
-  left.merge(empty);
-  EXPECT_EQ(left.min, 7);
-  EXPECT_EQ(left.max, 7);
-  EXPECT_EQ(left.count, 1u);
-  GaugeStat right = empty;
-  right.merge(a);
-  EXPECT_EQ(right.min, 7);
-  EXPECT_EQ(right.max, 7);
-  EXPECT_EQ(right.count, 1u);
-  EXPECT_DOUBLE_EQ(right.mean(), 7.0);
-}
-
-TEST(GaugeStatTest, MergeCombinesExtremaAndMoments) {
-  GaugeStat a;
-  a.observe(1);
-  a.observe(3);
-  GaugeStat b;
-  b.observe(-5);
-  b.observe(9);
-  a.merge(b);
-  EXPECT_EQ(a.min, -5);
-  EXPECT_EQ(a.max, 9);
-  EXPECT_EQ(a.count, 4u);
-  EXPECT_DOUBLE_EQ(a.sum, 8.0);
-  EXPECT_DOUBLE_EQ(a.sumsq, 1.0 + 9.0 + 25.0 + 81.0);
-}
-
-TEST(HistogramStateTest, MergeAddsBucketwise) {
-  const std::vector<double> bounds{1.0, 10.0};
-  HistogramState a;
-  a.bounds = bounds;
-  a.buckets.assign(bounds.size() + 1, 0);
-  a.observe(0.5);
-  a.observe(5.0);
-  HistogramState b;
-  b.bounds = bounds;
-  b.buckets.assign(bounds.size() + 1, 0);
-  b.observe(100.0);
-  a.merge(b);
-  EXPECT_EQ(a.count, 3u);
-  EXPECT_EQ(a.buckets, (std::vector<std::uint64_t>{1, 1, 1}));
-  EXPECT_DOUBLE_EQ(a.sum, 105.5);
-}
-
-TEST(HistogramStateTest, MergeRejectsMismatchedBounds) {
-  HistogramState a;
-  a.bounds = {1.0, 2.0};
-  a.buckets.assign(3, 0);
-  a.observe(1.5);
-  HistogramState b;
-  b.bounds = {1.0, 3.0};
-  b.buckets.assign(3, 0);
-  b.observe(1.5);
-  EXPECT_THROW(a.merge(b), std::logic_error);
-}
-
-TEST(SnapshotTest, MergeAddsCountersAndConcatenatesRanks) {
-  MetricsSnapshot a;
-  a.add_counter("x", 3);
-  a.add_counter("only_a", 1);
-  RankSample ra;
-  ra.rank = 1;
-  a.ranks.push_back(ra);
-
-  MetricsSnapshot b;
-  b.add_counter("x", 4);
-  b.add_counter("only_b", 2);
-  RankSample rb;
-  rb.rank = 0;
-  b.ranks.push_back(rb);
-
-  a.merge(b);
-  EXPECT_EQ(a.counter("x"), 7u);
-  EXPECT_EQ(a.counter("only_a"), 1u);
-  EXPECT_EQ(a.counter("only_b"), 2u);
-  EXPECT_EQ(a.counter("missing"), 0u);
-  ASSERT_EQ(a.ranks.size(), 2u);
-  a.sort_ranks();
-  EXPECT_EQ(a.ranks[0].rank, 0);
-  EXPECT_EQ(a.ranks[1].rank, 1);
-}
-
-TEST(SnapshotTest, MergeWithEmptySnapshotIsIdentity) {
-  MetricsSnapshot a;
-  a.add_counter("x", 3);
-  a.observe_gauge("g", 5);
-  MetricsSnapshot empty;
-  a.merge(empty);
-  EXPECT_EQ(a.counter("x"), 3u);
-  EXPECT_EQ(a.gauges.at("g").count, 1u);
-
-  MetricsSnapshot other = empty;
-  other.merge(a);
-  EXPECT_EQ(other.counter("x"), 3u);
-  EXPECT_EQ(other.gauges.at("g").count, 1u);
+TEST(HistogramStateTest, ObservePlacesValuesInLeBuckets) {
+  HistogramState h;
+  h.bounds = {1.0, 10.0};
+  h.observe(0.5);
+  h.observe(5.0);
+  h.observe(100.0);  // past the last bound: the overflow bucket
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_EQ(h.buckets, (std::vector<std::uint64_t>{1, 1, 1}));
+  EXPECT_DOUBLE_EQ(h.sum, 105.5);
 }
 
 MetricsSnapshot sample_snapshot() {
   MetricsSnapshot s;
-  s.add_counter("io_read_ns", 1234567);
-  s.add_counter("messages", 42);
-  s.observe_gauge("backlog", 3);
-  s.observe_gauge("backlog", -1);
+  s.counters["io_read_ns"] = 1234567;
+  s.counters["messages"] = 42;
+  s.gauges["backlog"].observe(3);
+  s.gauges["backlog"].observe(-1);
   s.observe_histogram("lat_us", {10.0, 100.0, 1000.0}, 55.0);
   s.observe_histogram("lat_us", {10.0, 100.0, 1000.0}, 5000.0);
   RankSample r;
@@ -158,63 +64,6 @@ MetricsSnapshot sample_snapshot() {
   r.backlog_peak = 4;
   s.ranks.push_back(r);
   return s;
-}
-
-TEST(SnapshotTest, EncodeDecodeRoundTripsEveryKind) {
-  const MetricsSnapshot s = sample_snapshot();
-  const std::vector<std::byte> wire = s.encode();
-  const MetricsSnapshot back = MetricsSnapshot::decode(wire);
-
-  EXPECT_EQ(back.counters, s.counters);
-  ASSERT_EQ(back.gauges.size(), 1u);
-  EXPECT_EQ(back.gauges.at("backlog").min, -1);
-  EXPECT_EQ(back.gauges.at("backlog").max, 3);
-  EXPECT_EQ(back.gauges.at("backlog").count, 2u);
-  ASSERT_EQ(back.histograms.size(), 1u);
-  EXPECT_EQ(back.histograms.at("lat_us").bounds,
-            (std::vector<double>{10.0, 100.0, 1000.0}));
-  EXPECT_EQ(back.histograms.at("lat_us").buckets,
-            (std::vector<std::uint64_t>{0, 1, 0, 1}));
-  ASSERT_EQ(back.ranks.size(), 1u);
-  EXPECT_EQ(back.ranks[0].rank, 7);
-  EXPECT_EQ(back.ranks[0].is_io, 1);
-  EXPECT_EQ(back.ranks[0].group, 2);
-  EXPECT_DOUBLE_EQ(back.ranks[0].obtain_s, 0.5);
-  EXPECT_EQ(back.ranks[0].reissued, 2u);
-  EXPECT_EQ(back.ranks[0].backlog_peak, 4u);
-}
-
-TEST(SnapshotTest, DecodeRejectsTruncatedPayloads) {
-  const std::vector<std::byte> wire = sample_snapshot().encode();
-  for (const std::size_t cut : {std::size_t{0}, std::size_t{3},
-                                wire.size() / 2, wire.size() - 1}) {
-    EXPECT_THROW((void)MetricsSnapshot::decode(wire.data(), cut),
-                 std::runtime_error)
-        << "cut at " << cut;
-  }
-}
-
-TEST(SnapshotTest, CaptureDeltaSubtractsBaselineSaturating) {
-  Registry registry;
-  registry.counter("c").add(10);
-  registry.gauge("g").set(5);
-  const MetricsSnapshot baseline = MetricsSnapshot::capture(registry);
-  EXPECT_EQ(baseline.counter("c"), 10u);
-
-  registry.counter("c").add(7);
-  registry.gauge("g").set(-3);
-  const MetricsSnapshot delta =
-      MetricsSnapshot::capture_delta(registry, baseline);
-  EXPECT_EQ(delta.counter("c"), 7u);
-  // Gauges are levels: the delta keeps the current value.
-  EXPECT_EQ(delta.gauges.at("g").max, -3);
-
-  // A reset between captures saturates at zero instead of wrapping.
-  registry.reset();
-  registry.counter("c").add(2);
-  const MetricsSnapshot after_reset =
-      MetricsSnapshot::capture_delta(registry, baseline);
-  EXPECT_EQ(after_reset.counter("c"), 0u);
 }
 
 TEST(SnapshotTest, ConcurrentObserversAndCaptureAreRaceFree) {
@@ -242,6 +91,7 @@ TEST(SnapshotTest, ConcurrentObserversAndCaptureAreRaceFree) {
   for (auto& t : threads) t.join();
   const MetricsSnapshot final_snap = MetricsSnapshot::capture(registry);
   EXPECT_EQ(final_snap.counter("warm"), 8000u);
+  EXPECT_EQ(final_snap.counter("missing"), 0u);
   EXPECT_EQ(final_snap.histograms.at("h_us").count, 8000u);
 }
 
@@ -298,40 +148,32 @@ TEST(SkewTest, DrainBacklogPeakIsTheMaxOverCompRanks) {
   EXPECT_EQ(drain_backlog_peak(ranks), 5u);
 }
 
-// One rank's run-end contribution: its sample plus one obtain_s series
-// point per stage.
-MetricsSnapshot stage_snapshot(RankSample sample,
-                               const std::vector<double>& obtain_s) {
-  MetricsSnapshot s;
-  const std::string name =
-      "ts.rank" + std::to_string(sample.rank) + ".obtain_s";
+// Appends one rank's per-stage samples, as senkf() reads them off its
+// run ledger: the stage-l sample carries that stage's obtain_s.
+void add_stages(std::vector<std::vector<RankSample>>& stages,
+                RankSample sample, const std::vector<double>& obtain_s) {
   for (std::size_t stage = 0; stage < obtain_s.size(); ++stage) {
-    sample.obtain_s += obtain_s[stage];
-    s.append_series(name, 1000 * static_cast<std::int64_t>(stage + 1),
-                    obtain_s[stage]);
+    if (stages.size() <= stage) stages.resize(stage + 1);
+    sample.obtain_s = obtain_s[stage];
+    stages[stage].push_back(sample);
   }
-  s.ranks.push_back(sample);
-  return s;
 }
 
 TEST(SkewTest, StageReadSkewRebuildsStagesFromObtainSeries) {
   // Four I/O ranks in two concurrent groups, rank 6 slow in stage 1
-  // only.  Computation rank 0's series and I/O rank 8 (no series at all)
-  // must not enter any stage.
+  // only.  Computation rank 0's samples and I/O rank 8 (no samples at
+  // all) must not enter any stage.
   RankSample comp;
   comp.rank = 0;
-  const std::vector<MetricsSnapshot> parts{
-      stage_snapshot(comp, {9.0, 9.0, 9.0}),
-      stage_snapshot(io_sample(4, 0, 0.0), {0.01, 0.01, 0.01}),
-      stage_snapshot(io_sample(5, 0, 0.0), {0.01, 0.01, 0.01}),
-      stage_snapshot(io_sample(6, 1, 0.0), {0.01, 0.05, 0.01}),
-      stage_snapshot(io_sample(7, 1, 0.0), {0.01, 0.01, 0.01}),
-      stage_snapshot(io_sample(8, 1, 0.0), {}),
-  };
-  MetricsSnapshot whole;
-  for (const MetricsSnapshot& part : parts) whole.merge(part);
+  std::vector<std::vector<RankSample>> per_stage;
+  add_stages(per_stage, comp, {9.0, 9.0, 9.0});
+  add_stages(per_stage, io_sample(4, 0, 0.0), {0.01, 0.01, 0.01});
+  add_stages(per_stage, io_sample(5, 0, 0.0), {0.01, 0.01, 0.01});
+  add_stages(per_stage, io_sample(6, 1, 0.0), {0.01, 0.05, 0.01});
+  add_stages(per_stage, io_sample(7, 1, 0.0), {0.01, 0.01, 0.01});
+  add_stages(per_stage, io_sample(8, 1, 0.0), {});
 
-  const std::vector<StageSkew> stages = stage_read_skew(whole);
+  const std::vector<StageSkew> stages = stage_read_skew(per_stage);
   ASSERT_EQ(stages.size(), 3u);
   for (const std::size_t balanced : {0u, 2u}) {
     EXPECT_EQ(stages[balanced].read.samples, 4u);
@@ -350,37 +192,6 @@ TEST(SkewTest, StageReadSkewRebuildsStagesFromObtainSeries) {
   EXPECT_EQ(group.max_rank, 1);
   EXPECT_NEAR(group.max_s, 0.06, 1e-12);
   EXPECT_NEAR(group.ratio, 1.5, 1e-12);
-
-  // The reduce's wire trip and merge order change nothing.
-  MetricsSnapshot wired;
-  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-    wired.merge(MetricsSnapshot::decode(it->encode()));
-  }
-  const std::vector<StageSkew> again = stage_read_skew(wired);
-  ASSERT_EQ(again.size(), stages.size());
-  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
-    EXPECT_EQ(again[stage].read.max_rank, stages[stage].read.max_rank);
-    EXPECT_EQ(again[stage].read.samples, stages[stage].read.samples);
-    EXPECT_DOUBLE_EQ(again[stage].read.ratio, stages[stage].read.ratio);
-    EXPECT_EQ(again[stage].group.max_rank, stages[stage].group.max_rank);
-    EXPECT_DOUBLE_EQ(again[stage].group.ratio, stages[stage].group.ratio);
-  }
-}
-
-TEST(SkewTest, StageReadSkewCountsEvictedStages) {
-  // A series whose ring evicted its two oldest points still lands its
-  // remaining points on the stages they belong to.
-  MetricsSnapshot s;
-  s.ranks.push_back(io_sample(4, 0, 0.0));
-  SeriesData& series = s.series["ts.rank4.obtain_s"];
-  series.dropped = 2;
-  series.points.push_back({1000, 0.5});
-  const std::vector<StageSkew> stages = stage_read_skew(s);
-  ASSERT_EQ(stages.size(), 3u);
-  EXPECT_EQ(stages[0].read.samples, 0u);
-  EXPECT_EQ(stages[1].read.samples, 0u);
-  EXPECT_EQ(stages[2].read.samples, 1u);
-  EXPECT_DOUBLE_EQ(stages[2].read.max_s, 0.5);
 }
 
 TEST(JsonWriterTest, WritesEscapedNestedDocuments) {
@@ -450,6 +261,9 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
   EXPECT_DOUBLE_EQ(agg.at("counters").at("messages").as_number(), 42.0);
   EXPECT_DOUBLE_EQ(agg.at("gauges").at("backlog").at("max").as_number(), 3.0);
   EXPECT_DOUBLE_EQ(agg.at("histograms").at("lat_us").at("count").as_number(),
+                   2.0);
+  // The run's own "*_us" histograms get latency quantiles too.
+  EXPECT_DOUBLE_EQ(doc.at("latency").at("lat_us").at("count").as_number(),
                    2.0);
   EXPECT_TRUE(doc.has("metrics"));
   EXPECT_TRUE(doc.has("faults"));

@@ -1,8 +1,10 @@
 // Time-series recorder: bounded rings with counted evictions, counter
-// deltas vs gauge levels, reset handling, merge through the aggregation
-// codec path, and the SENKF_SAMPLE_MS env parser.
+// deltas vs gauge levels, reset handling, series merges as the report
+// writer unions them, the SENKF_SAMPLE_MS env parser, and the sampler
+// period the report writes.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "telemetry/timeseries.hpp"
@@ -126,9 +128,9 @@ TEST(TimeSeriesRecorder, MemoryIsBoundedByCapacity) {
 }
 
 TEST(SeriesData, MergeAccumulatesEvictionCounters) {
-  // Eviction counts must survive the aggregation tree: the merged
-  // series carries both sides' dropped totals plus any points the merge
-  // itself evicted, so a truncated trend never reads as complete.
+  // Eviction counts must survive a merge: the merged series carries both
+  // sides' dropped totals plus any points the merge itself evicted, so a
+  // truncated trend never reads as complete.
   SeriesData left;
   for (int i = 0; i < 6; ++i) left.append(i * 10, 1.0, /*capacity=*/4);
   SeriesData right;
@@ -192,6 +194,21 @@ TEST(SampleEnv, ParsesIntervalAndKillSwitch) {
   const SampleEnvConfig config = parse_sample_env("250");
   EXPECT_TRUE(config.enabled);
   EXPECT_EQ(config.interval_ms, 250);
+}
+
+TEST(SampleEnv, IntervalIsThePeriodTheSamplerStartedWith) {
+  // Nothing else in this binary starts the sampler.
+  EXPECT_EQ(sampler_interval_ms(), 0);
+  ::setenv("SENKF_SAMPLE_MS", "7", 1);
+  ASSERT_TRUE(ensure_sampler_started());
+  // A running sampler keeps the period it started with.
+  ::setenv("SENKF_SAMPLE_MS", "9", 1);
+  EXPECT_TRUE(ensure_sampler_started());
+  EXPECT_EQ(sampler_interval_ms(), 7);
+  ::unsetenv("SENKF_SAMPLE_MS");
+  // The atexit report export runs after the sampler stopped.
+  stop_sampler();
+  EXPECT_EQ(sampler_interval_ms(), 7);
 }
 
 }  // namespace
