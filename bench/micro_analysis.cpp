@@ -1,8 +1,9 @@
 // Micro-benchmarks of the local analysis kernel (google-benchmark):
 // stochastic modified-Cholesky (P-EnKF's scheme, eq. (6)) vs the
 // deterministic ensemble transform, across expansion sizes and ensemble
-// sizes.  These are the per-stage compute costs the "c" constant of the
-// cost model abstracts.
+// sizes, plus the patch shape of the end-to-end ocean-stoch workload.
+// These are the per-stage compute costs the "c" constant of the cost
+// model abstracts.
 // Each entry also reports patches/sec (items_per_second) and a
 // steady-state allocs/patch counter read from the analysis.alloc.events
 // telemetry delta — the same signal the alloc-budget ctest gate asserts
@@ -26,10 +27,11 @@ struct Fixture {
   linalg::Matrix ys;
   std::vector<grid::Patch> background;
 
-  Fixture(grid::Index side, grid::Index members)
-      : mesh(side, side),
+  Fixture(grid::Index nx, grid::Index ny, grid::Index members,
+          grid::Index stations, bool bilinear)
+      : mesh(nx, ny),
         scenario(make_scenario(mesh, members)),
-        observations(make_obs(mesh, scenario.truth)),
+        observations(make_obs(mesh, scenario.truth, stations, bilinear)),
         ys(obs::perturbed_observations(observations, members, Rng(3))) {
     for (const auto& member : scenario.members) {
       background.push_back(member.extract(mesh.bounds()));
@@ -42,21 +44,21 @@ struct Fixture {
     return grid::synthetic_ensemble(mesh, members, rng, 0.5);
   }
   static obs::ObservationSet make_obs(const grid::LatLonGrid& mesh,
-                                      const grid::Field& truth) {
+                                      const grid::Field& truth,
+                                      grid::Index stations, bool bilinear) {
     Rng rng(2);
     obs::NetworkOptions opt;
-    opt.station_count = mesh.size() / 8;
+    opt.station_count = stations;
+    opt.bilinear = bilinear;
     return obs::random_network(mesh, truth, rng, opt);
   }
 };
 
-void run_kernel(benchmark::State& state, enkf::AnalysisKind kind) {
-  const auto side = static_cast<grid::Index>(state.range(0));
-  const auto members = static_cast<grid::Index>(state.range(1));
-  const Fixture fixture(side, members);
+void run_kernel(benchmark::State& state, const Fixture& fixture,
+                enkf::AnalysisKind kind, grid::Halo halo) {
   enkf::AnalysisOptions options;
   options.kind = kind;
-  options.halo = grid::Halo{2, 1};
+  options.halo = halo;
   // One warm call puts arena growth, localization build and counter
   // registration outside the measured region (and outside the
   // allocs-per-patch delta).
@@ -77,7 +79,16 @@ void run_kernel(benchmark::State& state, enkf::AnalysisKind kind) {
       registry.counter_value("analysis.alloc.events") - allocs0);
   state.SetItemsProcessed(state.iterations());  // one patch per iteration
   state.counters["allocs_per_patch"] = patches > 0 ? allocs / patches : 0.0;
-  state.SetLabel(std::to_string(side * side) + " points");
+  state.SetLabel(std::to_string(fixture.mesh.size()) + " points");
+}
+
+/// Square side×side expansion, point stations on one point in eight,
+/// halo {2,1}.
+void run_kernel(benchmark::State& state, enkf::AnalysisKind kind) {
+  const auto side = static_cast<grid::Index>(state.range(0));
+  const auto members = static_cast<grid::Index>(state.range(1));
+  const Fixture fixture(side, side, members, side * side / 8, false);
+  run_kernel(state, fixture, kind, grid::Halo{2, 1});
 }
 
 void BM_StochasticModifiedCholesky(benchmark::State& state) {
@@ -88,6 +99,18 @@ BENCHMARK(BM_StochasticModifiedCholesky)
     ->Args({12, 10})
     ->Args({16, 10})
     ->Args({12, 40});
+
+// The patch shape of the end-to-end ocean-stoch workload (e2ebench): a
+// 30×10 layer plus a 3-point halo on every side is a 36×16 expansion
+// (n̄ = 576), N = 16, halo {3,3}, bilinear stations at that workload's
+// density (800 on 180×90).  The stochastic system's band is 111 wide.
+void BM_StochasticModifiedCholeskyOceanPatch(benchmark::State& state) {
+  const Fixture fixture(36, 16, 16, 36 * 16 * 800 / (180 * 90), true);
+  run_kernel(state, fixture,
+             enkf::AnalysisKind::kStochasticModifiedCholesky,
+             grid::Halo{3, 3});
+}
+BENCHMARK(BM_StochasticModifiedCholeskyOceanPatch);
 
 void BM_DeterministicTransform(benchmark::State& state) {
   run_kernel(state, enkf::AnalysisKind::kDeterministicTransform);

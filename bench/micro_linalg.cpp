@@ -2,7 +2,8 @@
 // analysis (google-benchmark).  The Potrf/Trsm/Innovation pairs run both
 // the dispatched table and the scalar reference so one JSON capture
 // (BENCH_linalg.json) records the SIMD speedup on the host that produced
-// it.
+// it; PotrfBand/TrsmBand time the banded system of the stochastic
+// analysis on the end-to-end benchmark's patch shape.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "linalg/kernels/simdvec.hpp"
 #include "linalg/modified_cholesky.hpp"
 #include "linalg/ops.hpp"
+#include "support/arena.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -214,6 +216,68 @@ BENCHMARK(BM_Trsm)->Args({128, 16})->Args({256, 16})->Args({256, 120})
 BENCHMARK(BM_TrsmScalar)->Args({128, 16})->Args({256, 16})->Args({256, 120})
     ->Args({512, 40});
 
+// Band Cholesky + solves on the ocean-stoch patch shape (e2ebench): a
+// 36-wide expansion with halo {3,3} gives n̄ = 576 and lower bandwidth
+// w = 3·36 + 3 = 111, with N = 16 right-hand sides.
+
+/// Diagonally dominant SPD band in the compact lower-band layout
+/// (row i holds A(i, i−w..i) at offsets 0..w, padded stride).
+std::vector<double> raw_spd_band(Index n, Index w, Index ld,
+                                 std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> out(n * ld, 0.0);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = i > w ? i - w : 0; j < i; ++j) {
+      out[i * ld + j - i + w] = rng.normal();
+    }
+    out[i * ld + w] = 4.0 * static_cast<double>(w + 1);
+  }
+  return out;
+}
+
+void BM_PotrfBand(benchmark::State& state) {
+  const KernelTable& table = linalg::kernels::active_kernels();
+  const Index n = static_cast<Index>(state.range(0));
+  const Index w = static_cast<Index>(state.range(1));
+  const Index ld = linalg::kernels::padded_stride(w + 1, table.width);
+  const std::vector<double> pristine = raw_spd_band(n, w, ld, 10);
+  std::vector<double> a = pristine;
+  for (auto _ : state) {
+    a = pristine;
+    benchmark::DoNotOptimize(table.potrf_band(n, w, a.data(), ld));
+  }
+  const double dn = static_cast<double>(n);
+  const double dw = static_cast<double>(w);
+  report_gflops(state, dn * dw * dw);
+  state.SetLabel(table.name);
+}
+BENCHMARK(BM_PotrfBand)->Args({576, 111});
+
+void BM_TrsmBand(benchmark::State& state) {
+  const KernelTable& table = linalg::kernels::active_kernels();
+  const Index n = static_cast<Index>(state.range(0));
+  const Index w = static_cast<Index>(state.range(1));
+  const Index nrhs = static_cast<Index>(state.range(2));
+  const Index ld = linalg::kernels::padded_stride(w + 1, table.width);
+  std::vector<double> l = raw_spd_band(n, w, ld, 11);
+  table.potrf_band(n, w, l.data(), ld);
+  const Index ldb = linalg::kernels::padded_stride(nrhs, table.width);
+  std::vector<double> b(n * ldb, 0.0);
+  Rng rng(12);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j < nrhs; ++j) b[i * ldb + j] = rng.normal();
+  }
+  for (auto _ : state) {
+    table.trsm_band_lln(n, w, nrhs, l.data(), ld, b.data(), ldb);
+    table.trsm_band_llt(n, w, nrhs, l.data(), ld, b.data(), ldb);
+    benchmark::DoNotOptimize(b.data());
+  }
+  const double dn = static_cast<double>(n);
+  report_gflops(state, 4.0 * dn * static_cast<double>(w * nrhs));
+  state.SetLabel(table.name);
+}
+BENCHMARK(BM_TrsmBand)->Args({576, 111, 16});
+
 // R⁻¹(Yˢ − HX̄ᵇ): the fused innovation pass over an observation panel.
 void bench_innovation(benchmark::State& state, const KernelTable& table) {
   const Index m = static_cast<Index>(state.range(0));
@@ -276,14 +340,39 @@ void BM_GatherDotScalar(benchmark::State& state) {
 BENCHMARK(BM_GatherDot)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_GatherDotScalar)->Arg(1024)->Arg(16384);
 
+/// pred(i) = the up-to-`band` immediately preceding variables, written
+/// into the estimator's arena like the analysis' expansion oracle.
+class BandedOracle final : public linalg::PredecessorOracle {
+ public:
+  explicit BandedOracle(Index band) : band_(band) {}
+  std::span<const Index> predecessors(Index i,
+                                      support::Arena& scratch) override {
+    const Index first = i > band_ ? i - band_ : 0;
+    auto out = scratch.allocate_span<Index>(i - first);
+    for (Index j = first; j < i; ++j) out[j - first] = j;
+    return out;
+  }
+
+ private:
+  Index band_;
+};
+
+// The estimator as the analysis runs it: L written as CSR rows into an
+// arena that is reset per call.
 void BM_ModifiedCholesky(benchmark::State& state) {
   const Index n = static_cast<Index>(state.range(0));
   const Index band = static_cast<Index>(state.range(1));
   const Matrix ensemble = random_matrix(n, 20, 8);
   const Matrix u = linalg::ensemble_anomalies(ensemble);
+  BandedOracle oracle(band);
+  support::Arena arena;
+  linalg::ModifiedCholesky factors;
+  factors.d = Vector(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::estimate_inverse_covariance(
-        u, linalg::banded_predecessors(band), 1e-6));
+    arena.reset();
+    linalg::estimate_inverse_covariance_scratch(u, oracle, 1e-6, arena,
+                                                factors);
+    benchmark::DoNotOptimize(factors.l.nonzeros());
   }
 }
 BENCHMARK(BM_ModifiedCholesky)->Args({128, 8})->Args({256, 8})

@@ -130,8 +130,24 @@ LoadedEnsemble load_ensemble(std::span<const grid::PatchView> background,
   return out;
 }
 
+/// Lower bandwidth of the stochastic system B̂⁻¹ + HᵀR⁻¹H under the
+/// row-major ordering of an expansion W points wide: L's predecessors
+/// reach back at most η·W+ξ points, and a station couples the points of
+/// its support, local.bandwidth() apart at most — wider than L's reach
+/// for footprints spanning more rows than the halo (η = 0, or ξ = 0 with
+/// a bilinear footprint).  Capped at n̄−1 (a dense band).
+Index system_bandwidth(grid::Rect expansion, grid::Halo halo,
+                       const obs::LocalObservations& local) {
+  const Index n_bar = expansion.count();
+  const Index reach = halo.eta * expansion.x.size() + halo.xi;
+  if (n_bar == 0) return 0;
+  return std::min(n_bar - 1, std::max(reach, local.bandwidth()));
+}
+
 /// Stochastic modified-Cholesky update: returns Xᵃ on the expansion
-/// (the inflated background updated in place by δX).
+/// (the inflated background updated in place by δX).  The system
+/// B̂⁻¹ + HᵀR⁻¹H is assembled, factored and solved as a band of width w
+/// (system_bandwidth) in O(n̄·w²); nothing here is n̄×n̄.
 linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
                                  const obs::LocalObservations& local,
                                  grid::Rect expansion,
@@ -141,27 +157,45 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
   const Index n_bar = ens.xb.rows();
   const Index n_members = ens.xb.cols();
 
-  // B̂⁻¹ from the localized modified Cholesky decomposition.
+  // B̂⁻¹ = LᵀD⁻¹L from the localized modified Cholesky decomposition,
+  // with L's rows written as CSR into the workspace arena.
   linalg::ModifiedCholesky binv;
-  binv.l = ws.matrix(n_bar, n_bar);
   binv.d = ws.vector(n_bar);
   ExpansionPredecessorOracle oracle(expansion, options.halo);
-  linalg::estimate_inverse_covariance_into(ens.anomalies, oracle,
-                                           options.ridge, ws.arena(), binv);
-  linalg::Matrix dinv_l = ws.matrix(n_bar, n_bar);
-  linalg::Matrix system = ws.matrix(n_bar, n_bar);
-  binv.inverse_covariance_into(dinv_l, system);
+  linalg::estimate_inverse_covariance_scratch(ens.anomalies, oracle,
+                                              options.ridge, ws.arena(), binv);
 
-  // system += Hᵀ R⁻¹ H (R diagonal), precomputed with the localization.
-  if (local.empty()) {
-    // skip_without_obs=false on an empty rect: run the same (degenerate)
-    // product the cache skips building, so the added term is the same
-    // exact-zero matrix the unfused path formed.
-    linalg::Matrix ht_rinv_h = ws.matrix(n_bar, n_bar);
-    linalg::multiply_at_b_into(local.h(), local.rinv_h(), ht_rinv_h);
-    linalg::axpy(1.0, ht_rinv_h, system);
-  } else {
-    linalg::axpy(1.0, local.ht_rinv_h(), system);
+  // Band layout: system(i, j) lives at band(i, j − i + w).  B̂⁻¹ is the
+  // sum over rows i of L of d_i⁻¹·l_i·l_iᵀ, so each row adds the outer
+  // product of its non-zeros (unit diagonal included).
+  const Index w = system_bandwidth(expansion, options.halo, local);
+  linalg::Matrix band = ws.matrix(n_bar, w + 1);
+  for (Index i = 0; i < n_bar; ++i) {
+    const auto cols = binv.l.row_columns(i);
+    const auto vals = binv.l.row_values(i);
+    const double dinv = 1.0 / binv.d[i];
+    band(i, w) += dinv;
+    for (Index a = 0; a < cols.size(); ++a) {
+      SENKF_REQUIRE(i - cols[a] <= w,
+                    "stochastic_update: predecessor outside the band");
+      const double scaled = dinv * vals[a];
+      band(i, cols[a] - i + w) += scaled;
+      for (Index b = 0; b <= a; ++b) {
+        const Index hi = std::max(cols[a], cols[b]);
+        const Index lo = std::min(cols[a], cols[b]);
+        band(hi, lo - hi + w) += scaled * vals[b];
+      }
+    }
+  }
+  // + Hᵀ R⁻¹ H (R diagonal), whose band the localization cached densely.
+  if (!local.empty()) {
+    const linalg::Matrix& ht_rinv_h = local.ht_rinv_h();
+    for (Index i = 0; i < n_bar; ++i) {
+      const Index first = i > w ? i - w : 0;
+      for (Index j = first; j <= i; ++j) {
+        band(i, j - i + w) += ht_rinv_h(i, j);
+      }
+    }
   }
 
   // Weighted innovations R⁻¹(Yˢ − H X̄ᵇ) in one fused pass, then
@@ -177,10 +211,9 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
   linalg::Matrix delta = ws.matrix(n_bar, n_members);
   linalg::multiply_at_b_into(local.h(), innovations, delta);
 
-  // δX = (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ · RHS via Cholesky; Xᵃ = X̄ᵇ + δX.
-  linalg::Matrix lfac = ws.matrix(n_bar, n_bar);
-  linalg::cholesky_factor_into(system, lfac);
-  linalg::cholesky_solve_in_place(lfac, delta);
+  // δX = (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ · RHS via band Cholesky; Xᵃ = X̄ᵇ + δX.
+  linalg::cholesky_band_factor_in_place(band);
+  linalg::cholesky_band_solve_in_place(band, delta);
   linalg::axpy(1.0, delta, ens.xb);
   return std::move(ens.xb);
 }
@@ -290,6 +323,9 @@ EngineOutput analyze(std::span<const grid::PatchView> background,
   SENKF_REQUIRE(perturbed.rows() == observations.size(),
                 "local_analysis: Ys must have one row per observation");
 
+  SENKF_REQUIRE(options.inflation >= 1.0,
+                "local_analysis: inflation must be >= 1");
+
   patches_counter().add(1);
 
   EngineOutput out;
@@ -300,9 +336,6 @@ EngineOutput analyze(std::span<const grid::PatchView> background,
     out.skipped = true;
     return out;
   }
-
-  SENKF_REQUIRE(options.inflation >= 1.0,
-                "local_analysis: inflation must be >= 1");
 
   LoadedEnsemble ens =
       load_ensemble(background, expansion, options.inflation, ws);

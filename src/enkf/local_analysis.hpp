@@ -7,7 +7,9 @@
 //   Xᵃ = P · [ X̄ᵇ + (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ · Hᵀ R⁻¹ · (Yˢ − H X̄ᵇ) ]
 //
 // with B̂⁻¹ estimated by the localized modified Cholesky decomposition
-// (P-EnKF's estimator, refs [23][24]) and the SPD solve done by Cholesky.
+// (P-EnKF's estimator, refs [23][24]) and the SPD solve done by Cholesky
+// on the band the row-major expansion ordering gives the system
+// (DESIGN.md §15).
 // P projects the expansion onto the target rectangle (never materialized,
 // exactly as §2.2 notes).
 //
@@ -27,7 +29,7 @@
 //   * local_analysis (legacy overloads) — owning AnalysisResult, for the
 //     serial reference and existing tests.
 // All three run the same engine, so their values agree bit-for-bit with
-// each other and with the pre-workspace implementation.
+// each other.
 #pragma once
 
 #include <span>

@@ -73,6 +73,21 @@ struct KernelTable {
   void (*trsm_llt)(Index n, Index nrhs, const double* l, Index ldl,
                    double* b, Index ldb);
 
+  /// Banded SPD Cholesky in the compact lower-band layout: row i holds
+  /// A(i, i−w..i) at offsets 0..w, so A(i, j) sits at a[i·lda + j − i +
+  /// w] (offsets of columns left of 0 are never read).  Overwrites the
+  /// band with L (A = L·Lᵀ; a band factors with no fill).  Returns the
+  /// index of the first non-positive pivot, or -1 on success.
+  std::ptrdiff_t (*potrf_band)(Index n, Index w, double* a, Index lda);
+
+  /// Forward solve L·X = B in place against a potrf_band factor.
+  void (*trsm_band_lln)(Index n, Index w, Index nrhs, const double* l,
+                        Index ldl, double* b, Index ldb);
+
+  /// Backward solve Lᵀ·X = B in place against a potrf_band factor.
+  void (*trsm_band_llt)(Index n, Index w, Index nrhs, const double* l,
+                        Index ldl, double* b, Index ldb);
+
   /// y[0..n) += alpha · x[0..n) (contiguous).
   void (*axpy)(Index n, double alpha, const double* x, double* y);
 

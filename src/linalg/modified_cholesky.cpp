@@ -10,44 +10,21 @@
 namespace senkf::linalg {
 
 Matrix ModifiedCholesky::inverse_covariance() const {
-  const Index n = dim();
-  Matrix dinv_l(n, n);
-  Matrix out(n, n);
-  inverse_covariance_into(dinv_l, out);
-  return out;
-}
-
-void ModifiedCholesky::inverse_covariance_into(Matrix& dinv_l,
-                                               Matrix& out) const {
-  const Index n = dim();
-  SENKF_REQUIRE(dinv_l.rows() == n && dinv_l.cols() == n && out.rows() == n &&
-                    out.cols() == n,
-                "ModifiedCholesky::inverse_covariance_into: shape mismatch");
   // B̂⁻¹ = Lᵀ D⁻¹ L.  Form D⁻¹L once, then multiply by Lᵀ.
-  dinv_l.assign_values(l);
-  for (Index i = 0; i < n; ++i) {
+  const Matrix dense_l = l.to_dense();
+  Matrix dinv_l = dense_l;
+  for (Index i = 0; i < dim(); ++i) {
     const double inv = 1.0 / d[i];
     for (Index j = 0; j <= i; ++j) dinv_l(i, j) *= inv;
   }
-  multiply_at_b_into(l, dinv_l, out);
+  return multiply_at_b(dense_l, dinv_l);
 }
 
 Vector ModifiedCholesky::apply_inverse(const Vector& x) const {
   SENKF_REQUIRE(x.size() == dim(), "ModifiedCholesky: length mismatch");
-  // y = Lᵀ D⁻¹ (L x)
-  Vector t = multiply(l, x);
+  Vector t = l.multiply(x);
   for (Index i = 0; i < dim(); ++i) t[i] /= d[i];
-  return multiply_at(l, t);
-}
-
-Matrix ModifiedCholesky::apply_inverse(const Matrix& x) const {
-  SENKF_REQUIRE(x.rows() == dim(), "ModifiedCholesky: row mismatch");
-  Matrix t = multiply(l, x);
-  for (Index i = 0; i < dim(); ++i) {
-    const double inv = 1.0 / d[i];
-    for (Index j = 0; j < t.cols(); ++j) t(i, j) *= inv;
-  }
-  return multiply_at_b(l, t);
+  return l.multiply_transpose(t);
 }
 
 namespace {
@@ -73,28 +50,43 @@ class FnOracle final : public PredecessorOracle {
 ModifiedCholesky estimate_inverse_covariance(const Matrix& anomalies,
                                              const PredecessorFn& predecessors,
                                              double ridge) {
-  const Index n = anomalies.rows();
   ModifiedCholesky result;
-  result.l = Matrix(n, n);
-  result.d = Vector(n, 0.0);
+  result.d = Vector(anomalies.rows(), 0.0);
   FnOracle oracle(predecessors);
   support::Arena arena;
-  estimate_inverse_covariance_into(anomalies, oracle, ridge, arena, result);
+  estimate_inverse_covariance_scratch(anomalies, oracle, ridge, arena, result);
+  result.l = SparseUnitLower(result.l);  // own L before the arena dies
   return result;
 }
 
-void estimate_inverse_covariance_into(const Matrix& anomalies,
-                                      PredecessorOracle& predecessors,
-                                      double ridge, support::Arena& arena,
-                                      ModifiedCholesky& out) {
+void estimate_inverse_covariance_scratch(const Matrix& anomalies,
+                                         PredecessorOracle& predecessors,
+                                         double ridge, support::Arena& arena,
+                                         ModifiedCholesky& out) {
   SENKF_REQUIRE(anomalies.cols() >= 2,
                 "modified Cholesky: need at least 2 ensemble members");
   SENKF_REQUIRE(ridge >= 0.0, "modified Cholesky: ridge must be >= 0");
   const Index n = anomalies.rows();
   const Index ens = anomalies.cols();
   const double denom = static_cast<double>(ens - 1);
-  SENKF_REQUIRE(out.l.rows() == n && out.l.cols() == n && out.d.size() == n,
-                "estimate_inverse_covariance_into: output shape mismatch");
+  SENKF_REQUIRE(out.d.size() == n,
+                "estimate_inverse_covariance_scratch: output length mismatch");
+
+  // Size L: one pass over the predecessor sets (their spans die with
+  // each rewind), then the CSR arrays go below every later rewind point.
+  auto row_start = arena.allocate_span<Index>(n + 1);
+  row_start[0] = 0;
+  for (Index i = 0; i < n; ++i) {
+    const support::Arena::Marker row_marker = arena.mark();
+    const std::span<const Index> pred = predecessors.predecessors(i, arena);
+    for (const Index j : pred) {
+      SENKF_REQUIRE(j < i, "modified Cholesky: predecessor must precede i");
+    }
+    row_start[i + 1] = row_start[i] + pred.size();
+    arena.rewind(row_marker);
+  }
+  auto columns = arena.allocate_span<Index>(row_start[n]);
+  auto values = arena.allocate_span<double>(row_start[n]);
 
   // The column sweeps are dots and axpys over ensemble-sized rows, so
   // they ride the dispatched SIMD kernels.
@@ -103,17 +95,11 @@ void estimate_inverse_covariance_into(const Matrix& anomalies,
   Vector fitted = Vector::scratch(arena.allocate_span<double>(ens));
 
   for (Index i = 0; i < n; ++i) {
-    // Row i of L is rebuilt from zero (out may be a reused scratch):
-    // unit diagonal, negated regression coefficients at the predecessors.
-    auto lrow = out.l.row(i);
-    std::fill(lrow.begin(), lrow.end(), 0.0);
-    out.l(i, i) = 1.0;
-
     const support::Arena::Marker row_marker = arena.mark();
     const std::span<const Index> pred = predecessors.predecessors(i, arena);
-    for (const Index j : pred) {
-      SENKF_REQUIRE(j < i, "modified Cholesky: predecessor must precede i");
-    }
+    const Index p = pred.size();
+    SENKF_REQUIRE(row_start[i] + p == row_start[i + 1],
+                  "modified Cholesky: predecessor sets must be stable");
     const auto xi = anomalies.row(i);
 
     if (pred.empty()) {
@@ -125,7 +111,6 @@ void estimate_inverse_covariance_into(const Matrix& anomalies,
 
     // Normal equations of the regression x_i ~ x_pred:
     //   (Z Zᵀ + ridge I) beta = Z x_iᵀ, with Z the |pred|×N predecessor rows.
-    const Index p = pred.size();
     const Index pstride = Matrix::padded_stride(p);
     auto gram_storage = arena.allocate_span<double>(p * pstride);
     std::fill(gram_storage.begin(), gram_storage.end(), 0.0);
@@ -150,7 +135,7 @@ void estimate_inverse_covariance_into(const Matrix& anomalies,
     cholesky_factor_into(gram, lfac);
     cholesky_solve_in_place(lfac, beta);
 
-    // Residual variance and the negated coefficients into row i of L:
+    // Residual variance and the negated coefficients as row i of L:
     // fitted = Σ_a beta_a · z_a accumulated by axpy, rss = ‖x_i − fitted‖².
     std::fill(fitted.begin(), fitted.end(), 0.0);
     for (Index a = 0; a < p; ++a) {
@@ -159,10 +144,14 @@ void estimate_inverse_covariance_into(const Matrix& anomalies,
     table.axpy(ens, -1.0, xi.data(), fitted.data());
     const double rss = table.dot(ens, fitted.data(), fitted.data());
     out.d[i] = std::max(rss / denom, ridge + 1e-12);
-    for (Index a = 0; a < p; ++a) out.l(i, pred[a]) = -beta[a];
+    for (Index a = 0; a < p; ++a) {
+      columns[row_start[i] + a] = pred[a];
+      values[row_start[i] + a] = -beta[a];
+    }
     arena.rewind(row_marker);
   }
   arena.rewind(outer);
+  out.l = SparseUnitLower::scratch(row_start, columns, values);
 }
 
 PredecessorFn banded_predecessors(Index bandwidth) {

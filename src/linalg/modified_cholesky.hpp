@@ -19,32 +19,28 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "linalg/sparse_lower.hpp"
 #include "support/arena.hpp"
 
 namespace senkf::linalg {
 
-/// Result of the modified Cholesky estimation.  `l` is unit
-/// lower-triangular (stored dense for the small local problems EnKF
-/// solves), `d` holds the residual variances.
+/// Result of the modified Cholesky estimation: `l` is the unit
+/// lower-triangular factor stored row-compressed (only the predecessor
+/// columns of each row; the unit diagonal is implicit), `d` holds the
+/// residual variances.
 struct ModifiedCholesky {
-  Matrix l;  ///< unit lower-triangular regression factor
-  Vector d;  ///< residual variances (diagonal of D)
+  SparseUnitLower l;  ///< unit lower-triangular regression factor
+  Vector d;           ///< residual variances (diagonal of D)
 
   Index dim() const { return d.size(); }
 
-  /// Dense B̂⁻¹ = Lᵀ D⁻¹ L.
+  /// Dense B̂⁻¹ = Lᵀ D⁻¹ L (tests/diagnostics; the analysis never forms
+  /// it — it assembles the band of B̂⁻¹ straight from the rows of L).
   Matrix inverse_covariance() const;
 
-  /// Allocation-free B̂⁻¹ into caller-provided `out` (n×n), using an n×n
-  /// work matrix `dinv_l` for D⁻¹L.  Bit-identical to
-  /// inverse_covariance() when the strides match the owning layout.
-  void inverse_covariance_into(Matrix& dinv_l, Matrix& out) const;
-
-  /// y = B̂⁻¹ x computed from the factors without forming B̂⁻¹.
+  /// y = B̂⁻¹ x = Lᵀ D⁻¹ L x from the compressed factor, without forming
+  /// B̂⁻¹.
   Vector apply_inverse(const Vector& x) const;
-
-  /// Y = B̂⁻¹ X column-wise from the factors.
-  Matrix apply_inverse(const Matrix& x) const;
 };
 
 /// Predecessor oracle: given variable i, returns indices j < i that are
@@ -73,15 +69,17 @@ ModifiedCholesky estimate_inverse_covariance(const Matrix& anomalies,
                                              const PredecessorFn& predecessors,
                                              double ridge = 1e-8);
 
-/// Allocation-free estimation into pre-shaped `out` (out.l n×n, out.d
-/// length n; both fully overwritten).  Per-row temporaries (gram, rhs,
-/// factor) come from `arena` under a mark/rewind bracket, so the arena's
-/// in-use bytes are unchanged on return.  Bit-identical to the allocating
-/// form above given the same predecessor sets.
-void estimate_inverse_covariance_into(const Matrix& anomalies,
-                                      PredecessorOracle& predecessors,
-                                      double ridge, support::Arena& arena,
-                                      ModifiedCholesky& out);
+/// Allocation-free estimation: `out.d` must be pre-shaped to length n
+/// and is fully overwritten; `out.l` becomes a scratch factor whose CSR
+/// arrays are allocated from `arena` ahead of the per-row temporaries
+/// (gram, rhs, factor — released by a mark/rewind bracket), so L lives
+/// until the caller rewinds the arena.  The predecessor sets are queried
+/// twice: once to size L, once to fill it.  Bit-identical to the
+/// allocating form above given the same predecessor sets.
+void estimate_inverse_covariance_scratch(const Matrix& anomalies,
+                                         PredecessorOracle& predecessors,
+                                         double ridge, support::Arena& arena,
+                                         ModifiedCholesky& out);
 
 /// Convenience predecessor oracle for a banded ordering: pred(i) are the
 /// up-to-`bandwidth` immediately preceding variables.

@@ -1,6 +1,7 @@
 #include "linalg/sparse_lower.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "linalg/kernels/dispatch.hpp"
 
@@ -11,22 +12,82 @@ SparseUnitLower SparseUnitLower::from_dense(const Matrix& l,
   SENKF_REQUIRE(l.square(), "SparseUnitLower: matrix must be square");
   SENKF_REQUIRE(drop_tol >= 0.0, "SparseUnitLower: drop_tol must be >= 0");
   const Index n = l.rows();
-  SparseUnitLower out;
-  out.row_start_.reserve(n + 1);
-  out.row_start_.push_back(0);
+  std::vector<Index> row_start;
+  std::vector<Index> columns;
+  std::vector<double> values;
+  row_start.reserve(n + 1);
+  row_start.push_back(0);
   for (Index i = 0; i < n; ++i) {
     SENKF_REQUIRE(l(i, i) == 1.0,
                   "SparseUnitLower: diagonal must be exactly 1");
     for (Index j = 0; j < i; ++j) {
       const double v = l(i, j);
       if (std::abs(v) > drop_tol) {
-        out.column_.push_back(j);
-        out.values_.push_back(v);
+        columns.push_back(j);
+        values.push_back(v);
       }
     }
-    out.row_start_.push_back(out.values_.size());
+    row_start.push_back(values.size());
   }
+  SparseUnitLower out;
+  out.own(std::move(row_start), std::move(columns), std::move(values));
   return out;
+}
+
+SparseUnitLower SparseUnitLower::scratch(std::span<const Index> row_start,
+                                         std::span<const Index> columns,
+                                         std::span<const double> values) {
+  SENKF_REQUIRE(!row_start.empty() && row_start.front() == 0 &&
+                    row_start.back() == columns.size() &&
+                    columns.size() == values.size(),
+                "SparseUnitLower::scratch: inconsistent CSR arrays");
+  SparseUnitLower out;
+  out.row_start_ = row_start;
+  out.column_ = columns;
+  out.values_ = values;
+  out.scratch_ = true;
+  return out;
+}
+
+SparseUnitLower::SparseUnitLower(const SparseUnitLower& other) {
+  own(std::vector<Index>(other.row_start_.begin(), other.row_start_.end()),
+      std::vector<Index>(other.column_.begin(), other.column_.end()),
+      std::vector<double>(other.values_.begin(), other.values_.end()));
+}
+
+SparseUnitLower& SparseUnitLower::operator=(const SparseUnitLower& other) {
+  if (this != &other) {
+    SparseUnitLower copy(other);
+    move_from(copy);
+  }
+  return *this;
+}
+
+void SparseUnitLower::own(std::vector<Index> row_start,
+                          std::vector<Index> columns,
+                          std::vector<double> values) {
+  row_start_store_ = std::move(row_start);
+  column_store_ = std::move(columns);
+  values_store_ = std::move(values);
+  row_start_ = row_start_store_;
+  column_ = column_store_;
+  values_ = values_store_;
+  scratch_ = false;
+}
+
+void SparseUnitLower::move_from(SparseUnitLower& other) noexcept {
+  // Moving a std::vector keeps its buffer, so owning spans stay valid.
+  row_start_store_ = std::move(other.row_start_store_);
+  column_store_ = std::move(other.column_store_);
+  values_store_ = std::move(other.values_store_);
+  row_start_ = other.row_start_;
+  column_ = other.column_;
+  values_ = other.values_;
+  scratch_ = other.scratch_;
+  other.row_start_ = {};
+  other.column_ = {};
+  other.values_ = {};
+  other.scratch_ = false;
 }
 
 std::size_t SparseUnitLower::memory_bytes() const {
@@ -70,23 +131,6 @@ Matrix SparseUnitLower::to_dense() const {
     }
   }
   return out;
-}
-
-CompactModifiedCholesky CompactModifiedCholesky::from(
-    const ModifiedCholesky& factors, double drop_tol) {
-  return CompactModifiedCholesky{
-      SparseUnitLower::from_dense(factors.l, drop_tol), factors.d};
-}
-
-Vector CompactModifiedCholesky::apply_inverse(const Vector& x) const {
-  SENKF_REQUIRE(x.size() == dim(), "CompactModifiedCholesky: length mismatch");
-  Vector t = l.multiply(x);
-  for (Index i = 0; i < dim(); ++i) t[i] /= d[i];
-  return l.multiply_transpose(t);
-}
-
-std::size_t CompactModifiedCholesky::memory_bytes() const {
-  return l.memory_bytes() + d.size() * sizeof(double);
 }
 
 }  // namespace senkf::linalg

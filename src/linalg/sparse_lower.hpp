@@ -4,26 +4,63 @@
 // (2ξ+1)(2η+1)/2-ish non-zeros per row, so an n×n dense L wastes O(n²)
 // memory — the paper notes that "compact representation of matrices can
 // be used ... to exploit the structures of B̂⁻¹" (§2.3).  SparseUnitLower
-// stores the strictly-lower non-zeros row-compressed (the unit diagonal
-// is implicit) and applies L / Lᵀ / B̂⁻¹ = LᵀD⁻¹L without densifying.
+// stores the strictly-lower non-zeros row-compressed (CSR; the unit
+// diagonal is implicit) and applies L / Lᵀ without densifying.
+//
+// Storage follows Matrix (matrix.hpp): a factor normally owns its
+// arrays, but `scratch(...)` builds a non-owning one over caller storage
+// (arena spans), which is how the estimator hands the analysis hot path
+// an allocation-free L.  Copying yields an owning deep copy; moving
+// carries the pointers.
 #pragma once
 
-#include "linalg/modified_cholesky.hpp"
+#include <span>
+#include <vector>
+
+#include "linalg/matrix.hpp"
 
 namespace senkf::linalg {
 
 class SparseUnitLower {
  public:
+  SparseUnitLower() = default;
+
   /// Compresses a dense unit-lower-triangular matrix, dropping strictly-
   /// lower entries with |value| <= drop_tol.  The diagonal must be 1.
   static SparseUnitLower from_dense(const Matrix& l, double drop_tol = 0.0);
+
+  /// Non-owning factor over caller storage: `row_start` (dim+1 offsets,
+  /// row_start[0] = 0) indexes `columns`/`values` (row_start[dim]
+  /// entries each).  The storage must outlive the factor.
+  static SparseUnitLower scratch(std::span<const Index> row_start,
+                                 std::span<const Index> columns,
+                                 std::span<const double> values);
+
+  SparseUnitLower(const SparseUnitLower& other);
+  SparseUnitLower(SparseUnitLower&& other) noexcept { move_from(other); }
+  SparseUnitLower& operator=(const SparseUnitLower& other);
+  SparseUnitLower& operator=(SparseUnitLower&& other) noexcept {
+    if (this != &other) move_from(other);
+    return *this;
+  }
+  ~SparseUnitLower() = default;
 
   Index dim() const { return row_start_.empty() ? 0 : row_start_.size() - 1; }
 
   /// Strictly-lower non-zeros stored.
   Index nonzeros() const { return values_.size(); }
 
-  /// Heap bytes of the compressed representation.
+  bool is_scratch() const { return scratch_; }
+
+  /// Column indices / values of row i's strictly-lower non-zeros.
+  std::span<const Index> row_columns(Index i) const {
+    return column_.subspan(row_start_[i], row_start_[i + 1] - row_start_[i]);
+  }
+  std::span<const double> row_values(Index i) const {
+    return values_.subspan(row_start_[i], row_start_[i + 1] - row_start_[i]);
+  }
+
+  /// Bytes of the compressed representation.
   std::size_t memory_bytes() const;
 
   /// y = L x.
@@ -36,26 +73,17 @@ class SparseUnitLower {
   Matrix to_dense() const;
 
  private:
-  std::vector<Index> row_start_;  // size dim+1
-  std::vector<Index> column_;
-  std::vector<double> values_;
-};
+  void move_from(SparseUnitLower& other) noexcept;
+  void own(std::vector<Index> row_start, std::vector<Index> columns,
+           std::vector<double> values);
 
-/// ModifiedCholesky with the factor stored compressed.
-struct CompactModifiedCholesky {
-  SparseUnitLower l;
-  Vector d;
-
-  /// Compresses an existing estimate.
-  static CompactModifiedCholesky from(const ModifiedCholesky& factors,
-                                      double drop_tol = 0.0);
-
-  Index dim() const { return d.size(); }
-
-  /// y = B̂⁻¹ x = Lᵀ D⁻¹ L x, entirely in compressed form.
-  Vector apply_inverse(const Vector& x) const;
-
-  std::size_t memory_bytes() const;
+  std::vector<Index> row_start_store_;
+  std::vector<Index> column_store_;
+  std::vector<double> values_store_;
+  std::span<const Index> row_start_;  // size dim+1
+  std::span<const Index> column_;
+  std::span<const double> values_;
+  bool scratch_ = false;
 };
 
 }  // namespace senkf::linalg

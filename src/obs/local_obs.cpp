@@ -23,11 +23,16 @@ LocalObservations::LocalObservations(const ObservationSet& observations,
   const Index width = rect.x.size();
   for (Index row = 0; row < m; ++row) {
     const ObsComponent& comp = comps[selected_[row]];
+    Index first = n;
+    Index last = 0;
     for (const auto& sp : comp.support) {
       const Index local = (sp.point.y - rect.y.begin) * width +
                           (sp.point.x - rect.x.begin);
       h_(row, local) += sp.weight;
+      first = std::min(first, local);
+      last = std::max(last, local);
     }
+    if (first <= last) bandwidth_ = std::max(bandwidth_, last - first);
     r_diag_[row] = comp.error_std * comp.error_std;
   }
 

@@ -5,6 +5,8 @@
 //   * H_{[i,j]} — an m̄×n̄ dense operator acting on the expansion patch
 //     (row-major patch-local indexing),
 //   * the diagonal of R_{[i,j]},
+//   * the widest support spread of a selected row (the bandwidth H̄ᵀR⁻¹H̄
+//     adds to the analysis' banded system),
 //   * the corresponding rows of the global Yˢ.
 #pragma once
 
@@ -49,6 +51,11 @@ class LocalObservations {
     return ht_rinv_h_;
   }
 
+  /// Widest patch-local index spread (last − first support point) of any
+  /// selected row — the lower bandwidth of H̄ᵀR⁻¹H̄ under the row-major
+  /// ordering.  0 when empty.
+  Index bandwidth() const { return bandwidth_; }
+
   /// The measured values of the selected components (length size()).
   const linalg::Vector& local_values() const { return local_values_; }
 
@@ -71,6 +78,7 @@ class LocalObservations {
   linalg::Matrix rinv_h_;
   linalg::Matrix ht_rinv_h_;
   linalg::Vector local_values_;
+  Index bandwidth_ = 0;
 };
 
 }  // namespace senkf::obs

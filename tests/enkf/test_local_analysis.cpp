@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
 #include "enkf/ensemble_store.hpp"
 #include "grid/synthetic.hpp"
+#include "linalg/cholesky.hpp"
 #include "linalg/covariance.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/solve.hpp"
+#include "support/arena.hpp"
 
 namespace senkf::enkf {
 namespace {
@@ -18,9 +24,9 @@ struct Scenario {
   linalg::Matrix ys;
 
   explicit Scenario(std::uint64_t seed, Index members = 8,
-                    Index stations = 40)
+                    Index stations = 40, bool bilinear = false)
       : ensemble(make_ensemble(g, members, seed)),
-        observations(make_obs(g, ensemble.truth, seed, stations)),
+        observations(make_obs(g, ensemble.truth, seed, stations, bilinear)),
         ys(obs::perturbed_observations(observations, members,
                                        senkf::Rng(seed + 99))) {}
 
@@ -32,11 +38,13 @@ struct Scenario {
   }
   static obs::ObservationSet make_obs(const grid::LatLonGrid& g,
                                       const grid::Field& truth,
-                                      std::uint64_t seed, Index stations) {
+                                      std::uint64_t seed, Index stations,
+                                      bool bilinear) {
     senkf::Rng rng(seed + 1);
     obs::NetworkOptions opt;
     opt.station_count = stations;
     opt.error_std = 0.05;
+    opt.bilinear = bilinear;
     return obs::random_network(g, truth, rng, opt);
   }
 
@@ -185,22 +193,174 @@ TEST(LocalAnalysis, ValidatesInputs) {
                senkf::InvalidArgument);
 }
 
+std::vector<linalg::Index> oracle_predecessors(grid::Rect rect,
+                                               grid::Halo halo,
+                                               linalg::Index i) {
+  ExpansionPredecessorOracle oracle(rect, halo);
+  support::Arena arena;
+  const auto pred = oracle.predecessors(i, arena);
+  return {pred.begin(), pred.end()};
+}
+
 TEST(ExpansionPredecessors, RespectsHaloWindow) {
   const grid::Rect rect{{0, 5}, {0, 4}};  // 5 wide, 4 tall
-  const auto pred = expansion_predecessors(rect, grid::Halo{1, 1});
-  EXPECT_TRUE(pred(0).empty());
+  const grid::Halo halo{1, 1};
+  EXPECT_TRUE(oracle_predecessors(rect, halo, 0).empty());
   // Point (x=2, y=1) = index 7: window x∈{1,2,3}, y∈{0,1}, earlier only.
-  const auto p7 = pred(7);
-  EXPECT_EQ(p7, (std::vector<linalg::Index>{1, 2, 3, 6}));
+  EXPECT_EQ(oracle_predecessors(rect, halo, 7),
+            (std::vector<linalg::Index>{1, 2, 3, 6}));
   // Point (x=0, y=2) = index 10: window x∈{0,1}, y∈{1,2}.
-  const auto p10 = pred(10);
-  EXPECT_EQ(p10, (std::vector<linalg::Index>{5, 6}));
+  EXPECT_EQ(oracle_predecessors(rect, halo, 10),
+            (std::vector<linalg::Index>{5, 6}));
 }
 
 TEST(ExpansionPredecessors, ZeroHaloGivesNoPredecessors) {
   const grid::Rect rect{{0, 4}, {0, 4}};
-  const auto pred = expansion_predecessors(rect, grid::Halo{0, 0});
-  for (Index i = 0; i < 16; ++i) EXPECT_TRUE(pred(i).empty());
+  for (Index i = 0; i < 16; ++i) {
+    EXPECT_TRUE(oracle_predecessors(rect, grid::Halo{0, 0}, i).empty());
+  }
+}
+
+TEST(ExpansionPredecessors, StayWithinTheBandAndMatchTheFunctionOracle) {
+  // The banded analysis rests on this: under the row-major ordering of
+  // a W-wide expansion every predecessor is at most η·W+ξ points back —
+  // also when the halo is wider than the expansion (ξ ≥ W).
+  const grid::Rect rect{{3, 8}, {2, 6}};  // W = 5, 4 rows
+  const Index width = rect.x.size();
+  for (const grid::Halo halo :
+       {grid::Halo{0, 0}, grid::Halo{1, 0}, grid::Halo{0, 1},
+        grid::Halo{2, 1}, grid::Halo{5, 1}, grid::Halo{7, 2},
+        grid::Halo{4, 3}}) {
+    SCOPED_TRACE("halo {" + std::to_string(halo.xi) + "," +
+                 std::to_string(halo.eta) + "}");
+    const auto fn = expansion_predecessors(rect, halo);
+    for (Index i = 0; i < rect.count(); ++i) {
+      const auto pred = oracle_predecessors(rect, halo, i);
+      EXPECT_EQ(pred, fn(i)) << "i=" << i;
+      for (const Index j : pred) {
+        EXPECT_LT(j, i);
+        EXPECT_LE(i - j, halo.eta * width + halo.xi) << "i=" << i;
+      }
+    }
+  }
+}
+
+TEST(LocalAnalysis, RejectsDeflationWithoutObservations) {
+  // inflation < 1 is rejected up front, also on a rect the analysis
+  // would otherwise skip for lack of observations.
+  const Scenario sc(2, 8, 1);
+  grid::Rect rect{{0, 4}, {0, 4}};
+  const auto& comp = sc.observations.components()[0];
+  if (comp.supported_by(rect)) rect = grid::Rect{{8, 12}, {6, 10}};
+  ASSERT_FALSE(comp.supported_by(rect));
+  AnalysisOptions opt = default_options();
+  opt.inflation = 0.5;
+  EXPECT_THROW(local_analysis(sc.patches(rect), rect, sc.observations, sc.ys,
+                              opt),
+               senkf::InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Band guard: B̂⁻¹ + HᵀR⁻¹H is factored as a band of width
+// max(η·W+ξ, widest station footprint).  A bilinear station couples
+// points W+1 apart, which is wider than L's reach η·W+ξ when η = 0 or
+// when η = 1 and ξ = 0.
+// ---------------------------------------------------------------------------
+
+struct DenseSystem {
+  linalg::Matrix xb;      ///< X̄ᵇ (n̄×N)
+  linalg::Matrix system;  ///< dense B̂⁻¹ + HᵀR⁻¹H
+  linalg::Matrix rhs;     ///< HᵀR⁻¹(Yˢ − HX̄ᵇ)
+};
+
+DenseSystem dense_system(const Scenario& sc, grid::Rect rect,
+                         const AnalysisOptions& opt) {
+  const Index n = rect.count();
+  const Index members = sc.ensemble.members.size();
+  DenseSystem out{linalg::Matrix(n, members), {}, {}};
+  for (Index k = 0; k < members; ++k) {
+    const auto patch = sc.ensemble.members[k].extract(rect);
+    for (Index i = 0; i < n; ++i) out.xb(i, k) = patch.values()[i];
+  }
+  const auto binv = linalg::estimate_inverse_covariance(
+      linalg::ensemble_anomalies(out.xb),
+      expansion_predecessors(rect, opt.halo), opt.ridge);
+  const obs::LocalObservations local(sc.observations, rect);
+  out.system = binv.inverse_covariance();
+  linalg::axpy(1.0, local.ht_rinv_h(), out.system);
+  const linalg::Matrix innovations = linalg::weighted_residual(
+      local.select_rows(sc.ys), linalg::multiply(local.h(), out.xb),
+      local.r_inverse());
+  out.rhs = linalg::multiply_at_b(local.h(), innovations);
+  return out;
+}
+
+/// max|got − want| / max|want| over every member.
+double normwise_error(const linalg::Matrix& got, const linalg::Matrix& want) {
+  double diff = 0.0, scale = 0.0;
+  for (Index i = 0; i < want.rows(); ++i) {
+    for (Index k = 0; k < want.cols(); ++k) {
+      diff = std::max(diff, std::abs(got(i, k) - want(i, k)));
+      scale = std::max(scale, std::abs(want(i, k)));
+    }
+  }
+  return diff / scale;
+}
+
+/// Xᵃ from the dense system truncated to a band of lower width w.
+linalg::Matrix band_solution(const DenseSystem& dense, Index w) {
+  const Index n = dense.system.rows();
+  linalg::Matrix band(n, w + 1);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = i > w ? i - w : 0; j <= i; ++j) {
+      band(i, j - i + w) = dense.system(i, j);
+    }
+  }
+  linalg::Matrix xa = dense.rhs;
+  linalg::cholesky_band_factor_in_place(band);
+  linalg::cholesky_band_solve_in_place(band, xa);
+  linalg::axpy(1.0, dense.xb, xa);
+  return xa;
+}
+
+TEST(LocalAnalysis, BandCoversBilinearFootprintsWiderThanTheHalo) {
+  const Scenario sc(7, 8, 40, /*bilinear=*/true);
+  const grid::Rect rect = sc.g.bounds();
+  const Index width = rect.x.size();
+  for (const grid::Halo halo :
+       {grid::Halo{0, 0}, grid::Halo{0, 1}, grid::Halo{1, 0}}) {
+    SCOPED_TRACE("halo {" + std::to_string(halo.xi) + "," +
+                 std::to_string(halo.eta) + "}");
+    AnalysisOptions opt = default_options();
+    opt.halo = halo;
+    const DenseSystem dense = dense_system(sc, rect, opt);
+    linalg::Matrix want = linalg::solve_spd(dense.system, dense.rhs);
+    linalg::axpy(1.0, dense.xb, want);
+
+    const auto result =
+        local_analysis(sc.patches(rect), rect, sc.observations, sc.ys, opt);
+    linalg::Matrix got(rect.count(), result.members.size());
+    for (Index k = 0; k < result.members.size(); ++k) {
+      for (Index i = 0; i < rect.count(); ++i) {
+        got(i, k) = result.members[k].values()[i];
+      }
+    }
+    EXPECT_LE(normwise_error(got, want), 1e-9);
+
+    // The footprint is what needs the guard: L's reach alone drops the
+    // station couplings and gives a wrong (or indefinite) system.
+    const Index reach = halo.eta * width + halo.xi;
+    ASSERT_LT(reach, width + 1);
+    bool reach_alone_matches = false;
+    try {
+      reach_alone_matches =
+          normwise_error(band_solution(dense, reach), want) <= 1e-9;
+    } catch (const NumericError&) {
+    }
+    EXPECT_FALSE(reach_alone_matches);
+    // …while a band of exactly the guarded width reproduces the oracle.
+    EXPECT_LE(normwise_error(band_solution(dense, width + 1), want), 1e-9);
+  }
 }
 
 }  // namespace

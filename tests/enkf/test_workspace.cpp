@@ -1,17 +1,24 @@
 // Workspace-reuse acceptance gate (DESIGN.md §15).
 //
-// The zero-allocation analysis engine must be *bitwise* identical to the
-// pre-workspace implementation: same gather/inflation arithmetic, same
-// kernel call sequence on same-stride scratch, same projection.  The
-// reference below is a verbatim copy of that implementation (allocating
-// linalg API, per-call LocalObservations, owning temporaries); every test
-// compares the production entry points against it with exact equality —
-// across analysis kinds, inflation settings, reused workspaces of varying
-// shapes, arena modes, threads, and the wire framing.
+// Two kinds of comparison:
+//   * bitwise among production paths — the owning, scratch-view and
+//     packed entry points, reused workspaces of varying shapes, heap vs
+//     pooled arenas and concurrent threads all run the one engine, so
+//     their values (and wire bytes) must agree exactly;
+//   * tolerance vs the dense oracle — the reference below is a verbatim
+//     copy of the pre-workspace implementation (allocating linalg API,
+//     per-call LocalObservations, owning temporaries, a dense n̄×n̄
+//     stochastic system).  The deterministic transform and the skip path
+//     still match it bit-for-bit; the stochastic analysis factors
+//     B̂⁻¹ + HᵀR⁻¹H as a band, so it must match normwise:
+//     max|Xᵃ − Xᵃ_dense| ≤ 1e-9·max|Xᵃ_dense| over the patch.
+// Both hold across analysis kinds, inflation settings, arena modes,
+// threads and the wire framing.
 #include "enkf/local_analysis.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -78,9 +85,10 @@ AnalysisOptions options_for(AnalysisKind kind, double inflation) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference: the pre-workspace local analysis, copied verbatim (allocating
-// temporaries, per-call localization).  Any change here invalidates the
-// gate — do not "modernize" it.
+// Reference (the dense oracle): the pre-workspace local analysis, copied
+// verbatim (allocating temporaries, per-call localization, dense n̄×n̄
+// stochastic system).  Any change here invalidates the gate — do not
+// "modernize" it.
 // ---------------------------------------------------------------------------
 
 AnalysisResult reference_project(const linalg::Matrix& xa, grid::Rect target,
@@ -243,8 +251,40 @@ void expect_identical(const AnalysisResult& got, const AnalysisResult& want) {
   for (Index k = 0; k < got.members.size(); ++k) {
     ASSERT_TRUE(got.members[k].rect() == want.members[k].rect());
     EXPECT_EQ(got.members[k].values(), want.members[k].values())
-        << "member " << k << " differs from the seed implementation";
+        << "member " << k << " differs bitwise";
   }
+}
+
+// The dense path itself moves by ~4e-11 normwise between kernel tables;
+// elementwise relative error is meaningless on analysis values near 0.
+constexpr double kOracleTolerance = 1e-9;
+
+void expect_matches_oracle(const AnalysisResult& got,
+                           const AnalysisResult& oracle) {
+  ASSERT_EQ(got.members.size(), oracle.members.size());
+  EXPECT_EQ(got.local_observations, oracle.local_observations);
+  double diff = 0.0;
+  double scale = 0.0;
+  for (Index k = 0; k < got.members.size(); ++k) {
+    ASSERT_TRUE(got.members[k].rect() == oracle.members[k].rect());
+    const auto& g = got.members[k].values();
+    const auto& w = oracle.members[k].values();
+    for (Index i = 0; i < w.size(); ++i) {
+      diff = std::max(diff, std::abs(g[i] - w[i]));
+      scale = std::max(scale, std::abs(w[i]));
+    }
+  }
+  EXPECT_LE(diff, kOracleTolerance * scale)
+      << "normwise error " << diff / scale << " vs the dense oracle";
+}
+
+AnalysisResult owning_copy(const AnalysisView& view) {
+  AnalysisResult out;
+  out.local_observations = view.local_observations;
+  for (const grid::PatchView& member : view.members) {
+    out.members.push_back(member.extract(member.rect()));
+  }
+  return out;
 }
 
 // A mix of rects of different shapes (so a reused workspace grows, then
@@ -263,18 +303,29 @@ class Workspace : public ::testing::Test {
   void TearDown() override { obs::clear_localization_cache(); }
 };
 
-TEST_F(Workspace, StochasticReuseMatchesSeedBitwise) {
+TEST_F(Workspace, StochasticReuseMatchesDenseOracle) {
+  // The pooled thread workspace is reused across shapes; a fresh
+  // workspace per call must give the same bits.
   const Scenario sc(11);
   for (const double inflation : {1.0, 1.05}) {
     const AnalysisOptions opt =
         options_for(AnalysisKind::kStochasticModifiedCholesky, inflation);
     for (const grid::Rect rect : varied_rects()) {
       const auto background = sc.patches(rect);
-      const auto want = reference_local_analysis(background, rect,
-                                                 sc.observations, sc.ys, opt);
+      const auto oracle = reference_local_analysis(background, rect,
+                                                   sc.observations, sc.ys,
+                                                   opt);
       const auto got =
           local_analysis(background, rect, sc.observations, sc.ys, opt);
-      expect_identical(got, want);
+      expect_matches_oracle(got, oracle);
+
+      LocalAnalysisWorkspace fresh;
+      const std::vector<grid::PatchView> views(background.begin(),
+                                               background.end());
+      expect_identical(owning_copy(local_analysis_scratch(
+                           views, rect, rect, sc.observations, sc.ys, opt,
+                           fresh)),
+                       got);
     }
   }
 }
@@ -298,7 +349,7 @@ TEST_F(Workspace, DeterministicReuseMatchesSeedBitwise) {
 TEST_F(Workspace, ScratchViewsGatherInPlaceFromLargerRects) {
   // Members stay on the full grid; the engine gathers each expansion
   // window in place (the P-EnKF / L-EnKF hot path) — identical to the
-  // seed running on extracted patches.
+  // owning entry point running on extracted patches.
   const Scenario sc(13);
   const grid::Rect full = sc.g.bounds();
   std::vector<grid::PatchView> members;
@@ -312,30 +363,31 @@ TEST_F(Workspace, ScratchViewsGatherInPlaceFromLargerRects) {
     const AnalysisOptions opt = options_for(kind, 1.02);
     const grid::Rect expansion{{2, 14}, {1, 11}};
     const grid::Rect target{{4, 12}, {3, 9}};
-    const auto want = reference_local_analysis(sc.patches(expansion), target,
-                                               sc.observations, sc.ys, opt);
+    const auto oracle = reference_local_analysis(
+        sc.patches(expansion), target, sc.observations, sc.ys, opt);
+    const auto want = local_analysis(sc.patches(expansion), target,
+                                     sc.observations, sc.ys, opt);
     const AnalysisView got = local_analysis_scratch(
         members, expansion, target, sc.observations, sc.ys, opt, ws);
-    ASSERT_EQ(got.members.size(), want.members.size());
-    EXPECT_EQ(got.local_observations, want.local_observations);
-    for (Index k = 0; k < want.members.size(); ++k) {
-      const std::span<const double> view = got.members[k].values();
-      EXPECT_EQ(std::vector<double>(view.begin(), view.end()),
-                want.members[k].values());
+    expect_identical(owning_copy(got), want);
+    if (kind == AnalysisKind::kDeterministicTransform) {
+      expect_identical(want, oracle);
+    } else {
+      expect_matches_oracle(want, oracle);
     }
   }
 }
 
-void expect_packed_matches_seed(const Scenario& sc, grid::Rect rect,
-                                const AnalysisOptions& opt,
-                                LocalAnalysisWorkspace& ws) {
+void expect_packed_matches_pack_patch(const Scenario& sc, grid::Rect rect,
+                                      const AnalysisOptions& opt,
+                                      LocalAnalysisWorkspace& ws) {
   const auto background = sc.patches(rect);
-  const auto want = reference_local_analysis(background, rect,
-                                             sc.observations, sc.ys, opt);
-  parcomm::Packer seed_pack;
+  const auto want =
+      local_analysis(background, rect, sc.observations, sc.ys, opt);
+  parcomm::Packer want_pack;
   for (Index k = 0; k < want.members.size(); ++k) {
-    seed_pack.put<std::uint64_t>(k + 7);
-    pack_patch(seed_pack, want.members[k]);
+    want_pack.put<std::uint64_t>(k + 7);
+    pack_patch(want_pack, want.members[k]);
   }
 
   std::vector<grid::PatchView> views(background.begin(), background.end());
@@ -345,18 +397,23 @@ void expect_packed_matches_seed(const Scenario& sc, grid::Rect rect,
   local_analysis_packed(views, rect, rect, sc.observations, sc.ys, opt, ids,
                         ws, got_pack);
 
-  EXPECT_TRUE(seed_pack.take() == got_pack.take())
+  EXPECT_TRUE(want_pack.take() == got_pack.take())
       << "wire bytes differ for rect starting at x=" << rect.x.begin;
 }
 
-TEST_F(Workspace, PackedOutputIsByteIdenticalToSeedFraming) {
+TEST_F(Workspace, PackedOutputIsByteIdenticalToPackPatchFraming) {
   const AnalysisOptions opt =
       options_for(AnalysisKind::kStochasticModifiedCholesky, 1.0);
   LocalAnalysisWorkspace ws;
 
   // A rect with observations exercises the projection-into-payload path.
   const Scenario sc(14);
-  expect_packed_matches_seed(sc, grid::Rect{{0, 12}, {0, 8}}, opt, ws);
+  const grid::Rect rect{{0, 12}, {0, 8}};
+  expect_packed_matches_pack_patch(sc, rect, opt, ws);
+  expect_matches_oracle(
+      local_analysis(sc.patches(rect), rect, sc.observations, sc.ys, opt),
+      reference_local_analysis(sc.patches(rect), rect, sc.observations,
+                               sc.ys, opt));
 
   // A station-free rect exercises the skip path: the packed block must be
   // byte-identical to pack_patch of the extracted background.
@@ -365,7 +422,12 @@ TEST_F(Workspace, PackedOutputIsByteIdenticalToSeedFraming) {
   const auto& comp = sparse.observations.components()[0];
   if (comp.supported_by(empty_rect)) empty_rect = grid::Rect{{8, 12}, {6, 10}};
   ASSERT_FALSE(comp.supported_by(empty_rect));
-  expect_packed_matches_seed(sparse, empty_rect, opt, ws);
+  expect_packed_matches_pack_patch(sparse, empty_rect, opt, ws);
+  expect_identical(local_analysis(sparse.patches(empty_rect), empty_rect,
+                                  sparse.observations, sparse.ys, opt),
+                   reference_local_analysis(sparse.patches(empty_rect),
+                                            empty_rect, sparse.observations,
+                                            sparse.ys, opt));
 }
 
 TEST_F(Workspace, HeapAndPooledArenaModesAgree) {
@@ -391,7 +453,7 @@ TEST_F(Workspace, HeapAndPooledArenaModesAgree) {
   }
 }
 
-TEST_F(Workspace, ConcurrentThreadWorkspacesMatchSeed) {
+TEST_F(Workspace, ConcurrentThreadWorkspacesMatchOneThread) {
   const Scenario sc(16);
   const AnalysisOptions opt =
       options_for(AnalysisKind::kStochasticModifiedCholesky, 1.03);
@@ -399,8 +461,11 @@ TEST_F(Workspace, ConcurrentThreadWorkspacesMatchSeed) {
 
   std::vector<AnalysisResult> want(rects.size());
   for (std::size_t i = 0; i < rects.size(); ++i) {
-    want[i] = reference_local_analysis(sc.patches(rects[i]), rects[i],
-                                       sc.observations, sc.ys, opt);
+    want[i] = local_analysis(sc.patches(rects[i]), rects[i],
+                             sc.observations, sc.ys, opt);
+    expect_matches_oracle(
+        want[i], reference_local_analysis(sc.patches(rects[i]), rects[i],
+                                          sc.observations, sc.ys, opt));
   }
 
   // 4 threads, each running every rect on its own pooled workspace —

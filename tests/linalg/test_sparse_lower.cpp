@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/covariance.hpp"
+#include "linalg/modified_cholesky.hpp"
 #include "linalg/ops.hpp"
 #include "support/rng.hpp"
 
@@ -65,8 +66,33 @@ TEST(SparseUnitLower, RejectsBadDiagonal) {
   EXPECT_THROW(SparseUnitLower::from_dense(Matrix(2, 3)), InvalidArgument);
 }
 
-TEST(CompactModifiedCholesky, ApplyMatchesDenseFactors) {
-  // Estimate B̂⁻¹ on a banded problem, compress, and compare applications.
+TEST(SparseUnitLower, ScratchViewsCallerStorageAndCopiesOwn) {
+  // L = [1; 0.5 1; 0 -2 1] in CSR over caller arrays.
+  const std::vector<Index> row_start{0, 0, 1, 2};
+  const std::vector<Index> columns{0, 1};
+  const std::vector<double> values{0.5, -2.0};
+  const auto view = SparseUnitLower::scratch(row_start, columns, values);
+  EXPECT_TRUE(view.is_scratch());
+  EXPECT_EQ(view.dim(), 3u);
+  EXPECT_EQ(view.nonzeros(), 2u);
+  EXPECT_EQ(view.row_columns(2)[0], 1u);
+  EXPECT_EQ(view.row_values(1)[0], 0.5);
+  Matrix dense = Matrix::identity(3);
+  dense(1, 0) = 0.5;
+  dense(2, 1) = -2.0;
+  EXPECT_EQ(view.to_dense(), dense);
+
+  const SparseUnitLower copy = view;  // deep, owning
+  EXPECT_FALSE(copy.is_scratch());
+  EXPECT_EQ(copy.to_dense(), dense);
+  EXPECT_NE(copy.row_values(1).data(), values.data() + 0);
+  EXPECT_THROW(SparseUnitLower::scratch(row_start, columns, {}),
+               InvalidArgument);
+}
+
+TEST(SparseModifiedCholesky, ApplyMatchesDenseFactors) {
+  // Estimate B̂⁻¹ on a banded problem; the compressed apply must match
+  // Lᵀ D⁻¹ L x formed from the densified factor.
   Rng rng(4);
   const Index n = 40, members = 12;
   Matrix ensemble(n, members);
@@ -75,16 +101,17 @@ TEST(CompactModifiedCholesky, ApplyMatchesDenseFactors) {
   }
   const auto factors = estimate_inverse_covariance(
       ensemble_anomalies(ensemble), banded_predecessors(4), 1e-6);
-  const auto compact = CompactModifiedCholesky::from(factors);
+  const Matrix l = factors.l.to_dense();
 
   Vector x(n);
   for (auto& v : x) v = rng.normal();
-  EXPECT_LT(max_abs_diff(compact.apply_inverse(x),
-                         factors.apply_inverse(x)),
+  Vector t = multiply(l, x);
+  for (Index i = 0; i < n; ++i) t[i] /= factors.d[i];
+  EXPECT_LT(max_abs_diff(factors.apply_inverse(x), multiply_at(l, t)),
             1e-11);
 }
 
-TEST(CompactModifiedCholesky, SavesMemoryOnLocalizedProblems) {
+TEST(SparseModifiedCholesky, SavesMemoryOnLocalizedProblems) {
   Rng rng(5);
   const Index n = 200, members = 10;
   Matrix ensemble(n, members);
@@ -93,10 +120,10 @@ TEST(CompactModifiedCholesky, SavesMemoryOnLocalizedProblems) {
   }
   const auto factors = estimate_inverse_covariance(
       ensemble_anomalies(ensemble), banded_predecessors(5), 1e-6);
-  const auto compact = CompactModifiedCholesky::from(factors);
   const std::size_t dense_bytes = n * n * sizeof(double);
-  EXPECT_LT(compact.memory_bytes(), dense_bytes / 10);
-  EXPECT_EQ(compact.dim(), n);
+  EXPECT_LT(factors.l.memory_bytes(), dense_bytes / 10);
+  EXPECT_FALSE(factors.l.is_scratch());
+  EXPECT_EQ(factors.dim(), n);
 }
 
 }  // namespace
