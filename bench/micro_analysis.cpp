@@ -25,7 +25,7 @@ struct Fixture {
   grid::SyntheticEnsemble scenario;
   obs::ObservationSet observations;
   linalg::Matrix ys;
-  std::vector<grid::Patch> background;
+  std::vector<grid::PatchView> background;  ///< whole-mesh member views
 
   Fixture(grid::Index nx, grid::Index ny, grid::Index members,
           grid::Index stations, bool bilinear)
@@ -34,7 +34,7 @@ struct Fixture {
         observations(make_obs(mesh, scenario.truth, stations, bilinear)),
         ys(obs::perturbed_observations(observations, members, Rng(3))) {
     for (const auto& member : scenario.members) {
-      background.push_back(member.extract(mesh.bounds()));
+      background.emplace_back(mesh.bounds(), member.data());
     }
   }
 
@@ -59,19 +59,23 @@ void run_kernel(benchmark::State& state, const Fixture& fixture,
   enkf::AnalysisOptions options;
   options.kind = kind;
   options.halo = halo;
+  enkf::LocalAnalysisWorkspace& ws =
+      enkf::LocalAnalysisWorkspace::for_this_thread();
+  const grid::Rect whole = fixture.mesh.bounds();
+  const auto analyze = [&] {
+    return enkf::local_analysis_scratch(fixture.background, whole, whole,
+                                        fixture.observations, fixture.ys,
+                                        options, ws);
+  };
   // One warm call puts arena growth, localization build and counter
   // registration outside the measured region (and outside the
   // allocs-per-patch delta).
-  benchmark::DoNotOptimize(enkf::local_analysis(
-      fixture.background, fixture.mesh.bounds(), fixture.observations,
-      fixture.ys, options));
+  benchmark::DoNotOptimize(analyze());
   auto& registry = telemetry::Registry::global();
   const auto allocs0 = registry.counter_value("analysis.alloc.events");
   const auto patches0 = registry.counter_value("analysis.patches");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(enkf::local_analysis(
-        fixture.background, fixture.mesh.bounds(), fixture.observations,
-        fixture.ys, options));
+    benchmark::DoNotOptimize(analyze());
   }
   const double patches =
       static_cast<double>(registry.counter_value("analysis.patches") - patches0);

@@ -340,23 +340,6 @@ void BM_GatherDotScalar(benchmark::State& state) {
 BENCHMARK(BM_GatherDot)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_GatherDotScalar)->Arg(1024)->Arg(16384);
 
-/// pred(i) = the up-to-`band` immediately preceding variables, written
-/// into the estimator's arena like the analysis' expansion oracle.
-class BandedOracle final : public linalg::PredecessorOracle {
- public:
-  explicit BandedOracle(Index band) : band_(band) {}
-  std::span<const Index> predecessors(Index i,
-                                      support::Arena& scratch) override {
-    const Index first = i > band_ ? i - band_ : 0;
-    auto out = scratch.allocate_span<Index>(i - first);
-    for (Index j = first; j < i; ++j) out[j - first] = j;
-    return out;
-  }
-
- private:
-  Index band_;
-};
-
 // The estimator as the analysis runs it: L written as CSR rows into an
 // arena that is reset per call.
 void BM_ModifiedCholesky(benchmark::State& state) {
@@ -364,7 +347,7 @@ void BM_ModifiedCholesky(benchmark::State& state) {
   const Index band = static_cast<Index>(state.range(1));
   const Matrix ensemble = random_matrix(n, 20, 8);
   const Matrix u = linalg::ensemble_anomalies(ensemble);
-  BandedOracle oracle(band);
+  const linalg::BandedPredecessors oracle(band);
   support::Arena arena;
   linalg::ModifiedCholesky factors;
   factors.d = Vector(n);

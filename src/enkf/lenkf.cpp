@@ -150,19 +150,17 @@ std::vector<grid::Field> lenkf(const EnsembleStore& store,
     fields.reserve(n_members);
     for (Index k = 0; k < n_members; ++k) fields.push_back(store.load_member(k));
 
-    // Consume result payloads in place: each patch is inserted into the
-    // member's field as a view, no intermediate Patch.
-    const auto apply = [&](const parcomm::SharedPayload& payload) {
-      parcomm::Unpacker unpacker(payload);
-      const auto count = unpacker.get<std::uint64_t>();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const auto member = unpacker.get<std::uint64_t>();
-        fields[member].insert(unpack_patch_view(unpacker));
-      }
-    };
-    apply(results.take_shared());
+    // Member ids are 0..N−1, so they double as the field slots.
+    insert_results(results.take_shared(), member_ids, fields);
     for (int r = 1; r < world.size(); ++r) {
-      apply(world.recv(r, kResultTag).payload);
+      parcomm::Envelope envelope;
+      {
+        telemetry::TraceSpan wait_span(telemetry::Category::kWait,
+                                       "result_wait");
+        envelope = world.recv(r, kResultTag);
+        wait_span.set_flow(telemetry::FlowDir::kIn, envelope.ctx.span_id);
+      }
+      insert_results(envelope.payload, member_ids, fields);
     }
     std::lock_guard<std::mutex> lock(result_mutex);
     result = std::move(fields);

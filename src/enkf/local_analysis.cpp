@@ -15,30 +15,8 @@
 
 namespace senkf::enkf {
 
-linalg::PredecessorFn expansion_predecessors(grid::Rect expansion,
-                                             grid::Halo halo) {
-  const Index width = expansion.x.size();
-  return [expansion, halo, width](linalg::Index i) {
-    std::vector<linalg::Index> pred;
-    const Index yi = i / width;
-    const Index xi = i % width;
-    // Earlier rows within η, and earlier columns of the same row within ξ.
-    const Index y_first = yi > halo.eta ? yi - halo.eta : 0;
-    for (Index y = y_first; y <= yi; ++y) {
-      const Index x_first = xi > halo.xi ? xi - halo.xi : 0;
-      const Index x_last =
-          std::min(expansion.x.size() - 1, xi + halo.xi);
-      for (Index x = x_first; x <= x_last; ++x) {
-        const Index j = y * width + x;
-        if (j < i) pred.push_back(j);
-      }
-    }
-    return pred;
-  };
-}
-
 std::span<const linalg::Index> ExpansionPredecessorOracle::predecessors(
-    linalg::Index i, support::Arena& scratch) {
+    linalg::Index i, support::Arena& scratch) const {
   const Index width = expansion_.x.size();
   const Index yi = i / width;
   const Index xi = i % width;
@@ -188,13 +166,11 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
     }
   }
   // + Hᵀ R⁻¹ H (R diagonal), whose band the localization cached densely.
-  if (!local.empty()) {
-    const linalg::Matrix& ht_rinv_h = local.ht_rinv_h();
-    for (Index i = 0; i < n_bar; ++i) {
-      const Index first = i > w ? i - w : 0;
-      for (Index j = first; j <= i; ++j) {
-        band(i, j - i + w) += ht_rinv_h(i, j);
-      }
+  const linalg::Matrix& ht_rinv_h = local.ht_rinv_h();
+  for (Index i = 0; i < n_bar; ++i) {
+    const Index first = i > w ? i - w : 0;
+    for (Index j = first; j <= i; ++j) {
+      band(i, j - i + w) += ht_rinv_h(i, j);
     }
   }
 
@@ -295,13 +271,12 @@ linalg::Matrix deterministic_transform(const LoadedEnsemble& ens,
   return xa;
 }
 
-/// One engine behind every entry point: validate, localize (cached),
-/// skip or compute Xᵃ on the expansion.  Emission — views, wire bytes,
-/// or owning patches — is the caller's final step.
+/// One engine behind both entry points: validate, localize (cached),
+/// skip or compute Xᵃ on the expansion.  Emission — views or wire
+/// bytes — is the caller's final step.
 struct EngineOutput {
   std::shared_ptr<const obs::LocalObservations> local;
-  linalg::Matrix xa;     ///< workspace scratch; unset when skipped
-  bool skipped = false;  ///< no observations: analysis == background
+  linalg::Matrix xa;  ///< workspace scratch; unset when local is empty
 };
 
 EngineOutput analyze(std::span<const grid::PatchView> background,
@@ -331,9 +306,8 @@ EngineOutput analyze(std::span<const grid::PatchView> background,
   EngineOutput out;
   out.local = obs::localized(observations, expansion);
 
-  if (out.local->empty() && options.skip_without_obs) {
+  if (out.local->empty()) {
     // No information to assimilate: the analysis equals the background.
-    out.skipped = true;
     return out;
   }
 
@@ -377,30 +351,6 @@ void extract_member(const grid::PatchView& member, grid::Rect target,
   }
 }
 
-AnalysisResult materialize_result(const EngineOutput& out,
-                                  std::span<const grid::PatchView> background,
-                                  grid::Rect expansion, grid::Rect target,
-                                  LocalAnalysisWorkspace& ws) {
-  AnalysisResult result;
-  result.local_observations = out.local->size();
-  result.members.reserve(background.size());
-  if (out.skipped) {
-    for (const auto& patch : background) {
-      result.members.push_back(patch.extract(target));
-    }
-    return result;
-  }
-  // Project into an arena slab, then range-construct the owning buffer —
-  // no zero-fill-then-overwrite and no per-element index arithmetic.
-  auto slab = ws.arena().allocate_span<double>(target.count());
-  for (Index k = 0; k < background.size(); ++k) {
-    project_member(out.xa, k, target, expansion, slab);
-    result.members.emplace_back(target,
-                                std::vector<double>(slab.begin(), slab.end()));
-  }
-  return result;
-}
-
 }  // namespace
 
 AnalysisView local_analysis_scratch(std::span<const grid::PatchView> background,
@@ -418,7 +368,7 @@ AnalysisView local_analysis_scratch(std::span<const grid::PatchView> background,
   auto views = workspace.views(background.size());
   for (Index k = 0; k < background.size(); ++k) {
     auto slab = workspace.arena().allocate_span<double>(target.count());
-    if (out.skipped) {
+    if (out.local->empty()) {
       extract_member(background[k], target, slab);
     } else {
       project_member(out.xa, k, target, expansion, slab);
@@ -445,54 +395,13 @@ void local_analysis_packed(std::span<const grid::PatchView> background,
                                       workspace);
   for (Index k = 0; k < background.size(); ++k) {
     out.put<std::uint64_t>(member_ids[k]);
-    if (engine.skipped) {
+    if (engine.local->empty()) {
       pack_patch_block(out, background[k], target);
     } else {
       project_member(engine.xa, k, target, expansion,
                      pack_patch_slot(out, target));
     }
   }
-}
-
-AnalysisResult local_analysis(std::span<const grid::PatchView> background,
-                              grid::Rect target,
-                              const obs::ObservationSet& observations,
-                              const linalg::Matrix& perturbed,
-                              const AnalysisOptions& options) {
-  SENKF_REQUIRE(background.size() >= 2,
-                "local_analysis: need at least 2 ensemble members");
-  const grid::Rect expansion = background.front().rect();
-  for (const auto& patch : background) {
-    SENKF_REQUIRE(patch.rect() == expansion,
-                  "local_analysis: members must share the expansion rect");
-  }
-  LocalAnalysisWorkspace& ws = LocalAnalysisWorkspace::for_this_thread();
-  ws.reset();
-  const EngineOutput out = analyze(background, expansion, target,
-                                   observations, perturbed, options, ws);
-  return materialize_result(out, background, expansion, target, ws);
-}
-
-AnalysisResult local_analysis(const std::vector<grid::Patch>& background,
-                              grid::Rect target,
-                              const obs::ObservationSet& observations,
-                              const linalg::Matrix& perturbed,
-                              const AnalysisOptions& options) {
-  SENKF_REQUIRE(background.size() >= 2,
-                "local_analysis: need at least 2 ensemble members");
-  LocalAnalysisWorkspace& ws = LocalAnalysisWorkspace::for_this_thread();
-  ws.reset();
-  // View list in the arena, not a per-call heap vector.
-  auto views = ws.views(background.size());
-  for (Index k = 0; k < background.size(); ++k) views[k] = background[k];
-  const grid::Rect expansion = views.front().rect();
-  for (const auto& patch : views) {
-    SENKF_REQUIRE(patch.rect() == expansion,
-                  "local_analysis: members must share the expansion rect");
-  }
-  const EngineOutput out = analyze(views, expansion, target, observations,
-                                   perturbed, options, ws);
-  return materialize_result(out, views, expansion, target, ws);
 }
 
 }  // namespace senkf::enkf

@@ -21,19 +21,17 @@
 // Execution model (DESIGN.md §15): all temporaries come from a
 // LocalAnalysisWorkspace, the observation localization comes from the
 // process-wide cache (obs/local_obs_cache.hpp), and results are emitted
-// three ways:
+// two ways:
 //   * local_analysis_scratch — arena-backed views, zero allocation in
-//     steady state; what the hot paths consume.
+//     steady state; what the serial reference and the benchmark's patch
+//     replay consume.
 //   * local_analysis_packed — projects straight into a Packer's payload
-//     bytes, for callers whose next step is the wire.
-//   * local_analysis (legacy overloads) — owning AnalysisResult, for the
-//     serial reference and existing tests.
-// All three run the same engine, so their values agree bit-for-bit with
-// each other.
+//     bytes, for the L-, P- and S-EnKF ranks whose next step is the wire.
+// Both run the same engine, so their values agree bit-for-bit with each
+// other.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "enkf/analysis_workspace.hpp"
 #include "grid/decomposition.hpp"
@@ -67,20 +65,11 @@ struct AnalysisOptions {
   AnalysisKind kind = AnalysisKind::kStochasticModifiedCholesky;
   grid::Halo halo;              ///< localization half-widths (ξ, η)
   double ridge = 1e-6;          ///< modified-Cholesky regression ridge
-  bool skip_without_obs = true; ///< leave the background untouched when the
-                                ///< expansion holds no observations
   /// Multiplicative covariance inflation λ ≥ 1: background anomalies are
   /// scaled by λ before the analysis (X ← x̄ + λ(X − x̄)).  Counteracts
   /// the spread collapse of small ensembles in cycled assimilation;
   /// λ = 1 disables it.
   double inflation = 1.0;
-};
-
-/// Result: the analysis restricted to the target rect, one patch per
-/// member (same order as the inputs).
-struct AnalysisResult {
-  std::vector<grid::Patch> members;
-  Index local_observations = 0;  ///< m̄: observations used
 };
 
 /// Zero-allocation result: one view per member over storage owned by the
@@ -93,6 +82,8 @@ struct AnalysisView {
 
 /// Runs equation (6) with every temporary drawn from `workspace`
 /// (reset() is called on entry — results of the previous call die).
+/// An expansion holding no observations returns its background
+/// unchanged (m̄ = 0: there is nothing to assimilate).
 /// `background` members may sit on any rect *containing* `expansion`
 /// (the kernel gathers the expansion window in place, so callers never
 /// extract an intermediate slab); `target` must lie inside the
@@ -109,7 +100,7 @@ AnalysisView local_analysis_scratch(std::span<const grid::PatchView> background,
 /// Same analysis, emitted straight onto the wire: for each member k the
 /// sequence [u64 member_ids[k]][patch block over `target`] is appended
 /// to `out`, the projection writing into the payload bytes in place.
-/// Byte-identical to pack_patch of the legacy result's patches.
+/// Byte-identical to pack_patch of local_analysis_scratch's views.
 void local_analysis_packed(std::span<const grid::PatchView> background,
                            grid::Rect expansion, grid::Rect target,
                            const obs::ObservationSet& observations,
@@ -119,40 +110,19 @@ void local_analysis_packed(std::span<const grid::PatchView> background,
                            LocalAnalysisWorkspace& workspace,
                            parcomm::Packer& out);
 
-/// Legacy owning entry point (members must all sit exactly on the
-/// expansion rect, as before).  Runs on this thread's pooled workspace.
-AnalysisResult local_analysis(std::span<const grid::PatchView> background,
-                              grid::Rect target,
-                              const obs::ObservationSet& observations,
-                              const linalg::Matrix& perturbed,
-                              const AnalysisOptions& options);
-
-/// Adapter for callers holding owning Patches; the kernel itself only
-/// reads, so it runs on views built in the workspace arena (no per-call
-/// heap vector).
-AnalysisResult local_analysis(const std::vector<grid::Patch>& background,
-                              grid::Rect target,
-                              const obs::ObservationSet& observations,
-                              const linalg::Matrix& perturbed,
-                              const AnalysisOptions& options);
-
 /// The localized predecessor oracle used for B̂⁻¹: predecessors of a point
 /// are the earlier points (row-major order within the expansion) whose
 /// offsets are within (ξ, η) — the paper's radius-of-influence
-/// neighbourhood transported to the Bickel–Levina ordering.
-linalg::PredecessorFn expansion_predecessors(grid::Rect expansion,
-                                             grid::Halo halo);
-
-/// Allocation-free variant: writes each predecessor set into the scratch
-/// arena the estimator hands it (released by the estimator's per-row
-/// rewind).  Same sets in the same order as expansion_predecessors.
+/// neighbourhood transported to the Bickel–Levina ordering.  Each set is
+/// written, in increasing index order, into the scratch arena the
+/// estimator hands it (released by the estimator's per-row rewind).
 class ExpansionPredecessorOracle final : public linalg::PredecessorOracle {
  public:
   ExpansionPredecessorOracle(grid::Rect expansion, grid::Halo halo)
       : expansion_(expansion), halo_(halo) {}
 
   std::span<const linalg::Index> predecessors(
-      linalg::Index i, support::Arena& scratch) override;
+      linalg::Index i, support::Arena& scratch) const override;
 
  private:
   grid::Rect expansion_;

@@ -82,4 +82,17 @@ PatchView unpack_patch_view(parcomm::Unpacker& unpacker) {
   return PatchView(rect, values);
 }
 
+void insert_results(const parcomm::SharedPayload& payload,
+                    std::span<const grid::Index> slot,
+                    std::span<grid::Field> fields) {
+  parcomm::Unpacker unpacker(payload);
+  const auto count = unpacker.get<std::uint64_t>();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto member = unpacker.get<std::uint64_t>();
+    SENKF_REQUIRE(member < slot.size() && slot[member] < fields.size(),
+                  "insert_results: result for a dropped or unknown member");
+    fields[slot[member]].insert(unpack_patch_view(unpacker));
+  }
+}
+
 }  // namespace senkf::enkf

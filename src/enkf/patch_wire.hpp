@@ -9,6 +9,8 @@
 // on.
 #pragma once
 
+#include <span>
+
 #include "grid/field.hpp"
 #include "parcomm/wire.hpp"
 
@@ -54,5 +56,14 @@ grid::Patch unpack_patch(parcomm::Unpacker& unpacker);
 /// Valid only while the payload lives — callers keep the SharedPayload
 /// handle alongside the view (DESIGN.md §10).
 PatchView unpack_patch_view(parcomm::Unpacker& unpacker);
+
+/// Decodes one rank's result payload, [u64 count]([u64 member][patch
+/// block])*, inserting each block straight from the payload bytes into
+/// fields[slot[member]] — no intermediate Patch.  A member without a
+/// slot (member ≥ slot.size() or slot[member] ≥ fields.size(): dropped
+/// or unknown) is rejected.
+void insert_results(const parcomm::SharedPayload& payload,
+                    std::span<const grid::Index> slot,
+                    std::span<grid::Field> fields);
 
 }  // namespace senkf::enkf

@@ -990,19 +990,8 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
           counts.retries.add(1);
         }));
   }
-  // Result payloads are consumed in place: each patch becomes a view
-  // inserted straight into the member's field, no intermediate Patch.
-  const auto apply = [&](const parcomm::SharedPayload& payload) {
-    parcomm::Unpacker unpacker(payload);
-    const auto count = unpacker.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto member = unpacker.get<std::uint64_t>();
-      SENKF_REQUIRE(member < n_members && position[member] < n_members,
-                    "senkf: result for a dropped or unknown member");
-      fields[position[member]].insert(unpack_patch_view(unpacker));
-    }
-  };
-  apply(results.take_shared());
+  // `position` maps a member to its field slot; dropped members have none.
+  insert_results(results.take_shared(), position, fields);
   for (Index r = 1; r < config.computation_ranks(); ++r) {
     parcomm::Envelope envelope;
     {
@@ -1011,7 +1000,7 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
       envelope = world.recv(static_cast<int>(r), kResultTag);
       wait_span.set_flow(telemetry::FlowDir::kIn, envelope.ctx.span_id);
     }
-    apply(envelope.payload);
+    insert_results(envelope.payload, position, fields);
   }
   *result_out = std::move(fields);
   *dropped_out = dropped;

@@ -7,6 +7,12 @@
 // split, same kernel, same perturbed observations ⇒ bit-identical
 // analyses.
 //
+// Each member is loaded from the store once.  Every (sub-domain, layer)
+// patch then runs through local_analysis_scratch on full-field views of
+// those backgrounds — the kernel gathers the expansion window in place,
+// as it does for P-EnKF's sub-domain bars — and the returned target
+// views are inserted into the analysis fields.
+//
 // With n_sdx = n_sdy = 1 and a halo covering the whole grid the local
 // analysis degenerates to the global formulation (eq. (5)), which the
 // tests use as an independent cross-check.

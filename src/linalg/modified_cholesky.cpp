@@ -27,40 +27,16 @@ Vector ModifiedCholesky::apply_inverse(const Vector& x) const {
   return l.multiply_transpose(t);
 }
 
-namespace {
-
-// Adapts the std::function oracle to the allocation-free interface so the
-// legacy entry point shares the _into implementation (no numeric drift
-// between the two).
-class FnOracle final : public PredecessorOracle {
- public:
-  explicit FnOracle(const PredecessorFn& fn) : fn_(fn) {}
-  std::span<const Index> predecessors(Index i, support::Arena&) override {
-    current_ = fn_(i);
-    return current_;
-  }
-
- private:
-  const PredecessorFn& fn_;
-  std::vector<Index> current_;
-};
-
-}  // namespace
-
-ModifiedCholesky estimate_inverse_covariance(const Matrix& anomalies,
-                                             const PredecessorFn& predecessors,
-                                             double ridge) {
-  ModifiedCholesky result;
-  result.d = Vector(anomalies.rows(), 0.0);
-  FnOracle oracle(predecessors);
-  support::Arena arena;
-  estimate_inverse_covariance_scratch(anomalies, oracle, ridge, arena, result);
-  result.l = SparseUnitLower(result.l);  // own L before the arena dies
-  return result;
+std::span<const Index> BandedPredecessors::predecessors(
+    Index i, support::Arena& scratch) const {
+  const Index first = i > bandwidth_ ? i - bandwidth_ : 0;
+  auto out = scratch.allocate_span<Index>(i - first);
+  for (Index j = first; j < i; ++j) out[j - first] = j;
+  return out;
 }
 
 void estimate_inverse_covariance_scratch(const Matrix& anomalies,
-                                         PredecessorOracle& predecessors,
+                                         const PredecessorOracle& predecessors,
                                          double ridge, support::Arena& arena,
                                          ModifiedCholesky& out) {
   SENKF_REQUIRE(anomalies.cols() >= 2,
@@ -154,14 +130,16 @@ void estimate_inverse_covariance_scratch(const Matrix& anomalies,
   out.l = SparseUnitLower::scratch(row_start, columns, values);
 }
 
-PredecessorFn banded_predecessors(Index bandwidth) {
-  return [bandwidth](Index i) {
-    std::vector<Index> pred;
-    const Index first = i > bandwidth ? i - bandwidth : 0;
-    pred.reserve(i - first);
-    for (Index j = first; j < i; ++j) pred.push_back(j);
-    return pred;
-  };
+ModifiedCholesky estimate_inverse_covariance(
+    const Matrix& anomalies, const PredecessorOracle& predecessors,
+    double ridge) {
+  ModifiedCholesky result;
+  result.d = Vector(anomalies.rows(), 0.0);
+  support::Arena arena;
+  estimate_inverse_covariance_scratch(anomalies, predecessors, ridge, arena,
+                                      result);
+  result.l = SparseUnitLower(result.l);  // own L before the arena dies
+  return result;
 }
 
 }  // namespace senkf::linalg

@@ -14,9 +14,7 @@
 // L comes from localization: row i only has entries in columns pred(i).
 #pragma once
 
-#include <functional>
 #include <span>
-#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "linalg/sparse_lower.hpp"
@@ -43,21 +41,31 @@ struct ModifiedCholesky {
   Vector apply_inverse(const Vector& x) const;
 };
 
-/// Predecessor oracle: given variable i, returns indices j < i that are
-/// within the localization neighbourhood of i (any order, no duplicates).
-using PredecessorFn = std::function<std::vector<Index>(Index)>;
-
-/// Allocation-free predecessor oracle: implementations may place the
-/// returned span in `scratch` (it stays valid until the caller rewinds)
-/// or point at storage they own.
+/// Predecessor oracle: given variable i, the indices j < i within the
+/// localization neighbourhood of i (any order, no duplicates).
+/// Implementations may place the returned span in `scratch` (it stays
+/// valid until the caller rewinds) or point at storage they own.
 class PredecessorOracle {
  public:
   virtual ~PredecessorOracle() = default;
-  virtual std::span<const Index> predecessors(Index i,
-                                              support::Arena& scratch) = 0;
+  virtual std::span<const Index> predecessors(
+      Index i, support::Arena& scratch) const = 0;
 };
 
-/// Estimates B̂⁻¹ from ensemble anomalies.
+/// Oracle for a banded ordering: pred(i) are the up-to-`bandwidth`
+/// immediately preceding variables, written into `scratch`.
+class BandedPredecessors final : public PredecessorOracle {
+ public:
+  explicit BandedPredecessors(Index bandwidth) : bandwidth_(bandwidth) {}
+  std::span<const Index> predecessors(Index i,
+                                      support::Arena& scratch) const override;
+
+ private:
+  Index bandwidth_;
+};
+
+/// Estimates B̂⁻¹ from ensemble anomalies, writing every temporary into
+/// `arena` (the analysis' path).
 ///
 /// `anomalies` is the n×N matrix U of mean-subtracted ensemble members
 /// (one row per model variable, one column per member).  `predecessors`
@@ -65,24 +73,22 @@ class PredecessorOracle {
 /// normal equations, which keeps the estimate well-defined even when the
 /// neighbourhood is larger than the ensemble size (the situation that
 /// motivates the method).
-ModifiedCholesky estimate_inverse_covariance(const Matrix& anomalies,
-                                             const PredecessorFn& predecessors,
-                                             double ridge = 1e-8);
-
-/// Allocation-free estimation: `out.d` must be pre-shaped to length n
-/// and is fully overwritten; `out.l` becomes a scratch factor whose CSR
-/// arrays are allocated from `arena` ahead of the per-row temporaries
-/// (gram, rhs, factor — released by a mark/rewind bracket), so L lives
-/// until the caller rewinds the arena.  The predecessor sets are queried
-/// twice: once to size L, once to fill it.  Bit-identical to the
-/// allocating form above given the same predecessor sets.
+///
+/// `out.d` must be pre-shaped to length n and is fully overwritten;
+/// `out.l` becomes a scratch factor whose CSR arrays are allocated from
+/// `arena` ahead of the per-row temporaries (gram, rhs, factor — released
+/// by a mark/rewind bracket), so L lives until the caller rewinds the
+/// arena.  The predecessor sets are queried twice: once to size L, once
+/// to fill it.
 void estimate_inverse_covariance_scratch(const Matrix& anomalies,
-                                         PredecessorOracle& predecessors,
+                                         const PredecessorOracle& predecessors,
                                          double ridge, support::Arena& arena,
                                          ModifiedCholesky& out);
 
-/// Convenience predecessor oracle for a banded ordering: pred(i) are the
-/// up-to-`bandwidth` immediately preceding variables.
-PredecessorFn banded_predecessors(Index bandwidth);
+/// Owning wrapper over the scratch form (tests and diagnostics): runs it
+/// on a private arena and copies L out before the arena dies.
+ModifiedCholesky estimate_inverse_covariance(
+    const Matrix& anomalies, const PredecessorOracle& predecessors,
+    double ridge = 1e-8);
 
 }  // namespace senkf::linalg

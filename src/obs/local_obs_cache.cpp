@@ -1,7 +1,5 @@
 #include "obs/local_obs_cache.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
@@ -57,22 +55,8 @@ telemetry::Gauge& entries_gauge() {
 
 }  // namespace
 
-bool localization_cache_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("SENKF_LOCOBS_CACHE");
-    if (env == nullptr) return true;
-    return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0;
-  }();
-  return enabled;
-}
-
 std::shared_ptr<const LocalObservations> localized(
     const ObservationSet& observations, grid::Rect rect) {
-  if (!localization_cache_enabled()) {
-    misses().add();
-    return std::make_shared<const LocalObservations>(observations, rect);
-  }
-
   Cache& c = cache();
   const Key key = make_key(observations, rect);
   {

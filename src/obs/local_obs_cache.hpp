@@ -13,9 +13,6 @@
 // a new epoch, so stale products are never returned, and entries for
 // superseded epochs are evicted when a newer epoch is first inserted.
 //
-// Kill switch: SENKF_LOCOBS_CACHE=off (or 0) builds every localization
-// fresh (counted as misses), for A/B debugging.
-//
 // Metrics: analysis.localization.{hits,misses} counters and an
 // analysis.localization.entries gauge.
 #pragma once
@@ -37,8 +34,5 @@ void clear_localization_cache();
 
 /// Live entry count (what the entries gauge reports).
 std::size_t localization_cache_size();
-
-/// The process-wide SENKF_LOCOBS_CACHE resolution (read once).
-bool localization_cache_enabled();
 
 }  // namespace senkf::obs

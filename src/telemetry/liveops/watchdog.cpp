@@ -106,6 +106,9 @@ void monitor_loop() {
   std::unique_lock<std::mutex> lock(s.mutex);
   while (!s.stop_requested) {
     const std::int64_t next_ns = fire_overdue_locked(s, now_ns());
+    // A first fire drops the lock to flush exports; a stop requested in
+    // that window has already notified, so sleeping now would never wake.
+    if (s.stop_requested) break;
     if (next_ns == 0) {
       s.cv.wait(lock);
       continue;

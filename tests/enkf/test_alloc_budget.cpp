@@ -19,7 +19,6 @@
 
 #include "enkf/local_analysis.hpp"
 #include "grid/synthetic.hpp"
-#include "obs/local_obs_cache.hpp"
 #include "obs/perturbed.hpp"
 
 namespace {
@@ -156,17 +155,11 @@ std::uint64_t measure_steady_state(AnalysisKind kind) {
 }
 
 TEST(AllocBudget, StochasticSteadyStateIsAllocationFree) {
-  if (!obs::localization_cache_enabled()) {
-    GTEST_SKIP() << "SENKF_LOCOBS_CACHE=off rebuilds localizations per call";
-  }
   EXPECT_EQ(measure_steady_state(AnalysisKind::kStochasticModifiedCholesky),
             0u);
 }
 
 TEST(AllocBudget, DeterministicSteadyStateIsAllocationFree) {
-  if (!obs::localization_cache_enabled()) {
-    GTEST_SKIP() << "SENKF_LOCOBS_CACHE=off rebuilds localizations per call";
-  }
   EXPECT_EQ(measure_steady_state(AnalysisKind::kDeterministicTransform), 0u);
 }
 

@@ -13,6 +13,7 @@
 #include "linalg/ops.hpp"
 #include "linalg/solve.hpp"
 #include "obs/perturbed.hpp"
+#include "owning_analysis.hpp"
 
 namespace senkf::enkf {
 namespace {
@@ -64,8 +65,8 @@ AnalysisOptions transform_options() {
 TEST(Deterministic, ReducesErrorAgainstTruth) {
   const World w(1);
   const grid::Rect whole = w.g.bounds();
-  const auto result = local_analysis(w.patches(whole), whole, w.observations,
-                                     w.ys, transform_options());
+  const auto result = owning_analysis(w.patches(whole), whole, w.observations,
+                                      w.ys, transform_options());
   double before = 0.0, after = 0.0;
   const grid::Patch truth = w.scenario.truth.extract(whole);
   for (Index k = 0; k < result.members.size(); ++k) {
@@ -83,8 +84,8 @@ TEST(Deterministic, MeanMatchesEnsembleSpaceBlue) {
   // equations with LU and rebuild x̄ᵃ = x̄ + U w̄ by hand.
   const World w(2, 6, 30);
   const grid::Rect rect = w.g.bounds();
-  const auto result = local_analysis(w.patches(rect), rect, w.observations,
-                                     w.ys, transform_options());
+  const auto result = owning_analysis(w.patches(rect), rect, w.observations,
+                                      w.ys, transform_options());
 
   const Index n = rect.count(), members = 6;
   linalg::Matrix xb(n, members);
@@ -131,8 +132,8 @@ TEST(Deterministic, MeanMatchesEnsembleSpaceBlue) {
 TEST(Deterministic, ShrinksSpreadWithoutPerturbedNoise) {
   const World w(3);
   const grid::Rect whole = w.g.bounds();
-  const auto result = local_analysis(w.patches(whole), whole, w.observations,
-                                     w.ys, transform_options());
+  const auto result = owning_analysis(w.patches(whole), whole, w.observations,
+                                      w.ys, transform_options());
   // Rebuild fields to reuse the spread diagnostic.
   std::vector<grid::Field> analysis;
   for (const auto& patch : result.members) {
@@ -147,12 +148,12 @@ TEST(Deterministic, IgnoresPerturbedObservations) {
   // The transform must not read Ys: different perturbations, same result.
   const World w(4);
   const grid::Rect whole = w.g.bounds();
-  const auto a = local_analysis(w.patches(whole), whole, w.observations,
-                                w.ys, transform_options());
+  const auto a = owning_analysis(w.patches(whole), whole, w.observations,
+                                 w.ys, transform_options());
   const auto other_ys =
       obs::perturbed_observations(w.observations, 8, senkf::Rng(999));
-  const auto b = local_analysis(w.patches(whole), whole, w.observations,
-                                other_ys, transform_options());
+  const auto b = owning_analysis(w.patches(whole), whole, w.observations,
+                                 other_ys, transform_options());
   for (Index k = 0; k < a.members.size(); ++k) {
     EXPECT_EQ(a.members[k].values(), b.members[k].values());
   }
@@ -190,8 +191,8 @@ TEST(Deterministic, SkipsRegionsWithoutObservations) {
     rect = grid::Rect{{10, 16}, {6, 10}};
   }
   ASSERT_FALSE(w.observations.components()[0].supported_by(rect));
-  const auto result = local_analysis(w.patches(rect), rect, w.observations,
-                                     w.ys, transform_options());
+  const auto result = owning_analysis(w.patches(rect), rect, w.observations,
+                                      w.ys, transform_options());
   for (Index k = 0; k < result.members.size(); ++k) {
     const grid::Patch bg = w.scenario.members[k].extract(rect);
     EXPECT_EQ(result.members[k].values(), bg.values());

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "enkf/diagnostics.hpp"
+#include "enkf/lenkf.hpp"
 #include "enkf/penkf.hpp"
 #include "enkf/senkf.hpp"
 #include "grid/synthetic.hpp"
@@ -108,8 +109,9 @@ TEST(FileStore, CorruptHeaderThrows) {
 }
 
 TEST(FileStore, FullPipelineMatchesMemoryStoreBitForBit) {
-  // The acid test: S-EnKF and P-EnKF produce identical analyses whether
-  // the ensemble comes from RAM or from real files on disk.
+  // The acid test: the serial reference, L-, P- and S-EnKF produce
+  // identical analyses whether the ensemble comes from RAM or from real
+  // files on disk.
   const World w(7);
   const TempDir dir("pipeline");
   const auto file_store = write_ensemble(w.g, w.scenario.members, dir.path);
@@ -142,6 +144,18 @@ TEST(FileStore, FullPipelineMatchesMemoryStoreBitForBit) {
   const auto p_memory = penkf(memory_store, observations, ys, run);
   const auto p_files = penkf(file_store, observations, ys, run);
   EXPECT_DOUBLE_EQ(max_ensemble_difference(p_memory, p_files), 0.0);
+
+  // The serial reference and L-EnKF load whole members; on S-EnKF's
+  // layout they also reproduce its analysis from the files.
+  run.layers = config.layers;
+  const auto gold_memory = serial_enkf(memory_store, observations, ys, run);
+  const auto gold_files = serial_enkf(file_store, observations, ys, run);
+  EXPECT_DOUBLE_EQ(max_ensemble_difference(gold_memory, gold_files), 0.0);
+  EXPECT_DOUBLE_EQ(max_ensemble_difference(gold_files, from_files), 0.0);
+  const auto l_memory = lenkf(memory_store, observations, ys, run);
+  const auto l_files = lenkf(file_store, observations, ys, run);
+  EXPECT_DOUBLE_EQ(max_ensemble_difference(l_memory, l_files), 0.0);
+  EXPECT_DOUBLE_EQ(max_ensemble_difference(gold_files, l_files), 0.0);
 }
 
 TEST(FileStore, WriteEnsembleValidation) {

@@ -12,6 +12,7 @@
 #include "linalg/covariance.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/solve.hpp"
+#include "owning_analysis.hpp"
 #include "support/arena.hpp"
 
 namespace senkf::enkf {
@@ -67,9 +68,9 @@ AnalysisOptions default_options() {
 TEST(LocalAnalysis, ReducesErrorAgainstTruth) {
   const Scenario sc(1);
   const grid::Rect whole = sc.g.bounds();
-  const auto result = local_analysis(sc.patches(whole), whole,
-                                     sc.observations, sc.ys,
-                                     default_options());
+  const auto result = owning_analysis(sc.patches(whole), whole,
+                                      sc.observations, sc.ys,
+                                      default_options());
   ASSERT_EQ(result.members.size(), sc.ensemble.members.size());
   const grid::Patch truth_patch = sc.ensemble.truth.extract(whole);
   double before = 0.0, after = 0.0;
@@ -93,8 +94,8 @@ TEST(LocalAnalysis, NoObservationsLeavesBackgroundUntouched) {
   const auto& comp = sc.observations.components()[0];
   if (comp.supported_by(rect)) rect = grid::Rect{{8, 12}, {6, 10}};
   ASSERT_FALSE(comp.supported_by(rect));
-  const auto result = local_analysis(sc.patches(rect), rect, sc.observations,
-                                     sc.ys, default_options());
+  const auto result = owning_analysis(sc.patches(rect), rect, sc.observations,
+                                      sc.ys, default_options());
   for (Index k = 0; k < result.members.size(); ++k) {
     const grid::Patch bg = sc.ensemble.members[k].extract(rect);
     EXPECT_EQ(result.members[k].values(), bg.values());
@@ -108,7 +109,7 @@ TEST(LocalAnalysis, MatchesIndependentDenseSolve) {
   const grid::Rect rect = sc.g.bounds();
   const AnalysisOptions opt = default_options();
   const auto result =
-      local_analysis(sc.patches(rect), rect, sc.observations, sc.ys, opt);
+      owning_analysis(sc.patches(rect), rect, sc.observations, sc.ys, opt);
 
   const Index n = rect.count();
   const Index members = sc.ensemble.members.size();
@@ -119,7 +120,7 @@ TEST(LocalAnalysis, MatchesIndependentDenseSolve) {
   }
   const auto binv = linalg::estimate_inverse_covariance(
       linalg::ensemble_anomalies(xb),
-      expansion_predecessors(rect, opt.halo), opt.ridge);
+      ExpansionPredecessorOracle(rect, opt.halo), opt.ridge);
   const obs::LocalObservations local(sc.observations, rect);
   linalg::Matrix system = binv.inverse_covariance();
   linalg::Matrix rinv_h = local.h();
@@ -153,11 +154,11 @@ TEST(LocalAnalysis, TargetProjectionExtractsSubRect) {
   const Scenario sc(4);
   const grid::Rect expansion{{0, 12}, {0, 8}};
   const grid::Rect target{{2, 8}, {2, 6}};
-  const auto full = local_analysis(sc.patches(expansion), expansion,
-                                   sc.observations, sc.ys, default_options());
-  const auto projected = local_analysis(sc.patches(expansion), target,
-                                        sc.observations, sc.ys,
-                                        default_options());
+  const auto full = owning_analysis(sc.patches(expansion), expansion,
+                                    sc.observations, sc.ys, default_options());
+  const auto projected = owning_analysis(sc.patches(expansion), target,
+                                         sc.observations, sc.ys,
+                                         default_options());
   for (Index k = 0; k < projected.members.size(); ++k) {
     for (Index y = target.y.begin; y < target.y.end; ++y) {
       for (Index x = target.x.begin; x < target.x.end; ++x) {
@@ -173,23 +174,23 @@ TEST(LocalAnalysis, ValidatesInputs) {
   const grid::Rect rect{{0, 8}, {0, 8}};
   auto patches = sc.patches(rect);
   // Target outside expansion.
-  EXPECT_THROW(local_analysis(patches, grid::Rect{{0, 9}, {0, 8}},
-                              sc.observations, sc.ys, default_options()),
+  EXPECT_THROW(owning_analysis(patches, grid::Rect{{0, 9}, {0, 8}},
+                               sc.observations, sc.ys, default_options()),
                senkf::InvalidArgument);
-  // Mismatched member rects.
+  // A member that does not cover the expansion (the first member's rect).
   auto bad = patches;
   bad[1] = sc.ensemble.members[1].extract(grid::Rect{{0, 8}, {0, 7}});
-  EXPECT_THROW(local_analysis(bad, rect, sc.observations, sc.ys,
-                              default_options()),
+  EXPECT_THROW(owning_analysis(bad, rect, sc.observations, sc.ys,
+                               default_options()),
                senkf::InvalidArgument);
   // Too few members.
-  EXPECT_THROW(local_analysis({patches[0]}, rect, sc.observations, sc.ys,
-                              default_options()),
+  EXPECT_THROW(owning_analysis({patches[0]}, rect, sc.observations, sc.ys,
+                               default_options()),
                senkf::InvalidArgument);
   // Wrong Ys width.
   linalg::Matrix bad_ys(sc.observations.size(), 3);
-  EXPECT_THROW(local_analysis(patches, rect, sc.observations, bad_ys,
-                              default_options()),
+  EXPECT_THROW(owning_analysis(patches, rect, sc.observations, bad_ys,
+                               default_options()),
                senkf::InvalidArgument);
 }
 
@@ -221,10 +222,12 @@ TEST(ExpansionPredecessors, ZeroHaloGivesNoPredecessors) {
   }
 }
 
-TEST(ExpansionPredecessors, StayWithinTheBandAndMatchTheFunctionOracle) {
-  // The banded analysis rests on this: under the row-major ordering of
-  // a W-wide expansion every predecessor is at most η·W+ξ points back —
-  // also when the halo is wider than the expansion (ξ ≥ W).
+TEST(ExpansionPredecessors, StayWithinTheBandAndMatchBruteForce) {
+  // The oracle's set for point i is every earlier point at most ξ
+  // columns and η rows away, in increasing index order.  The banded
+  // analysis rests on it: under the row-major ordering of a W-wide
+  // expansion every predecessor is at most η·W+ξ points back — also when
+  // the halo is wider than the expansion (ξ ≥ W).
   const grid::Rect rect{{3, 8}, {2, 6}};  // W = 5, 4 rows
   const Index width = rect.x.size();
   for (const grid::Halo halo :
@@ -233,10 +236,17 @@ TEST(ExpansionPredecessors, StayWithinTheBandAndMatchTheFunctionOracle) {
         grid::Halo{4, 3}}) {
     SCOPED_TRACE("halo {" + std::to_string(halo.xi) + "," +
                  std::to_string(halo.eta) + "}");
-    const auto fn = expansion_predecessors(rect, halo);
     for (Index i = 0; i < rect.count(); ++i) {
+      const Index xi = i % width;
+      const Index yi = i / width;
+      std::vector<linalg::Index> want;
+      for (Index j = 0; j < i; ++j) {
+        const Index xj = j % width;
+        const Index dx = xi > xj ? xi - xj : xj - xi;
+        if (dx <= halo.xi && yi - j / width <= halo.eta) want.push_back(j);
+      }
       const auto pred = oracle_predecessors(rect, halo, i);
-      EXPECT_EQ(pred, fn(i)) << "i=" << i;
+      EXPECT_EQ(pred, want) << "i=" << i;
       for (const Index j : pred) {
         EXPECT_LT(j, i);
         EXPECT_LE(i - j, halo.eta * width + halo.xi) << "i=" << i;
@@ -255,8 +265,8 @@ TEST(LocalAnalysis, RejectsDeflationWithoutObservations) {
   ASSERT_FALSE(comp.supported_by(rect));
   AnalysisOptions opt = default_options();
   opt.inflation = 0.5;
-  EXPECT_THROW(local_analysis(sc.patches(rect), rect, sc.observations, sc.ys,
-                              opt),
+  EXPECT_THROW(owning_analysis(sc.patches(rect), rect, sc.observations, sc.ys,
+                               opt),
                senkf::InvalidArgument);
 }
 
@@ -284,7 +294,7 @@ DenseSystem dense_system(const Scenario& sc, grid::Rect rect,
   }
   const auto binv = linalg::estimate_inverse_covariance(
       linalg::ensemble_anomalies(out.xb),
-      expansion_predecessors(rect, opt.halo), opt.ridge);
+      ExpansionPredecessorOracle(rect, opt.halo), opt.ridge);
   const obs::LocalObservations local(sc.observations, rect);
   out.system = binv.inverse_covariance();
   linalg::axpy(1.0, local.ht_rinv_h(), out.system);
@@ -338,7 +348,7 @@ TEST(LocalAnalysis, BandCoversBilinearFootprintsWiderThanTheHalo) {
     linalg::axpy(1.0, dense.xb, want);
 
     const auto result =
-        local_analysis(sc.patches(rect), rect, sc.observations, sc.ys, opt);
+        owning_analysis(sc.patches(rect), rect, sc.observations, sc.ys, opt);
     linalg::Matrix got(rect.count(), result.members.size());
     for (Index k = 0; k < result.members.size(); ++k) {
       for (Index i = 0; i < rect.count(); ++i) {

@@ -7,6 +7,7 @@
 #include "enkf/diagnostics.hpp"
 #include "grid/synthetic.hpp"
 #include "obs/perturbed.hpp"
+#include "owning_analysis.hpp"
 
 namespace senkf::enkf {
 namespace {
@@ -83,8 +84,8 @@ TEST(SerialEnkf, SingleSubdomainEqualsGlobalAnalysis) {
   for (const auto& member : w.scenario.members) {
     background.push_back(member.extract(w.g.bounds()));
   }
-  const auto direct = local_analysis(background, w.g.bounds(),
-                                     w.observations, w.ys, c.analysis);
+  const auto direct = owning_analysis(background, w.g.bounds(),
+                                      w.observations, w.ys, c.analysis);
   for (Index k = 0; k < direct.members.size(); ++k) {
     for (Index i = 0; i < w.g.size(); ++i) {
       EXPECT_DOUBLE_EQ(via_serial[k][i], direct.members[k].values()[i]);
@@ -101,6 +102,15 @@ TEST(SerialEnkf, LayeredRunCoversWholeDomain) {
   EXPECT_GT(max_ensemble_difference(l1, l3), 0.0);
   const double before = mean_field_rmse(w.scenario.members, w.scenario.truth);
   EXPECT_LT(mean_field_rmse(l3, w.scenario.truth), before);
+}
+
+TEST(SerialEnkf, ReadsEachMemberOnce) {
+  // Every (sub-domain, layer) patch is gathered in place from the one
+  // load of each member: 8 reads, not 8·(1 + 8 sub-domains·2 layers).
+  const World w(7);
+  w.store.reset_counters();
+  (void)serial_enkf(w.store, w.observations, w.ys, config_4x2(2));
+  EXPECT_EQ(w.store.reads_issued(), 8u);
 }
 
 TEST(SerialEnkf, InvalidLayerCountThrows) {

@@ -1,10 +1,11 @@
 // Workspace-reuse acceptance gate (DESIGN.md §15).
 //
 // Two kinds of comparison:
-//   * bitwise among production paths — the owning, scratch-view and
-//     packed entry points, reused workspaces of varying shapes, heap vs
-//     pooled arenas and concurrent threads all run the one engine, so
-//     their values (and wire bytes) must agree exactly;
+//   * bitwise among production paths — the scratch-view and packed
+//     entry points, extracted vs in-place gathered members, reused
+//     workspaces of varying shapes, heap vs pooled arenas and concurrent
+//     threads all run the one engine, so their values (and wire bytes)
+//     must agree exactly;
 //   * tolerance vs the dense oracle — the reference below is a verbatim
 //     copy of the pre-workspace implementation (allocating linalg API,
 //     per-call LocalObservations, owning temporaries, a dense n̄×n̄
@@ -32,6 +33,7 @@
 #include "linalg/ops.hpp"
 #include "obs/local_obs_cache.hpp"
 #include "obs/perturbed.hpp"
+#include "owning_analysis.hpp"
 #include "parcomm/wire.hpp"
 
 namespace senkf::enkf {
@@ -91,10 +93,10 @@ AnalysisOptions options_for(AnalysisKind kind, double inflation) {
 // "modernize" it.
 // ---------------------------------------------------------------------------
 
-AnalysisResult reference_project(const linalg::Matrix& xa, grid::Rect target,
+OwningAnalysis reference_project(const linalg::Matrix& xa, grid::Rect target,
                                  grid::Rect expansion,
                                  Index local_observations) {
-  AnalysisResult result;
+  OwningAnalysis result;
   result.local_observations = local_observations;
   const Index width = expansion.x.size();
   result.members.reserve(xa.cols());
@@ -112,7 +114,7 @@ AnalysisResult reference_project(const linalg::Matrix& xa, grid::Rect target,
   return result;
 }
 
-AnalysisResult reference_deterministic(const linalg::Matrix& xb,
+OwningAnalysis reference_deterministic(const linalg::Matrix& xb,
                                        grid::Rect target,
                                        grid::Rect expansion,
                                        const obs::LocalObservations& local,
@@ -176,7 +178,7 @@ AnalysisResult reference_deterministic(const linalg::Matrix& xb,
   return reference_project(xa, target, expansion, local.size());
 }
 
-AnalysisResult reference_local_analysis(
+OwningAnalysis reference_local_analysis(
     const std::vector<grid::Patch>& background, grid::Rect target,
     const obs::ObservationSet& observations, const linalg::Matrix& perturbed,
     const AnalysisOptions& options) {
@@ -186,9 +188,9 @@ AnalysisResult reference_local_analysis(
 
   const obs::LocalObservations local(observations, expansion);
 
-  AnalysisResult result;
+  OwningAnalysis result;
   result.local_observations = local.size();
-  if (local.empty() && options.skip_without_obs) {
+  if (local.empty()) {
     for (const auto& patch : background) {
       result.members.push_back(patch.extract(target));
     }
@@ -217,8 +219,10 @@ AnalysisResult reference_local_analysis(
 
   const linalg::Matrix anomalies = linalg::ensemble_anomalies(xb);
   const linalg::ModifiedCholesky binv_factors =
+      // The predecessor sets: those of the production oracle (the one
+      // predecessor interface), the same sets in the same order.
       linalg::estimate_inverse_covariance(
-          anomalies, expansion_predecessors(expansion, options.halo),
+          anomalies, ExpansionPredecessorOracle(expansion, options.halo),
           options.ridge);
   linalg::Matrix system = binv_factors.inverse_covariance();
 
@@ -245,7 +249,7 @@ AnalysisResult reference_local_analysis(
 
 // ---------------------------------------------------------------------------
 
-void expect_identical(const AnalysisResult& got, const AnalysisResult& want) {
+void expect_identical(const OwningAnalysis& got, const OwningAnalysis& want) {
   ASSERT_EQ(got.members.size(), want.members.size());
   EXPECT_EQ(got.local_observations, want.local_observations);
   for (Index k = 0; k < got.members.size(); ++k) {
@@ -259,8 +263,8 @@ void expect_identical(const AnalysisResult& got, const AnalysisResult& want) {
 // elementwise relative error is meaningless on analysis values near 0.
 constexpr double kOracleTolerance = 1e-9;
 
-void expect_matches_oracle(const AnalysisResult& got,
-                           const AnalysisResult& oracle) {
+void expect_matches_oracle(const OwningAnalysis& got,
+                           const OwningAnalysis& oracle) {
   ASSERT_EQ(got.members.size(), oracle.members.size());
   EXPECT_EQ(got.local_observations, oracle.local_observations);
   double diff = 0.0;
@@ -276,15 +280,6 @@ void expect_matches_oracle(const AnalysisResult& got,
   }
   EXPECT_LE(diff, kOracleTolerance * scale)
       << "normwise error " << diff / scale << " vs the dense oracle";
-}
-
-AnalysisResult owning_copy(const AnalysisView& view) {
-  AnalysisResult out;
-  out.local_observations = view.local_observations;
-  for (const grid::PatchView& member : view.members) {
-    out.members.push_back(member.extract(member.rect()));
-  }
-  return out;
 }
 
 // A mix of rects of different shapes (so a reused workspace grows, then
@@ -316,7 +311,7 @@ TEST_F(Workspace, StochasticReuseMatchesDenseOracle) {
                                                    sc.observations, sc.ys,
                                                    opt);
       const auto got =
-          local_analysis(background, rect, sc.observations, sc.ys, opt);
+          owning_analysis(background, rect, sc.observations, sc.ys, opt);
       expect_matches_oracle(got, oracle);
 
       LocalAnalysisWorkspace fresh;
@@ -340,7 +335,7 @@ TEST_F(Workspace, DeterministicReuseMatchesSeedBitwise) {
       const auto want = reference_local_analysis(background, rect,
                                                  sc.observations, sc.ys, opt);
       const auto got =
-          local_analysis(background, rect, sc.observations, sc.ys, opt);
+          owning_analysis(background, rect, sc.observations, sc.ys, opt);
       expect_identical(got, want);
     }
   }
@@ -348,8 +343,8 @@ TEST_F(Workspace, DeterministicReuseMatchesSeedBitwise) {
 
 TEST_F(Workspace, ScratchViewsGatherInPlaceFromLargerRects) {
   // Members stay on the full grid; the engine gathers each expansion
-  // window in place (the P-EnKF / L-EnKF hot path) — identical to the
-  // owning entry point running on extracted patches.
+  // window in place (the serial, P-EnKF and L-EnKF path) — identical to
+  // the analysis of patches extracted onto the expansion.
   const Scenario sc(13);
   const grid::Rect full = sc.g.bounds();
   std::vector<grid::PatchView> members;
@@ -365,8 +360,8 @@ TEST_F(Workspace, ScratchViewsGatherInPlaceFromLargerRects) {
     const grid::Rect target{{4, 12}, {3, 9}};
     const auto oracle = reference_local_analysis(
         sc.patches(expansion), target, sc.observations, sc.ys, opt);
-    const auto want = local_analysis(sc.patches(expansion), target,
-                                     sc.observations, sc.ys, opt);
+    const auto want = owning_analysis(sc.patches(expansion), target,
+                                      sc.observations, sc.ys, opt);
     const AnalysisView got = local_analysis_scratch(
         members, expansion, target, sc.observations, sc.ys, opt, ws);
     expect_identical(owning_copy(got), want);
@@ -383,7 +378,7 @@ void expect_packed_matches_pack_patch(const Scenario& sc, grid::Rect rect,
                                       LocalAnalysisWorkspace& ws) {
   const auto background = sc.patches(rect);
   const auto want =
-      local_analysis(background, rect, sc.observations, sc.ys, opt);
+      owning_analysis(background, rect, sc.observations, sc.ys, opt);
   parcomm::Packer want_pack;
   for (Index k = 0; k < want.members.size(); ++k) {
     want_pack.put<std::uint64_t>(k + 7);
@@ -411,7 +406,7 @@ TEST_F(Workspace, PackedOutputIsByteIdenticalToPackPatchFraming) {
   const grid::Rect rect{{0, 12}, {0, 8}};
   expect_packed_matches_pack_patch(sc, rect, opt, ws);
   expect_matches_oracle(
-      local_analysis(sc.patches(rect), rect, sc.observations, sc.ys, opt),
+      owning_analysis(sc.patches(rect), rect, sc.observations, sc.ys, opt),
       reference_local_analysis(sc.patches(rect), rect, sc.observations,
                                sc.ys, opt));
 
@@ -423,8 +418,8 @@ TEST_F(Workspace, PackedOutputIsByteIdenticalToPackPatchFraming) {
   if (comp.supported_by(empty_rect)) empty_rect = grid::Rect{{8, 12}, {6, 10}};
   ASSERT_FALSE(comp.supported_by(empty_rect));
   expect_packed_matches_pack_patch(sparse, empty_rect, opt, ws);
-  expect_identical(local_analysis(sparse.patches(empty_rect), empty_rect,
-                                  sparse.observations, sparse.ys, opt),
+  expect_identical(owning_analysis(sparse.patches(empty_rect), empty_rect,
+                                   sparse.observations, sparse.ys, opt),
                    reference_local_analysis(sparse.patches(empty_rect),
                                             empty_rect, sparse.observations,
                                             sparse.ys, opt));
@@ -459,10 +454,10 @@ TEST_F(Workspace, ConcurrentThreadWorkspacesMatchOneThread) {
       options_for(AnalysisKind::kStochasticModifiedCholesky, 1.03);
   const auto rects = varied_rects();
 
-  std::vector<AnalysisResult> want(rects.size());
+  std::vector<OwningAnalysis> want(rects.size());
   for (std::size_t i = 0; i < rects.size(); ++i) {
-    want[i] = local_analysis(sc.patches(rects[i]), rects[i],
-                             sc.observations, sc.ys, opt);
+    want[i] = owning_analysis(sc.patches(rects[i]), rects[i],
+                              sc.observations, sc.ys, opt);
     expect_matches_oracle(
         want[i], reference_local_analysis(sc.patches(rects[i]), rects[i],
                                           sc.observations, sc.ys, opt));
@@ -471,14 +466,14 @@ TEST_F(Workspace, ConcurrentThreadWorkspacesMatchOneThread) {
   // 4 threads, each running every rect on its own pooled workspace —
   // concurrent leases, concurrent localization-cache lookups.
   constexpr int kThreads = 4;
-  std::vector<std::vector<AnalysisResult>> got(kThreads);
+  std::vector<std::vector<OwningAnalysis>> got(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       got[t].resize(rects.size());
       for (std::size_t i = 0; i < rects.size(); ++i) {
-        got[t][i] = local_analysis(sc.patches(rects[i]), rects[i],
-                                   sc.observations, sc.ys, opt);
+        got[t][i] = owning_analysis(sc.patches(rects[i]), rects[i],
+                                    sc.observations, sc.ys, opt);
       }
     });
   }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/covariance.hpp"
@@ -38,7 +41,7 @@ TEST(ModifiedCholesky, FullPredecessorsMatchExactSampleInverse) {
     for (Index e = 0; e < members; ++e) ensemble(i, e) = rng.normal();
   }
   const Matrix u = ensemble_anomalies(ensemble);
-  const auto mc = estimate_inverse_covariance(u, banded_predecessors(n), 0.0);
+  const auto mc = estimate_inverse_covariance(u, BandedPredecessors(n), 0.0);
   const Matrix b = sample_covariance(ensemble);
   EXPECT_LT(max_abs_diff(mc.inverse_covariance(), inverse(b)), 1e-8);
 }
@@ -47,7 +50,7 @@ TEST(ModifiedCholesky, LIsUnitLowerTriangular) {
   Rng rng(2);
   const Matrix ensemble = ar1_ensemble(10, 30, 0.7, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
-                                              banded_predecessors(3));
+                                              BandedPredecessors(3));
   ASSERT_EQ(mc.l.dim(), 10u);
   for (Index i = 0; i < 10; ++i) {
     for (const Index j : mc.l.row_columns(i)) EXPECT_LT(j, i);
@@ -64,7 +67,7 @@ TEST(ModifiedCholesky, BandedSparsityPattern) {
   const Index band = 2;
   const Matrix ensemble = ar1_ensemble(12, 25, 0.6, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
-                                              banded_predecessors(band));
+                                              BandedPredecessors(band));
   // L stores exactly the predecessor columns: 0, 1, then `band` per row.
   EXPECT_EQ(mc.l.nonzeros(), 1u + (12 - band) * band);
   for (Index i = 0; i < 12; ++i) {
@@ -78,7 +81,7 @@ TEST(ModifiedCholesky, InverseCovarianceIsSpd) {
   Rng rng(4);
   const Matrix ensemble = ar1_ensemble(15, 10, 0.8, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
-                                              banded_predecessors(4), 1e-6);
+                                              BandedPredecessors(4), 1e-6);
   const Matrix binv = mc.inverse_covariance();
   EXPECT_TRUE(is_symmetric(binv, 1e-10));
   EXPECT_NO_THROW(CholeskyFactor{binv});  // SPD iff Cholesky succeeds
@@ -89,7 +92,7 @@ TEST(ModifiedCholesky, WellDefinedWhenNeighbourhoodExceedsEnsemble) {
   Rng rng(5);
   const Matrix ensemble = ar1_ensemble(40, 8, 0.9, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
-                                              banded_predecessors(20), 1e-4);
+                                              BandedPredecessors(20), 1e-4);
   EXPECT_NO_THROW(CholeskyFactor{mc.inverse_covariance()});
 }
 
@@ -97,7 +100,7 @@ TEST(ModifiedCholesky, ApplyInverseMatchesDense) {
   Rng rng(6);
   const Matrix ensemble = ar1_ensemble(9, 20, 0.5, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
-                                              banded_predecessors(3));
+                                              BandedPredecessors(3));
   const Matrix dense = mc.inverse_covariance();
   Vector x(9);
   for (auto& v : x) v = rng.normal();
@@ -112,7 +115,7 @@ TEST(ModifiedCholesky, CapturesAr1Structure) {
   const double phi = 0.7;
   const Matrix ensemble = ar1_ensemble(8, 4000, phi, rng);
   const auto mc = estimate_inverse_covariance(ensemble_anomalies(ensemble),
-                                              banded_predecessors(1), 0.0);
+                                              BandedPredecessors(1), 0.0);
   const Matrix binv = mc.inverse_covariance();
   for (Index i = 1; i < 8; ++i) {
     EXPECT_LT(binv(i, i - 1), 0.0);
@@ -122,19 +125,34 @@ TEST(ModifiedCholesky, CapturesAr1Structure) {
 
 TEST(ModifiedCholesky, InvalidInputsThrow) {
   EXPECT_THROW(
-      estimate_inverse_covariance(Matrix(3, 1), banded_predecessors(1)),
+      estimate_inverse_covariance(Matrix(3, 1), BandedPredecessors(1)),
       InvalidArgument);
   EXPECT_THROW(
-      estimate_inverse_covariance(Matrix(3, 5), banded_predecessors(1), -1.0),
+      estimate_inverse_covariance(Matrix(3, 5), BandedPredecessors(1), -1.0),
       InvalidArgument);
   // Predecessor oracle returning j >= i must be rejected.
-  const auto bad = [](Index) { return std::vector<Index>{5}; };
+  class NotAPredecessor final : public PredecessorOracle {
+   public:
+    std::span<const Index> predecessors(Index,
+                                        support::Arena&) const override {
+      return bad_;
+    }
+
+   private:
+    std::array<Index, 1> bad_{5};
+  };
   Matrix u(3, 5, 1.0);
-  EXPECT_THROW(estimate_inverse_covariance(u, bad), InvalidArgument);
+  EXPECT_THROW(estimate_inverse_covariance(u, NotAPredecessor()),
+               InvalidArgument);
 }
 
 TEST(ModifiedCholesky, BandedPredecessorsShape) {
-  const auto pred = banded_predecessors(3);
+  const BandedPredecessors oracle(3);
+  support::Arena arena;
+  const auto pred = [&](Index i) {
+    const std::span<const Index> set = oracle.predecessors(i, arena);
+    return std::vector<Index>(set.begin(), set.end());
+  };
   EXPECT_TRUE(pred(0).empty());
   EXPECT_EQ(pred(2), (std::vector<Index>{0, 1}));
   EXPECT_EQ(pred(5), (std::vector<Index>{2, 3, 4}));

@@ -100,7 +100,7 @@ TEST(SparseModifiedCholesky, ApplyMatchesDenseFactors) {
     for (Index k = 0; k < members; ++k) ensemble(i, k) = rng.normal();
   }
   const auto factors = estimate_inverse_covariance(
-      ensemble_anomalies(ensemble), banded_predecessors(4), 1e-6);
+      ensemble_anomalies(ensemble), BandedPredecessors(4), 1e-6);
   const Matrix l = factors.l.to_dense();
 
   Vector x(n);
@@ -119,7 +119,7 @@ TEST(SparseModifiedCholesky, SavesMemoryOnLocalizedProblems) {
     for (Index k = 0; k < members; ++k) ensemble(i, k) = rng.normal();
   }
   const auto factors = estimate_inverse_covariance(
-      ensemble_anomalies(ensemble), banded_predecessors(5), 1e-6);
+      ensemble_anomalies(ensemble), BandedPredecessors(5), 1e-6);
   const std::size_t dense_bytes = n * n * sizeof(double);
   EXPECT_LT(factors.l.memory_bytes(), dense_bytes / 10);
   EXPECT_FALSE(factors.l.is_scratch());

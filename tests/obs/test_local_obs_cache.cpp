@@ -1,11 +1,9 @@
 // Localization-cache correctness (DESIGN.md §15): hits return the same
-// immutable instance, a new ObservationSet (new epoch) never sees stale
-// entries, and the kill switch falls back to building fresh.
+// immutable instance, and a new ObservationSet (new epoch) never sees
+// stale entries.
 #include "obs/local_obs_cache.hpp"
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "grid/synthetic.hpp"
 #include "telemetry/metrics.hpp"
@@ -95,23 +93,6 @@ TEST_F(LocalObsCache, NewObservationSetEvictsTheOldEpoch) {
 
   // The evicted instance stays valid for holders of the pointer.
   EXPECT_EQ(old_entry->rect().x.begin, rect.x.begin);
-}
-
-TEST_F(LocalObsCache, KillSwitchBuildsFreshEveryTime) {
-  // The enabled() resolution is read once per process, so this test can
-  // only run meaningfully when the suite was launched with the cache
-  // disabled; otherwise just assert the default is on.
-  const Scenario sc(64);
-  const grid::Rect rect{{0, 8}, {0, 8}};
-  if (!localization_cache_enabled()) {
-    const auto a = localized(sc.observations, rect);
-    const auto b = localized(sc.observations, rect);
-    EXPECT_NE(a.get(), b.get());
-    EXPECT_EQ(localization_cache_size(), 0u);
-  } else {
-    const auto a = localized(sc.observations, rect);
-    EXPECT_EQ(a.get(), localized(sc.observations, rect).get());
-  }
 }
 
 TEST_F(LocalObsCache, EpochsAreUniqueAndMonotonicPerConstruction) {
