@@ -1,7 +1,8 @@
 // Micro-benchmarks of the local analysis kernel (google-benchmark):
 // stochastic modified-Cholesky (P-EnKF's scheme, eq. (6)) vs the
 // deterministic ensemble transform, across expansion sizes and ensemble
-// sizes, plus the patch shape of the end-to-end ocean-stoch workload.
+// sizes, plus the patch shape of the end-to-end ocean-stoch workload and
+// the per-cycle innovation χ² at both end-to-end workloads' networks.
 // These are the per-stage compute costs the "c" constant of the cost
 // model abstracts.
 // Each entry also reports patches/sec (items_per_second) and a
@@ -11,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "enkf/local_analysis.hpp"
+#include "enkf/verification.hpp"
 #include "grid/synthetic.hpp"
 #include "obs/perturbed.hpp"
 #include "telemetry/liveops/profiler.hpp"
@@ -124,6 +126,27 @@ BENCHMARK(BM_DeterministicTransform)
     ->Args({12, 10})
     ->Args({16, 10})
     ->Args({12, 40});
+
+// Innovation χ² of a background against a full network, as
+// run_cycled_assimilation computes it once per cycle, at the networks of
+// the end-to-end workloads (e2ebench): (m, N) = (800, 16) on
+// ocean-stoch's 180×90 mesh and (3000, 32) on ocean-det-files' 360×180,
+// bilinear stations.
+void BM_InnovationStatistics(benchmark::State& state) {
+  const auto stations = static_cast<grid::Index>(state.range(0));
+  const auto members = static_cast<grid::Index>(state.range(1));
+  const grid::Index nx = stations <= 800 ? 180 : 360;
+  const Fixture fixture(nx, nx / 2, members, stations, true);
+  const auto& ensemble = fixture.scenario.members;
+  const auto& network = fixture.observations;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(enkf::innovation_statistics(ensemble, network));
+  }
+  const std::string label =
+      "m=" + std::to_string(stations) + " N=" + std::to_string(members);
+  state.SetLabel(label);
+}
+BENCHMARK(BM_InnovationStatistics)->Args({800, 16})->Args({3000, 32});
 
 // Profiler overhead gate (DESIGN.md §16): the same analysis kernel with
 // the sampling profiler off vs running at its default 97 Hz.  The two

@@ -17,33 +17,50 @@ InnovationStats innovation_statistics(
   const Index n_members = ensemble.size();
   SENKF_REQUIRE(m > 0, "innovation_statistics: need observations");
 
-  // Ensemble predictions in observation space: columns are members.
-  linalg::Matrix predictions(m, n_members);
+  // Ensemble predictions HX in observation space (columns are members),
+  // centred below into the anomalies Ŷ.
+  linalg::Matrix anomalies(m, n_members);
   for (Index k = 0; k < n_members; ++k) {
     for (Index r = 0; r < m; ++r) {
-      predictions(r, k) = observations.components()[r].apply(ensemble[k]);
+      anomalies(r, k) = observations.components()[r].apply(ensemble[k]);
     }
   }
 
-  // Innovation d = y − H x̄ and S = HBHᵀ + R.
-  const linalg::Vector mean = linalg::ensemble_mean(predictions);
+  // Innovation d = y − H x̄, anomalies Ŷ = HX − H x̄ 1ᵀ and diagonal R⁻¹.
+  const linalg::Vector mean = linalg::ensemble_mean(anomalies);
   linalg::Vector innovation(m);
+  linalg::Vector rinv(m);
   double bias = 0.0;
   for (Index r = 0; r < m; ++r) {
+    for (Index k = 0; k < n_members; ++k) anomalies(r, k) -= mean[r];
     innovation[r] = observations.values()[r] - mean[r];
     bias += innovation[r];
-  }
-  linalg::Matrix s = linalg::sample_covariance(predictions);
-  for (Index r = 0; r < m; ++r) {
     const double std_dev = observations.components()[r].error_std;
-    s(r, r) += std_dev * std_dev;
+    rinv[r] = 1.0 / (std_dev * std_dev);
   }
+
+  // S = R + ŶŶᵀ/(N−1) is diagonal plus rank N−1, so by Woodbury
+  // S⁻¹d = R⁻¹(d − Ŷz) with ((N−1)I + ŶᵀR⁻¹Ŷ) z = ŶᵀR⁻¹d: an N×N solve
+  // instead of an m×m one.
+  linalg::Matrix weighted = anomalies;
+  linalg::row_scale(rinv, weighted);
+  linalg::Matrix core = linalg::multiply_at_b(anomalies, weighted);
+  const double dof = static_cast<double>(n_members - 1);
+  for (Index k = 0; k < n_members; ++k) core(k, k) += dof;
+  const linalg::Vector rhs = linalg::multiply_at(weighted, innovation);
+  const linalg::Vector z = linalg::CholeskyFactor(core).solve(rhs);
+
+  // With e = d − Ŷz, dᵀS⁻¹d = eᵀR⁻¹e + (N−1)zᵀz: two non-negative terms,
+  // so no cancellation (DESIGN.md §6).
+  const linalg::Vector residual =
+      linalg::subtract(innovation, linalg::multiply(anomalies, z));
+  double chi2 = dof * linalg::dot(z, z);
+  for (Index r = 0; r < m; ++r) chi2 += residual[r] * residual[r] * rinv[r];
 
   InnovationStats stats;
   stats.observations = m;
   stats.mean_innovation = bias / static_cast<double>(m);
-  stats.chi2 = linalg::dot(innovation,
-                           linalg::CholeskyFactor(s).solve(innovation));
+  stats.chi2 = chi2;
   return stats;
 }
 

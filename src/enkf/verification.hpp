@@ -31,9 +31,11 @@ struct InnovationStats {
 };
 
 /// Innovation consistency of an ensemble against an observation set.
-/// Forms the m×m innovation covariance HBHᵀ+R from the ensemble (sample
-/// covariance in observation space) and solves it densely — intended for
-/// verification-sized observation sets.
+/// Works in ensemble space: HBHᵀ = ŶŶᵀ/(N−1) has rank N−1 and R is
+/// diagonal, so χ² comes from one N×N Cholesky solve of
+/// (N−1)I + ŶᵀR⁻¹Ŷ (Sherman–Morrison–Woodbury) — O(m·N² + N³) time and
+/// O(m·N) memory, with nothing m×m formed.  Cheap enough to run on every
+/// assimilation cycle at full network size.
 InnovationStats innovation_statistics(
     const std::vector<grid::Field>& ensemble,
     const obs::ObservationSet& observations);

@@ -90,14 +90,22 @@ CriticalPathReport analyze_critical_path(const std::vector<TraceEvent>& events,
               });
   }
 
-  // Start on the rank owning the latest span end — that rank finished the
-  // cycle, so the path ends there.
-  std::int32_t cursor_rank = by_rank.begin()->first;
-  for (const auto& [rank, list] : by_rank) {
-    for (const TraceEvent* e : list) {
-      if (e->t_end_ns == max_end) cursor_rank = rank;
+  // Start on the rank that finished the call, so the path ends there: the
+  // owner of the latest end of a span that is not a send (of any span, if
+  // all are sends).  A send span can close after its message was consumed
+  // and the receiver finished, so its tail is never what the call waited
+  // for; the finishing rank's walk counts that tail as untracked.
+  const TraceEvent* finish = nullptr;
+  for (const bool skip_sends : {true, false}) {
+    for (const auto& [rank, list] : by_rank) {
+      for (const TraceEvent* e : list) {
+        if (skip_sends && e->category == Category::kSend) continue;
+        if (finish == nullptr || e->t_end_ns >= finish->t_end_ns) finish = e;
+      }
     }
+    if (finish != nullptr) break;
   }
+  std::int32_t cursor_rank = finish->rank;
   std::int64_t cursor = report.window_end_ns;
 
   const auto emit = [&](std::int64_t from, std::int64_t to, std::int32_t rank,

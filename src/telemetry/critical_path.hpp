@@ -3,7 +3,9 @@
 // The tracer records spans per rank and, since the span-context plumbing,
 // cross-rank message edges (a receiver wait span knows the flow id of the
 // send that released it).  This module walks that DAG *backward* from
-// cycle end: stand at the latest moment of the window, find the span
+// cycle end: stand at the latest moment of the window on the rank that
+// finished the call (a trailing send span never counts — its message
+// was already consumed, so nothing waited on its tail), find the span
 // covering it on the current rank, attribute the covered interval, and
 // either step earlier on the same rank or — when the span was genuinely
 // blocked on a message (the send happened after the wait began) — jump to

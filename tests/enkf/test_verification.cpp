@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "enkf/senkf.hpp"
@@ -79,6 +80,149 @@ TEST(Innovation, Validation) {
   EXPECT_THROW(innovation_statistics({w.scenario.members[0]},
                                      w.observations),
                senkf::InvalidArgument);
+}
+
+/// Test-local dense oracle for dᵀ(HBHᵀ+R)⁻¹d: forms the m×m S in long
+/// double, Cholesky-factors it and takes |L⁻¹d|².  Production works in
+/// ensemble space; this is the textbook form it must reproduce.
+struct DenseInnovation {
+  long double chi2 = 0.0L;
+  long double mean_innovation = 0.0L;
+};
+
+DenseInnovation dense_innovation(const std::vector<grid::Field>& ensemble,
+                                 const obs::ObservationSet& observations) {
+  const std::size_t m = observations.size();
+  const std::size_t n = ensemble.size();
+  std::vector<long double> anomalies(m * n);
+  std::vector<long double> d(m);
+  DenseInnovation out;
+  for (std::size_t r = 0; r < m; ++r) {
+    long double mean = 0.0L;
+    for (std::size_t k = 0; k < n; ++k) {
+      anomalies[r * n + k] = observations.components()[r].apply(ensemble[k]);
+      mean += anomalies[r * n + k];
+    }
+    mean /= static_cast<long double>(n);
+    for (std::size_t k = 0; k < n; ++k) anomalies[r * n + k] -= mean;
+    d[r] = observations.values()[r] - mean;
+    out.mean_innovation += d[r];
+  }
+  out.mean_innovation /= static_cast<long double>(m);
+
+  // Lower triangle of S, then its Cholesky factor in place.
+  std::vector<long double> s(m * m, 0.0L);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      long double sum = 0.0L;
+      for (std::size_t k = 0; k < n; ++k) {
+        sum += anomalies[i * n + k] * anomalies[j * n + k];
+      }
+      s[i * m + j] = sum / static_cast<long double>(n - 1);
+    }
+    const long double std_dev = observations.components()[i].error_std;
+    s[i * m + i] += std_dev * std_dev;
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    long double* row_j = &s[j * m];
+    for (std::size_t k = 0; k < j; ++k) row_j[j] -= row_j[k] * row_j[k];
+    row_j[j] = std::sqrt(row_j[j]);
+    for (std::size_t i = j + 1; i < m; ++i) {
+      long double* row_i = &s[i * m];
+      for (std::size_t k = 0; k < j; ++k) row_i[j] -= row_i[k] * row_j[k];
+      row_i[j] /= row_j[j];
+    }
+  }
+  // χ² = dᵀ(LLᵀ)⁻¹d = |y|² with L y = d.
+  for (std::size_t i = 0; i < m; ++i) {
+    long double y = d[i];
+    for (std::size_t k = 0; k < i; ++k) y -= s[i * m + k] * d[k];
+    d[i] = y / s[i * m + i];
+    out.chi2 += d[i] * d[i];
+  }
+  return out;
+}
+
+struct OracleCase {
+  const char* name;
+  Index nx, ny;
+  Index members;
+  Index stations;
+  bool bilinear;
+  double error_std;
+  /// < 1: pull every member onto the line through the mean along member
+  /// 0's anomaly, keeping this fraction of its off-line spread.
+  double off_line_keep;
+};
+
+TEST(Innovation, EnsembleSpaceChi2MatchesDenseOracle) {
+  // Shapes around the ensemble-space crossover (m below, near and far
+  // above N; point and bilinear stations), an ill-conditioned core
+  // (N−1)I + ŶᵀR⁻¹Ŷ from tiny R, and a nearly rank-one ensemble.  The
+  // tiny-R case keeps m < N: once m > N, S has m−N+1 eigenvalues equal
+  // to R, and merely rounding S's diagonal HBHᵀ + R in long double costs
+  // ~1e-10 of χ² at σ_o = 1e-5 — the oracle's own error, not the code's.
+  // With m < N the long-double oracle holds ~1e-11 there, while the
+  // cancelling form dᵀR⁻¹d − (ŶᵀR⁻¹d)ᵀz and a double dense S are both
+  // off by more than 1e-9.
+  const OracleCase cases[] = {
+      {"m<N", 24, 16, 40, 20, false, 0.1, 1.0},
+      {"m~N", 24, 16, 20, 20, true, 0.1, 1.0},
+      {"m>>N", 40, 24, 16, 600, true, 0.1, 1.0},
+      {"tiny R", 24, 16, 40, 20, false, 1e-5, 1.0},
+      {"nearly collinear", 24, 16, 20, 60, true, 0.1, 1e-6},
+  };
+  std::uint64_t seed = 700;
+  for (const OracleCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const grid::LatLonGrid g(c.nx, c.ny);
+    senkf::Rng rng(++seed);
+    auto scenario = grid::synthetic_ensemble(g, c.members, rng, 0.5);
+    senkf::Rng obs_rng(seed + 100);
+    obs::NetworkOptions opt;
+    opt.station_count = c.stations;
+    opt.bilinear = c.bilinear;
+    opt.error_std = c.error_std;
+    const auto observations =
+        obs::random_network(g, scenario.truth, obs_rng, opt);
+
+    auto& members = scenario.members;
+    if (c.off_line_keep < 1.0) {
+      std::vector<double> mean(g.size(), 0.0);
+      for (const auto& member : members) {
+        for (Index i = 0; i < g.size(); ++i) mean[i] += member[i];
+      }
+      for (double& v : mean) v /= static_cast<double>(members.size());
+      std::vector<double> axis(g.size());
+      double axis_norm2 = 0.0;
+      for (Index i = 0; i < g.size(); ++i) {
+        axis[i] = members[0][i] - mean[i];
+        axis_norm2 += axis[i] * axis[i];
+      }
+      for (auto& member : members) {
+        double along = 0.0;
+        for (Index i = 0; i < g.size(); ++i) {
+          along += (member[i] - mean[i]) * axis[i];
+        }
+        along /= axis_norm2;
+        for (Index i = 0; i < g.size(); ++i) {
+          const double on_line = along * axis[i];
+          const double off_line = member[i] - mean[i] - on_line;
+          member[i] = mean[i] + on_line + c.off_line_keep * off_line;
+        }
+      }
+    }
+
+    const InnovationStats stats = innovation_statistics(members, observations);
+    const DenseInnovation oracle = dense_innovation(members, observations);
+    EXPECT_EQ(stats.observations, c.stations);
+    EXPECT_GE(stats.chi2, 0.0);
+    const double mean_reference = static_cast<double>(oracle.mean_innovation);
+    EXPECT_NEAR(stats.mean_innovation, mean_reference,
+                1e-12 * (1.0 + std::abs(mean_reference)));
+    const double reference = static_cast<double>(oracle.chi2);
+    EXPECT_NEAR(stats.chi2, reference, 1e-10 * reference);
+  }
 }
 
 TEST(RankHistogram, CountsSumToObservationCount) {

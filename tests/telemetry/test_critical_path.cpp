@@ -94,6 +94,38 @@ TEST(CriticalPath, SendBeforeWaitStaysOnRank) {
   EXPECT_NEAR(report.total_of(PathKind::kOther), 100e-9, 1e-15);
 }
 
+TEST(CriticalPath, TrailingSendSpanDoesNotStartThePath) {
+  // A straggling sender's send span outlives the receiver's last wait:
+  // rank 1 reads [0, 500] and posts flow 7 at 510 inside block_scatter
+  // [500, 620]; rank 0's result_wait [100, 600] is released by it.  The
+  // call finished at 600 on rank 0, so the walk starts there and hops to
+  // the sender.  The send's tail past the consumed message held nothing
+  // up: rank 0 reads it as untracked.
+  const std::vector<TraceEvent> events{
+      span(1, "bar_obtain", Category::kRead, 0, 500),
+      span(1, "block_scatter", Category::kSend, 500, 620),
+      origin(1, 510, 7),
+      span(0, "result_wait", Category::kWait, 100, 600, FlowDir::kIn, 7),
+  };
+  const CriticalPathReport report = analyze_critical_path(events);
+  ASSERT_TRUE(report.valid);
+  EXPECT_EQ(report.window_end_ns, 620);
+  EXPECT_EQ(report.message_hops, 1u);
+  ASSERT_EQ(report.segments.size(), 4u);
+  EXPECT_EQ(report.segments[0].kind, PathKind::kDisk);
+  EXPECT_EQ(report.segments[0].rank, 1);
+  EXPECT_EQ(report.segments[1].kind, PathKind::kOther);
+  EXPECT_EQ(report.segments[1].rank, 1);
+  EXPECT_EQ(report.segments[1].t_end_ns, 510);
+  EXPECT_EQ(report.segments[2].kind, PathKind::kCommBlocked);
+  EXPECT_EQ(report.segments[2].rank, 0);
+  EXPECT_EQ(report.segments[2].t_start_ns, 510);
+  EXPECT_EQ(report.segments[3].kind, PathKind::kUntracked);
+  EXPECT_EQ(report.segments[3].rank, 0);
+  EXPECT_EQ(report.segments[3].t_start_ns, 600);
+  EXPECT_NEAR(segments_total(report), report.wall_s(), 1e-15);
+}
+
 TEST(CriticalPath, MissingEdgeDegradesToSameRank) {
   // Flow id 42 has no recorded origin (dropped message): the walker must
   // count it, attribute locally, and terminate.
