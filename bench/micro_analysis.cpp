@@ -1,8 +1,9 @@
 // Micro-benchmarks of the local analysis kernel (google-benchmark):
 // stochastic modified-Cholesky (P-EnKF's scheme, eq. (6)) vs the
 // deterministic ensemble transform, across expansion sizes and ensemble
-// sizes, plus the patch shape of the end-to-end ocean-stoch workload and
-// the per-cycle innovation χ² at both end-to-end workloads' networks.
+// sizes, plus the patch shape of the end-to-end ocean-stoch workload, a
+// cold observation localization and the per-cycle innovation χ² at both
+// end-to-end workloads' networks.
 // These are the per-stage compute costs the "c" constant of the cost
 // model abstracts.
 // Each entry also reports patches/sec (items_per_second) and a
@@ -14,6 +15,7 @@
 #include "enkf/local_analysis.hpp"
 #include "enkf/verification.hpp"
 #include "grid/synthetic.hpp"
+#include "obs/local_obs.hpp"
 #include "obs/perturbed.hpp"
 #include "telemetry/liveops/profiler.hpp"
 #include "telemetry/metrics.hpp"
@@ -147,6 +149,31 @@ void BM_InnovationStatistics(benchmark::State& state) {
   state.SetLabel(label);
 }
 BENCHMARK(BM_InnovationStatistics)->Args({800, 16})->Args({3000, 32});
+
+// A cold localization — what obs::localized builds on a cache miss — of
+// one layer expansion of each end-to-end workload (e2ebench): a 66×26
+// window of ocean-det-files' 3000 bilinear stations on 360×180, and a
+// 36×16 window of ocean-stoch's 800 on 180×90.
+void BM_LocalizeObservations(benchmark::State& state) {
+  const auto stations = static_cast<grid::Index>(state.range(0));
+  const auto width = static_cast<grid::Index>(state.range(1));
+  const auto height = static_cast<grid::Index>(state.range(2));
+  const grid::Index nx = stations <= 800 ? 180 : 360;
+  const Fixture fixture(nx, nx / 2, 2, stations, true);
+  const grid::Rect expansion{{width, 2 * width}, {height, 2 * height}};
+  grid::Index selected = 0;
+  for (auto _ : state) {
+    const obs::LocalObservations local(fixture.observations, expansion);
+    benchmark::DoNotOptimize(local);
+    selected = local.size();
+  }
+  state.SetLabel("m=" + std::to_string(stations) +
+                 " n_bar=" + std::to_string(expansion.count()) +
+                 " m_bar=" + std::to_string(selected));
+}
+BENCHMARK(BM_LocalizeObservations)
+    ->Args({3000, 66, 26})
+    ->Args({800, 36, 16});
 
 // Profiler overhead gate (DESIGN.md §16): the same analysis kernel with
 // the sampling profiler off vs running at its default 97 Hz.  The two

@@ -143,9 +143,10 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
   linalg::estimate_inverse_covariance_scratch(ens.anomalies, oracle,
                                               options.ridge, ws.arena(), binv);
 
-  // Band layout: system(i, j) lives at band(i, j − i + w).  B̂⁻¹ is the
-  // sum over rows i of L of d_i⁻¹·l_i·l_iᵀ, so each row adds the outer
-  // product of its non-zeros (unit diagonal included).
+  // Band layout: system(i, j) lives at band(i, j − i + w).  The system
+  // is a sum of sparse outer products, each added over its non-zeros
+  // only: B̂⁻¹ = Σ_i d_i⁻¹·l_i·l_iᵀ over the rows of L (unit diagonal
+  // included), and HᵀR⁻¹H = Σ_r r⁻¹·h_r·h_rᵀ over the stations.
   const Index w = system_bandwidth(expansion, options.halo, local);
   linalg::Matrix band = ws.matrix(n_bar, w + 1);
   for (Index i = 0; i < n_bar; ++i) {
@@ -165,27 +166,32 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
       }
     }
   }
-  // + Hᵀ R⁻¹ H (R diagonal), whose band the localization cached densely.
-  const linalg::Matrix& ht_rinv_h = local.ht_rinv_h();
-  for (Index i = 0; i < n_bar; ++i) {
-    const Index first = i > w ? i - w : 0;
-    for (Index j = first; j <= i; ++j) {
-      band(i, j - i + w) += ht_rinv_h(i, j);
+  // Station r couples the ≤ 4 points of its support, whose spread is at
+  // most local.bandwidth() ≤ w, so each coupling lands inside the band.
+  const Index m_bar = local.size();
+  for (Index r = 0; r < m_bar; ++r) {
+    const auto cols = local.row_columns(r);
+    const auto weights = local.row_weights(r);
+    const double rinv = local.r_inverse()[r];
+    for (Index a = 0; a < cols.size(); ++a) {
+      const double scaled = rinv * weights[a];
+      for (Index b = 0; b <= a; ++b) {
+        band(cols[a], cols[b] - cols[a] + w) += scaled * weights[b];
+      }
     }
   }
 
   // Weighted innovations R⁻¹(Yˢ − H X̄ᵇ) in one fused pass, then
-  // RHS = Hᵀ R⁻¹ D straight into the solve's in-place buffer.
-  const Index m_bar = local.size();
+  // RHS = Hᵀ R⁻¹ D scattered straight into the solve's in-place buffer.
   linalg::Matrix local_ys = ws.matrix(m_bar, n_members);
   local.select_rows_into(perturbed, local_ys);
   linalg::Matrix hxb = ws.matrix(m_bar, n_members);
-  linalg::multiply_into(local.h(), ens.xb, hxb);
+  local.apply_h_into(ens.xb, hxb);
   linalg::Matrix innovations = ws.matrix(m_bar, n_members);
   linalg::weighted_residual_into(local_ys, hxb, local.r_inverse(),
                                  innovations);
   linalg::Matrix delta = ws.matrix(n_bar, n_members);
-  linalg::multiply_at_b_into(local.h(), innovations, delta);
+  local.add_ht_into(innovations, delta);
 
   // δX = (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ · RHS via band Cholesky; Xᵃ = X̄ᵇ + δX.
   linalg::cholesky_band_factor_in_place(band);
@@ -206,11 +212,12 @@ linalg::Matrix deterministic_transform(const LoadedEnsemble& ens,
   const Index m_bar = local.size();
   const double scale = static_cast<double>(n_members - 1);
 
-  // Observation-space anomalies Ỹ = H U and innovation d = y − H x̄.
+  // Observation-space anomalies Ỹ = H U and innovation d = y − H x̄,
+  // each row a sparse gather over its station's support.
   linalg::Matrix y_tilde = ws.matrix(m_bar, n_members);
-  linalg::multiply_into(local.h(), ens.anomalies, y_tilde);
+  local.apply_h_into(ens.anomalies, y_tilde);
   linalg::Vector hx_mean = ws.vector(m_bar);
-  linalg::multiply_into(local.h(), ens.mean, hx_mean);
+  local.apply_h_into(ens.mean, hx_mean);
   linalg::Vector innovation = ws.vector(m_bar);
   for (Index r = 0; r < m_bar; ++r) {
     innovation[r] = local.local_values()[r] - hx_mean[r];

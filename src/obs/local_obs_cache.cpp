@@ -28,6 +28,7 @@ struct Cache {
   std::shared_mutex mutex;
   std::map<Key, std::shared_ptr<const LocalObservations>> entries;
   std::uint64_t newest_epoch = 0;
+  std::size_t bytes = 0;  ///< Σ memory_bytes() over `entries`
 };
 
 Cache& cache() {
@@ -53,6 +54,21 @@ telemetry::Gauge& entries_gauge() {
   return g;
 }
 
+telemetry::Gauge& bytes_gauge() {
+  static telemetry::Gauge& g =
+      telemetry::Registry::global().gauge("analysis.localization.bytes");
+  return g;
+}
+
+/// Erases [first, last), keeping the byte total in step.
+template <typename It>
+void erase_entries(Cache& c, It first, It last) {
+  for (It it = first; it != last;) {
+    c.bytes -= it->second->memory_bytes();
+    it = c.entries.erase(it);
+  }
+}
+
 }  // namespace
 
 std::shared_ptr<const LocalObservations> localized(
@@ -68,7 +84,7 @@ std::shared_ptr<const LocalObservations> localized(
     }
   }
 
-  // Build outside any lock (localization does real linear algebra);
+  // Build outside any lock (selection scans the whole network);
   // concurrent builders of the same key race benignly — first insert
   // wins and the loser's build is returned to that caller only.
   misses().add();
@@ -77,22 +93,23 @@ std::shared_ptr<const LocalObservations> localized(
   std::unique_lock lock(c.mutex);
   const auto [it, inserted] = c.entries.emplace(key, built);
   if (!inserted) return it->second;
+  c.bytes += built->memory_bytes();
   if (observations.epoch() > c.newest_epoch) {
     // A newer observation set supersedes older ones: their rects will
-    // not be queried again, so drop them eagerly.
+    // not be queried again, so drop them eagerly (map order is
+    // epoch-major, so they form a prefix).
     c.newest_epoch = observations.epoch();
-    std::erase_if(c.entries, [&](const auto& entry) {
-      return std::get<0>(entry.first) < c.newest_epoch;
-    });
+    erase_entries(c, c.entries.begin(),
+                  c.entries.lower_bound(Key{c.newest_epoch, 0, 0, 0, 0}));
   }
   if (c.entries.size() > Cache::kMaxEntries) {
-    // Pathological many-epochs-alive case: shed the oldest epochs first
-    // (map order is epoch-major).
+    // Pathological many-epochs-alive case: shed the oldest epochs first.
     auto cut = c.entries.begin();
     std::advance(cut, c.entries.size() - Cache::kMaxEntries);
-    c.entries.erase(c.entries.begin(), cut);
+    erase_entries(c, c.entries.begin(), cut);
   }
   entries_gauge().set(static_cast<std::int64_t>(c.entries.size()));
+  bytes_gauge().set(static_cast<std::int64_t>(c.bytes));
   return built;
 }
 
@@ -101,7 +118,9 @@ void clear_localization_cache() {
   std::unique_lock lock(c.mutex);
   c.entries.clear();
   c.newest_epoch = 0;
+  c.bytes = 0;
   entries_gauge().set(0);
+  bytes_gauge().set(0);
 }
 
 std::size_t localization_cache_size() {

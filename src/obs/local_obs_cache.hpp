@@ -1,8 +1,8 @@
 // Process-wide cache of localized observation products (DESIGN.md §15).
 //
-// Localizing an ObservationSet to an expansion rectangle — selecting the
-// supported components, building the dense H̄ and the R⁻¹-weighted
-// products — depends only on (observation set, rect).  Sub-domains are
+// Localizing an ObservationSet to an expansion rectangle — scanning the
+// network for the supported components and building H̄'s sparse rows
+// and R⁻¹ — depends only on (observation set, rect).  Sub-domains are
 // re-analysed with the same rects every cycle, and under the service
 // plane the same network is shared across jobs, so the cache turns the
 // per-patch localization cost into a shared-lock lookup after the first
@@ -13,8 +13,9 @@
 // a new epoch, so stale products are never returned, and entries for
 // superseded epochs are evicted when a newer epoch is first inserted.
 //
-// Metrics: analysis.localization.{hits,misses} counters and an
-// analysis.localization.entries gauge.
+// Metrics: analysis.localization.{hits,misses} counters and the
+// analysis.localization.entries and analysis.localization.bytes gauges
+// (live entries, and the sum of their LocalObservations::memory_bytes()).
 #pragma once
 
 #include <memory>

@@ -1,6 +1,7 @@
 #include "obs/obs_io.hpp"
 
 #include <fstream>
+#include <string>
 
 namespace senkf::obs {
 
@@ -20,6 +21,24 @@ struct ObsHeader {
 template <typename T>
 void write_pod(std::ofstream& file, const T& value) {
   file.write(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+// Smallest on-disk footprint of a component (error_std, value, support
+// count) and of a support point (x, y, weight): a count read from the
+// file is checked against the bytes left before anything is reserved
+// for it, so a forged count fails as a ProtocolError, not bad_alloc.
+constexpr std::uint64_t kComponentBytes = 3 * 8;
+constexpr std::uint64_t kSupportPointBytes = 3 * 8;
+
+void check_count(std::uint64_t count, std::uint64_t record_bytes,
+                 std::uint64_t bytes_left, const char* what,
+                 const std::filesystem::path& path) {
+  if (count > bytes_left / record_bytes) {
+    throw ProtocolError("read_observations: " + std::string(what) + " " +
+                        std::to_string(count) + " exceeds the " +
+                        std::to_string(bytes_left) + " bytes left in " +
+                        path.string());
+  }
 }
 
 template <typename T>
@@ -66,10 +85,19 @@ void write_observations(const ObservationSet& observations,
 
 ObservationSet read_observations(const grid::LatLonGrid& grid_def,
                                  const std::filesystem::path& path) {
-  std::ifstream file(path, std::ios::binary);
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
   if (!file) {
     throw ProtocolError("read_observations: cannot open " + path.string());
   }
+  const std::streamoff end = file.tellg();
+  if (end < 0) {
+    throw ProtocolError("read_observations: cannot size " + path.string());
+  }
+  const auto file_size = static_cast<std::uint64_t>(end);
+  const auto bytes_left = [&] {
+    return file_size - static_cast<std::uint64_t>(file.tellg());
+  };
+  file.seekg(0);
   const auto header = read_pod<ObsHeader>(file, path);
   if (header.magic != kMagic || header.version != kVersion) {
     throw ProtocolError("read_observations: bad header in " + path.string());
@@ -79,6 +107,8 @@ ObservationSet read_observations(const grid::LatLonGrid& grid_def,
                         path.string());
   }
 
+  check_count(header.components, kComponentBytes, bytes_left(),
+              "component count", path);
   std::vector<ObsComponent> components;
   std::vector<double> values;
   components.reserve(header.components);
@@ -88,6 +118,8 @@ ObservationSet read_observations(const grid::LatLonGrid& grid_def,
     component.error_std = read_pod<double>(file, path);
     values.push_back(read_pod<double>(file, path));
     const auto support_count = read_pod<std::uint64_t>(file, path);
+    check_count(support_count, kSupportPointBytes, bytes_left(),
+                "support count", path);
     component.support.reserve(support_count);
     for (std::uint64_t s = 0; s < support_count; ++s) {
       SupportPoint sp;

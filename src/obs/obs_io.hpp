@@ -23,7 +23,10 @@ void write_observations(const ObservationSet& observations,
                         const std::filesystem::path& path);
 
 /// Loads an observation set written by write_observations; validates the
-/// header against `grid_def` and every support point against the grid.
+/// header against `grid_def`, every count against the bytes left in the
+/// file (before reserving for it) and, through ObservationSet, every
+/// support point against the grid and every number for finiteness.
+/// Any malformed file throws a senkf::Error.
 ObservationSet read_observations(const grid::LatLonGrid& grid_def,
                                  const std::filesystem::path& path);
 

@@ -1,6 +1,7 @@
 #include "obs/observation.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <set>
 
 namespace senkf::obs {
@@ -46,14 +47,21 @@ ObservationSet::ObservationSet(grid::LatLonGrid grid_def,
       epoch_(next_epoch()) {
   SENKF_REQUIRE(components_.size() == values_.size(),
                 "ObservationSet: one value per component required");
+  // Non-finite numbers would load silently and poison every analysis
+  // that selects the station, so they are rejected with the rest.
+  for (const double value : values_) {
+    SENKF_REQUIRE(std::isfinite(value), "ObservationSet: non-finite value");
+  }
   for (const auto& comp : components_) {
     SENKF_REQUIRE(!comp.support.empty(),
                   "ObservationSet: component without support");
-    SENKF_REQUIRE(comp.error_std > 0.0,
-                  "ObservationSet: error std must be positive");
+    SENKF_REQUIRE(std::isfinite(comp.error_std) && comp.error_std > 0.0,
+                  "ObservationSet: error std must be positive and finite");
     for (const auto& sp : comp.support) {
       SENKF_REQUIRE(sp.point.x < grid_.nx() && sp.point.y < grid_.ny(),
                     "ObservationSet: support outside grid");
+      SENKF_REQUIRE(std::isfinite(sp.weight),
+                    "ObservationSet: non-finite support weight");
     }
   }
 }

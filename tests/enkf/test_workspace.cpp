@@ -8,11 +8,14 @@
 //     must agree exactly;
 //   * tolerance vs the dense oracle — the reference below is a verbatim
 //     copy of the pre-workspace implementation (allocating linalg API,
-//     per-call LocalObservations, owning temporaries, a dense n̄×n̄
-//     stochastic system).  The deterministic transform and the skip path
-//     still match it bit-for-bit; the stochastic analysis factors
-//     B̂⁻¹ + HᵀR⁻¹H as a band, so it must match normwise:
-//     max|Xᵃ − Xᵃ_dense| ≤ 1e-9·max|Xᵃ_dense| over the patch.
+//     per-call LocalObservations, owning temporaries, a dense H̄ and a
+//     dense n̄×n̄ stochastic system).  Production applies H̄ as sparse
+//     rows and factors B̂⁻¹ + HᵀR⁻¹H as a band, so both kinds must match
+//     it normwise: max|Xᵃ − Xᵃ_dense| ≤ 1e-9·max|Xᵃ_dense| over the
+//     patch, with point and with bilinear stations.  The skip path, and
+//     the deterministic transform with point stations of unit weight
+//     (each sparse gather is then an exact copy), still match it
+//     bit-for-bit.
 // Both hold across analysis kinds, inflation settings, arena modes,
 // threads and the wire framing.
 #include "enkf/local_analysis.hpp"
@@ -46,9 +49,9 @@ struct Scenario {
   linalg::Matrix ys;
 
   explicit Scenario(std::uint64_t seed, Index members = 8,
-                    Index stations = 40)
+                    Index stations = 40, bool bilinear = false)
       : ensemble(make_ensemble(g, members, seed)),
-        observations(make_obs(g, ensemble.truth, seed, stations)),
+        observations(make_obs(g, ensemble.truth, seed, stations, bilinear)),
         ys(obs::perturbed_observations(observations, members,
                                        senkf::Rng(seed + 99))) {}
 
@@ -60,11 +63,13 @@ struct Scenario {
   }
   static obs::ObservationSet make_obs(const grid::LatLonGrid& g,
                                       const grid::Field& truth,
-                                      std::uint64_t seed, Index stations) {
+                                      std::uint64_t seed, Index stations,
+                                      bool bilinear) {
     senkf::Rng rng(seed + 1);
     obs::NetworkOptions opt;
     opt.station_count = stations;
     opt.error_std = 0.05;
+    opt.bilinear = bilinear;
     return obs::random_network(g, truth, rng, opt);
   }
 
@@ -337,6 +342,31 @@ TEST_F(Workspace, DeterministicReuseMatchesSeedBitwise) {
       const auto got =
           owning_analysis(background, rect, sc.observations, sc.ys, opt);
       expect_identical(got, want);
+    }
+  }
+}
+
+TEST_F(Workspace, BilinearStationsMatchDenseOracle) {
+  // Both end-to-end workloads observe through bilinear stations.  The
+  // sparse gather, scatter and band outer products round differently
+  // from the oracle's dense products there, so both kinds hold the
+  // normwise bound.
+  const Scenario sc(17, 8, 40, /*bilinear=*/true);
+  for (const AnalysisKind kind : {AnalysisKind::kStochasticModifiedCholesky,
+                                  AnalysisKind::kDeterministicTransform}) {
+    for (const double inflation : {1.0, 1.05}) {
+      const AnalysisOptions opt = options_for(kind, inflation);
+      Index observed = 0;
+      for (const grid::Rect rect : varied_rects()) {
+        const auto background = sc.patches(rect);
+        const auto oracle = reference_local_analysis(
+            background, rect, sc.observations, sc.ys, opt);
+        observed += oracle.local_observations;
+        expect_matches_oracle(
+            owning_analysis(background, rect, sc.observations, sc.ys, opt),
+            oracle);
+      }
+      EXPECT_GT(observed, 0u);
     }
   }
 }

@@ -95,6 +95,51 @@ TEST_F(LocalObsCache, NewObservationSetEvictsTheOldEpoch) {
   EXPECT_EQ(old_entry->rect().x.begin, rect.x.begin);
 }
 
+std::int64_t bytes_gauge() {
+  auto& registry = telemetry::Registry::global();
+  return registry.gauge("analysis.localization.bytes").value();
+}
+
+TEST_F(LocalObsCache, BytesGaugeTracksLiveEntries) {
+  const Scenario sc(64);
+  std::int64_t live = 0;
+  for (const Index x : {0, 2, 4, 8}) {
+    const auto entry =
+        localized(sc.observations, grid::Rect{{x, x + 8}, {x / 2, x / 2 + 6}});
+    live += static_cast<std::int64_t>(entry->memory_bytes());
+    EXPECT_EQ(bytes_gauge(), live);
+  }
+  // A hit adds nothing.
+  localized(sc.observations, grid::Rect{{0, 8}, {0, 6}});
+  EXPECT_EQ(bytes_gauge(), live);
+
+  // A newer epoch evicts every entry above: only its own remains.
+  const Scenario newer(64);
+  const auto entry = localized(newer.observations, grid::Rect{{0, 8}, {0, 8}});
+  EXPECT_EQ(localization_cache_size(), 1u);
+  EXPECT_EQ(bytes_gauge(), static_cast<std::int64_t>(entry->memory_bytes()));
+
+  clear_localization_cache();
+  EXPECT_EQ(bytes_gauge(), 0);
+}
+
+TEST_F(LocalObsCache, SparseEntryOfTheFileWorkloadIsSmall) {
+  // A 66×26 expansion of a 3000-station bilinear network on 360×180 —
+  // the shape of an ocean-det-files layer expansion.  Densified, its
+  // H̄, R⁻¹H̄ and H̄ᵀR⁻¹H̄ take ~25 MB.
+  const grid::LatLonGrid g(360, 180);
+  senkf::Rng rng(5);
+  const grid::Field truth(g, 1.0);
+  NetworkOptions opt;
+  opt.station_count = 3000;
+  opt.bilinear = true;
+  const ObservationSet network = random_network(g, truth, rng, opt);
+  const auto entry = localized(network, grid::Rect{{60, 126}, {40, 66}});
+  ASSERT_GT(entry->size(), 0u);
+  EXPECT_LT(entry->memory_bytes(), 64u * 1024u);
+  EXPECT_EQ(bytes_gauge(), static_cast<std::int64_t>(entry->memory_bytes()));
+}
+
 TEST_F(LocalObsCache, EpochsAreUniqueAndMonotonicPerConstruction) {
   const Scenario a(65);
   const Scenario b(66);

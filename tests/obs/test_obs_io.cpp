@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 
@@ -21,6 +22,22 @@ struct TempFile {
   }
   ~TempFile() { fs::remove(path); }
 };
+
+// Byte offsets in the file format (obs_io.hpp): the 32-byte header ends
+// with the component count; the first component follows as error_std,
+// value, support count, then its (x, y, weight) triples.
+constexpr std::streamoff kComponentCountOffset = 24;
+constexpr std::streamoff kFirstValueOffset = 40;
+constexpr std::streamoff kFirstSupportCountOffset = 48;
+constexpr std::streamoff kFirstWeightOffset = 72;
+
+template <typename T>
+void overwrite(const fs::path& path, std::streamoff offset, T value) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  file.seekp(offset);
+  file.write(reinterpret_cast<const char*>(&value), sizeof(T));
+  ASSERT_TRUE(file.good());
+}
 
 ObservationSet make_set(const grid::LatLonGrid& g, std::uint64_t seed,
                         bool bilinear = false) {
@@ -102,6 +119,38 @@ TEST(ObsIo, GarbageHeaderThrows) {
   out.close();
   EXPECT_THROW(read_observations(grid::LatLonGrid(4, 4), file.path),
                senkf::ProtocolError);
+}
+
+TEST(ObsIo, ForgedComponentCountThrowsProtocolError) {
+  // A count the file cannot hold is rejected before anything is
+  // reserved for it (2^40 components would otherwise be bad_alloc).
+  const grid::LatLonGrid g(20, 12);
+  const TempFile file("forged_components");
+  write_observations(make_set(g, 6), file.path);
+  overwrite<std::uint64_t>(file.path, kComponentCountOffset,
+                           std::uint64_t{1} << 40);
+  EXPECT_THROW(read_observations(g, file.path), senkf::ProtocolError);
+}
+
+TEST(ObsIo, ForgedSupportCountThrowsProtocolError) {
+  const grid::LatLonGrid g(20, 12);
+  const TempFile file("forged_support");
+  write_observations(make_set(g, 7), file.path);
+  overwrite<std::uint64_t>(file.path, kFirstSupportCountOffset,
+                           std::uint64_t{1} << 40);
+  EXPECT_THROW(read_observations(g, file.path), senkf::ProtocolError);
+}
+
+TEST(ObsIo, NonFiniteNumbersAreRejected) {
+  const grid::LatLonGrid g(20, 12);
+  const auto set = make_set(g, 8, /*bilinear=*/true);
+  for (const std::streamoff offset : {kFirstValueOffset, kFirstWeightOffset}) {
+    const TempFile file("non_finite");
+    write_observations(set, file.path);
+    overwrite(file.path, offset, std::nan(""));
+    EXPECT_THROW(read_observations(g, file.path), senkf::Error)
+        << "NaN at byte " << offset << " loaded";
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "grid/synthetic.hpp"
@@ -53,6 +54,22 @@ TEST(ObservationSet, ValidatesInputs) {
   ObsComponent bad_err = ok;
   bad_err.error_std = 0.0;
   EXPECT_THROW(ObservationSet(g, {bad_err}, {1.0}), senkf::InvalidArgument);
+}
+
+TEST(ObservationSet, RejectsNonFiniteNumbers) {
+  // A NaN or infinity would load silently and poison every analysis
+  // that selects the station.
+  const grid::LatLonGrid g(4, 4);
+  ObsComponent ok;
+  ok.support = {{{1, 1}, 0.5}, {{2, 1}, 0.5}};
+  ObsComponent nan_weight = ok;
+  nan_weight.support[1].weight = std::nan("");
+  EXPECT_THROW(ObservationSet(g, {nan_weight}, {1.0}), senkf::Error);
+  EXPECT_THROW(ObservationSet(g, {ok}, {std::nan("")}), senkf::Error);
+  ObsComponent inf_error = ok;
+  inf_error.error_std = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ObservationSet(g, {inf_error}, {1.0}), senkf::Error);
+  EXPECT_NO_THROW(ObservationSet(g, {ok}, {1.0}));
 }
 
 TEST(RandomNetwork, GeneratesRequestedStations) {
