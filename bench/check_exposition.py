@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
 """Validator for the embedded /metrics Prometheus exposition (DESIGN.md §16).
 
-Usage: check_exposition.py METRICS.txt [--jobs JOBS.json]
-       check_exposition.py --url http://127.0.0.1:PORT  [--jobs-url ...]
+Usage: check_exposition.py METRICS.txt
+       check_exposition.py --url http://127.0.0.1:PORT
 
 Checks the text format the liveops endpoint serves: every sample line
 parses, every metric family has exactly one `# TYPE` header before its
 first sample, metric and label names are legal, histogram `_bucket`
 series are cumulative in `le` order with an `+Inf` bucket equal to
 `_count`, and `_sum`/`_count` are present for every histogram family.
-With --jobs (a saved /jobs body) it cross-checks the JSON job table:
-per-state counts match the record list and timestamps are ordered.
 Exits nonzero on any violation.  Stdlib only — runs anywhere CI has a
-python3 (urllib is used only for the --url forms).
+python3 (urllib is used only for the --url form).
 """
 import argparse
-import json
 import math
 import re
 import sys
@@ -154,43 +151,6 @@ def check_exposition(text):
     return len(types), len(samples)
 
 
-JOB_STATES = ("queued", "running", "done", "rejected")
-
-
-def check_jobs(doc):
-    jobs = doc.get("jobs")
-    if not check(isinstance(jobs, list), "jobs: missing or not a list"):
-        return 0
-    recomputed = {state: 0 for state in JOB_STATES}
-    for i, job in enumerate(jobs):
-        where = f"jobs[{i}]"
-        if not check(isinstance(job, dict), f"{where}: not an object"):
-            continue
-        state = job.get("state")
-        if check(state in JOB_STATES, f"{where}: bad state {state!r}"):
-            recomputed[state] += 1
-        check(isinstance(job.get("tenant"), str) and job.get("tenant"),
-              f"{where}: missing tenant")
-        arrival = job.get("arrival_s")
-        start = job.get("start_s")
-        end = job.get("end_s")
-        if state in ("running", "done") and isinstance(start, (int, float)):
-            check(start >= (arrival or 0),
-                  f"{where}: start {start} before arrival {arrival}")
-        if state == "done" and isinstance(end, (int, float)):
-            check(end >= (start or 0),
-                  f"{where}: end {end} before start {start}")
-        if state == "rejected":
-            check(bool(job.get("reject_reason")),
-                  f"{where}: rejected without a reject_reason")
-    counts = doc.get("counts", {})
-    for state, want in recomputed.items():
-        got = counts.get(state, 0)
-        check(got == want,
-              f"counts.{state}: {got} != recomputed {want}")
-    return len(jobs)
-
-
 def fetch(url):
     import urllib.request
     with urllib.request.urlopen(url, timeout=10) as resp:
@@ -202,9 +162,6 @@ def main():
     parser.add_argument("metrics", nargs="?",
                         help="saved /metrics body (text format)")
     parser.add_argument("--url", help="fetch /metrics from a live endpoint")
-    parser.add_argument("--jobs", help="saved /jobs body (JSON)")
-    parser.add_argument("--jobs-url",
-                        help="fetch /jobs from a live endpoint")
     args = parser.parse_args()
 
     if args.url:
@@ -216,22 +173,12 @@ def main():
         parser.error("need a METRICS.txt path or --url")
     families, samples = check_exposition(text)
 
-    jobs = None
-    if args.jobs_url:
-        jobs = check_jobs(json.loads(fetch(args.jobs_url.rstrip("/") +
-                                           "/jobs")))
-    elif args.jobs:
-        with open(args.jobs, encoding="utf-8") as f:
-            jobs = check_jobs(json.load(f))
-
     if errors:
         print(f"check_exposition: FAILED ({len(errors)} violation(s)):")
         for message in errors:
             print(f"  - {message}")
         return 1
-    suffix = "" if jobs is None else f", jobs={jobs}"
-    print(f"check_exposition: OK (families={families}, "
-          f"samples={samples}{suffix})")
+    print(f"check_exposition: OK (families={families}, samples={samples})")
     return 0
 
 

@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
-"""Schema checker for senkf-run-report JSON (schema v4, DESIGN.md §11-§16).
+"""Schema checker for senkf-run-report JSON (schema v5, DESIGN.md §11-§16).
 
 Usage: check_report.py REPORT.json [--kind senkf] [--require-warns]
-                       [--require-critical-path] [--require-jobs]
-                       [--require-profile]
+                       [--require-critical-path] [--require-profile]
 
 Validates structure and types, cross-checks the acceptance invariants
 (aggregated phase totals equal the sum of the per-rank samples;
 critical-path splits partition each cycle's wall clock to within 5%;
-per-job SLO records have non-negative queue waits, deadline flags
-consistent with their timestamps, and tenant totals that sum to the run
-totals; profile/watchdog sections are either disabled stubs or fully
+profile/watchdog sections are either disabled stubs or fully
 populated), and exits nonzero on any violation.  Stdlib only — runs
 anywhere CI has a python3.
 """
@@ -106,96 +103,6 @@ def check_gauge_stat(stat, where):
     require(stat, "count", (int,), where)
 
 
-JOB_FIELDS = {
-    "id": (int,),
-    "tenant": (str,),
-    "admitted": (bool,),
-    "reject_reason": (str,),
-    "arrival_s": (int, float),
-    "start_s": (int, float),
-    "end_s": (int, float),
-    "queue_wait_s": (int, float),
-    "run_s": (int, float),
-    "predicted_s": (int, float),
-    "deadline_s": (int, float),
-    "deadline_met": (bool,),
-    "ranks": (int,),
-    "rank_lo": (int,),
-    "io_slots": (int,),
-    "cache_hits": (int,),
-    "cache_saved_bytes": (int, float),
-}
-
-TOTALS_FIELDS = {
-    "jobs": (int,),
-    "admitted": (int,),
-    "rejected": (int,),
-    "met": (int,),
-    "missed": (int,),
-    "run_s": (int, float),
-    "queue_wait_s": (int, float),
-}
-
-
-def check_job(job, where):
-    """One per-job SLO record (schema v3, DESIGN.md §14)."""
-    for key, types in JOB_FIELDS.items():
-        require(job, key, types, where)
-    if not isinstance(job, dict):
-        return
-    check(job.get("queue_wait_s", 0) >= 0,
-          f"{where}: negative queue_wait_s {job.get('queue_wait_s')}")
-    if job.get("admitted") is True:
-        arrival = job.get("arrival_s", 0)
-        start = job.get("start_s", 0)
-        end = job.get("end_s", 0)
-        check(start >= arrival,
-              f"{where}: started at {start} before arrival {arrival}")
-        check(end >= start, f"{where}: ended at {end} before start {start}")
-        # The deadline flag must be consistent with the timestamps: a met
-        # deadline is a positive one that end - arrival stayed within.
-        deadline = job.get("deadline_s", 0)
-        should_meet = deadline > 0 and (end - arrival) <= deadline
-        if isinstance(job.get("deadline_met"), bool):
-            check(job["deadline_met"] == should_meet,
-                  f"{where}: deadline_met={job['deadline_met']} but "
-                  f"latency {end - arrival:.6f} vs deadline {deadline:.6f} "
-                  f"says {should_meet}")
-    elif job.get("admitted") is False:
-        check(bool(job.get("reject_reason")),
-              f"{where}: rejected without a reject_reason")
-
-
-def totals_of(jobs):
-    """Recompute JobTotals from a job list (mirrors the C++ writer)."""
-    out = {"jobs": 0, "admitted": 0, "rejected": 0, "met": 0, "missed": 0,
-           "run_s": 0.0, "queue_wait_s": 0.0}
-    for job in jobs:
-        if not isinstance(job, dict):
-            continue
-        out["jobs"] += 1
-        if not job.get("admitted"):
-            out["rejected"] += 1
-            continue
-        out["admitted"] += 1
-        out["met" if job.get("deadline_met") else "missed"] += 1
-        out["run_s"] += job.get("run_s", 0) or 0
-        out["queue_wait_s"] += job.get("queue_wait_s", 0) or 0
-    return out
-
-
-def check_totals_match(reported, computed, where):
-    for key in ("jobs", "admitted", "rejected", "met", "missed"):
-        check(reported.get(key) == computed[key],
-              f"{where}.{key}: {reported.get(key)} != recomputed "
-              f"{computed[key]}")
-    for key in ("run_s", "queue_wait_s"):
-        got = reported.get(key, 0) or 0
-        want = computed[key]
-        check(abs(got - want) <= 1e-6 + 1e-9 * abs(want),
-              f"{where}.{key}: {got} != recomputed {want}")
-
-
 def check_profile(profile, where, required):
     """The v4 profiler section: a disabled stub or a full sample dump."""
     enabled = require(profile, "enabled", (bool,), where)
@@ -219,7 +126,6 @@ def check_profile(profile, where, required):
     top_total = 0
     for i, bucket in enumerate(top):
         require(bucket, "stack", (str,), f"{where}.top[{i}]")
-        require(bucket, "context", (str,), f"{where}.top[{i}]")
         require(bucket, "rank", (int,), f"{where}.top[{i}]")
         count = require(bucket, "count", (int,), f"{where}.top[{i}]")
         top_total += count or 0
@@ -298,9 +204,6 @@ def main():
                         help="require at least one straggler WARN")
     parser.add_argument("--require-critical-path", action="store_true",
                         help="require at least one per-cycle critical path")
-    parser.add_argument("--require-jobs", action="store_true",
-                        help="require a non-empty per-job SLO section "
-                             "(service runs)")
     parser.add_argument("--require-profile", action="store_true",
                         help="require an enabled profile section with "
                              "samples attributed to at least one phase")
@@ -311,7 +214,7 @@ def main():
 
     check(doc.get("schema") == "senkf-run-report",
           f"schema: got {doc.get('schema')!r}")
-    check(doc.get("version") == 4, f"version: got {doc.get('version')!r}")
+    check(doc.get("version") == 5, f"version: got {doc.get('version')!r}")
     require(doc, "partial", (bool,), "$")
 
     run = require(doc, "run", (dict,), "$") or {}
@@ -356,36 +259,6 @@ def main():
     if args.require_critical_path:
         check(len(critical_paths) >= 1,
               "run.critical_paths: empty (tracing was off?)")
-
-    # --- v3 additions (DESIGN.md §14): per-job SLO section -------------
-    jobs = require(run, "jobs", (list,), "run") or []
-    for i, job in enumerate(jobs):
-        check_job(job, f"run.jobs[{i}]")
-    if args.require_jobs:
-        check(len(jobs) >= 1, "run.jobs: empty (not a service run?)")
-    tenants = require(run, "tenants", (dict,), "run") or {}
-    job_totals = require(run, "job_totals", (dict,), "run")
-    if jobs or tenants or (job_totals and job_totals.get("jobs")):
-        for tenant, totals in tenants.items():
-            for key, types in TOTALS_FIELDS.items():
-                require(totals, key, types, f"run.tenants.{tenant}")
-            check_totals_match(
-                totals,
-                totals_of([j for j in jobs
-                           if isinstance(j, dict) and
-                           j.get("tenant") == tenant]),
-                f"run.tenants.{tenant}")
-        # Tenant totals must sum to the run totals (both derive from the
-        # same job list).
-        if isinstance(job_totals, dict):
-            check_totals_match(job_totals, totals_of(jobs), "run.job_totals")
-            for key in ("jobs", "admitted", "rejected", "met", "missed"):
-                tenant_sum = sum((t.get(key, 0) or 0)
-                                 for t in tenants.values()
-                                 if isinstance(t, dict))
-                check(tenant_sum == (job_totals.get(key, 0) or 0),
-                      f"run.job_totals.{key}: tenant sum {tenant_sum} != "
-                      f"{job_totals.get(key)}")
 
     metrics = require(doc, "metrics", (dict,), "$")
     if metrics is not None:
@@ -441,10 +314,8 @@ def main():
                   f"run.phases.{name}: {reported} != per-rank sum {total}")
 
     # Drift gauges must be populated for a completed run (model vs an
-    # in-memory measurement always disagrees).  Service runs are exempt:
-    # the scheduler replays the cost model itself, so there is no
-    # model-vs-measurement pair to drift.
-    if not doc.get("partial", False) and run.get("kind") != "service":
+    # in-memory measurement always disagrees).
+    if not doc.get("partial", False):
         for phase in ("read", "comm", "comp"):
             check(drift.get(phase, 0.0) != 0.0,
                   f"run.drift.{phase}: expected a nonzero drift")

@@ -19,6 +19,7 @@
 #include "obs/perturbed.hpp"
 #include "telemetry/liveops/profiler.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace {
 

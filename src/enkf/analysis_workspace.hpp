@@ -13,8 +13,8 @@
 // (`for_this_thread()`): ThreadPool workers die with their pool at the
 // end of a run, but their workspaces — warmed-up chunks included — go
 // back to the free list and are re-leased by the next run's workers.
-// That is what makes the *second* service job / cycle allocation-free,
-// not just the second patch.
+// That is what makes the *second* run / cycle allocation-free, not just
+// the second patch.
 #pragma once
 
 #include <span>

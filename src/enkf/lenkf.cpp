@@ -5,7 +5,6 @@
 #include "enkf/patch_wire.hpp"
 #include "parcomm/runtime.hpp"
 #include "telemetry/liveops/liveops.hpp"
-#include "telemetry/liveops/profiler.hpp"
 #include "telemetry/phase.hpp"
 #include "telemetry/trace.hpp"
 
@@ -52,9 +51,8 @@ std::vector<grid::Field> lenkf(const EnsembleStore& store,
   std::mutex result_mutex;
 
   // Liveops arming (no-op unless SENKF_HTTP / SENKF_PROFILE /
-  // SENKF_WATCHDOG are set); samples taken in here attribute to lenkf.
+  // SENKF_WATCHDOG are set).
   telemetry::liveops::ensure_liveops_started();
-  const telemetry::liveops::ProfileContextScope profile_ctx("lenkf");
 
   parcomm::Runtime::run(n_procs, [&](parcomm::Communicator& world) {
     const grid::SubdomainId my_id =

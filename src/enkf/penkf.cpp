@@ -6,7 +6,6 @@
 #include "parcomm/runtime.hpp"
 #include "support/thread_pool.hpp"
 #include "telemetry/liveops/liveops.hpp"
-#include "telemetry/liveops/profiler.hpp"
 #include "telemetry/phase.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
@@ -53,7 +52,6 @@ std::vector<grid::Field> penkf(const EnsembleStore& store,
   // SENKF_SAMPLE_MS / SENKF_HTTP / SENKF_PROFILE / SENKF_WATCHDOG set.
   telemetry::ensure_sampler_started();
   telemetry::liveops::ensure_liveops_started();
-  const telemetry::liveops::ProfileContextScope profile_ctx("penkf");
 
   parcomm::Runtime::run(n_procs, [&](parcomm::Communicator& world) {
     const grid::SubdomainId my_id =

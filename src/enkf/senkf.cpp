@@ -19,7 +19,6 @@
 #include "support/logging.hpp"
 #include "support/thread_pool.hpp"
 #include "telemetry/liveops/liveops.hpp"
-#include "telemetry/liveops/profiler.hpp"
 #include "telemetry/liveops/watchdog.hpp"
 #include "telemetry/phase.hpp"
 #include "telemetry/report.hpp"
@@ -1105,7 +1104,6 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   // critical-path window excludes spans from earlier cycles.
   telemetry::ensure_sampler_started();
   telemetry::liveops::ensure_liveops_started();
-  const telemetry::liveops::ProfileContextScope profile_ctx("senkf");
   const std::int64_t run_start_ns = telemetry::now_ns();
 
   // Observability plane state shared by every rank thread of this run.

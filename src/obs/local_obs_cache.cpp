@@ -22,7 +22,8 @@ Key make_key(const ObservationSet& observations, grid::Rect rect) {
 struct Cache {
   // A single network localizes to at most one entry per sub-domain; the
   // cap only matters when many epochs fly through without superseding
-  // each other (e.g. per-job networks), where it bounds memory.
+  // each other (a caller alternating between live networks), where it
+  // bounds memory.
   static constexpr std::size_t kMaxEntries = 4096;
 
   std::shared_mutex mutex;

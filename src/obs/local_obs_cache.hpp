@@ -2,11 +2,10 @@
 //
 // Localizing an ObservationSet to an expansion rectangle — scanning the
 // network for the supported components and building H̄'s sparse rows
-// and R⁻¹ — depends only on (observation set, rect).  Sub-domains are
-// re-analysed with the same rects every cycle, and under the service
-// plane the same network is shared across jobs, so the cache turns the
-// per-patch localization cost into a shared-lock lookup after the first
-// cycle.
+// and R⁻¹ — depends only on (observation set, rect).  Every analysis of
+// one observation set (each engine, each repeated call) re-analyses the
+// sub-domains with the same rects, so the cache turns the per-patch
+// localization cost into a shared-lock lookup after the first analysis.
 //
 // Keys use ObservationSet::epoch(), a process-unique id assigned at
 // construction: a *new* observation set (fresh values, new network) gets

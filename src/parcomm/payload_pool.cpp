@@ -65,20 +65,17 @@ Payload PayloadPool::acquire(std::size_t bytes) {
         Payload recycled = std::move(bucket.back());
         bucket.pop_back();
         hits_.fetch_add(1, std::memory_order_relaxed);
-        hit_bytes_.fetch_add(bytes, std::memory_order_relaxed);
         PoolMetrics::get().hit.add(1);
         return recycled;  // cleared on release; capacity >= kMinBytes << index
       }
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    miss_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     PoolMetrics::get().miss.add(1);
     Payload fresh;
     fresh.reserve(kMinBytes << index);
     return fresh;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  miss_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   PoolMetrics::get().miss.add(1);
   Payload fresh;
   fresh.reserve(bytes);
@@ -115,8 +112,6 @@ PayloadPool::Stats PayloadPool::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.returned = returned_.load(std::memory_order_relaxed);
   s.dropped = dropped_.load(std::memory_order_relaxed);
-  s.hit_bytes = hit_bytes_.load(std::memory_order_relaxed);
-  s.miss_bytes = miss_bytes_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -57,11 +57,6 @@ class PayloadPool {
     std::uint64_t misses = 0;
     std::uint64_t returned = 0;
     std::uint64_t dropped = 0;
-    /// Requested capacity served from recycled buffers vs freshly
-    /// reserved — the byte-level view of how much allocation the pool
-    /// absorbed (the service plane reports it per job batch).
-    std::uint64_t hit_bytes = 0;
-    std::uint64_t miss_bytes = 0;
   };
   Stats stats() const;
 
@@ -73,8 +68,6 @@ class PayloadPool {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> returned_{0};
   std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> hit_bytes_{0};
-  std::atomic<std::uint64_t> miss_bytes_{0};
   mutable std::mutex mutex_;
   std::vector<std::vector<Payload>> buckets_;
 };

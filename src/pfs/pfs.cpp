@@ -1,7 +1,5 @@
 #include "pfs/pfs.hpp"
 
-#include <algorithm>
-
 #include "telemetry/metrics.hpp"
 
 namespace senkf::pfs {
@@ -109,25 +107,6 @@ sim::Task Pfs::read(std::uint64_t file_index, std::uint64_t segments,
     return read_faulty(file_index, segments, bytes);
   }
   return issue(file_index, segments, bytes);
-}
-
-sim::Task Pfs::read_as(int tenant, std::uint64_t file_index,
-                       std::uint64_t segments, double bytes) {
-  const double t0 = sim_.now();
-  // Nominal single-stream service time of the request on its home OST;
-  // anything beyond it — slot queueing, stripe skew, fault retries — is
-  // contention and billed as queued time.
-  const double service =
-      ost(ost_of_file(file_index)).service_time(segments, bytes);
-  co_await read(file_index, segments, bytes);
-  const double elapsed = sim_.now() - t0;
-  TenantIoStats& stats = tenant_stats_[tenant];
-  stats.reads += 1;
-  stats.segments += segments;
-  stats.bytes += bytes;
-  stats.service_s += std::min(service, elapsed);
-  stats.queued_s += std::max(0.0, elapsed - service);
-  stats.elapsed_s += elapsed;
 }
 
 sim::Task Pfs::issue(std::uint64_t file_index, std::uint64_t segments,

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -27,20 +26,6 @@
 #include "sim/primitives.hpp"
 
 namespace senkf::pfs {
-
-/// Per-tenant I/O accounting for the service plane (DESIGN.md §14): every
-/// read issued through Pfs::read_as bills its tenant with the bytes and
-/// addressing operations it moved, the stream-slot service time it held a
-/// disk slot for, and the time it spent queued behind other streams —
-/// the fair-share scheduler's notion of disk consumption.
-struct TenantIoStats {
-  std::uint64_t reads = 0;
-  std::uint64_t segments = 0;
-  double bytes = 0.0;
-  double service_s = 0.0;  ///< time holding stream slots (disk busy)
-  double queued_s = 0.0;   ///< time waiting for a slot (contention + retries)
-  double elapsed_s = 0.0;  ///< wall clock of the reads = service + queued
-};
 
 struct OstConfig {
   /// Effective per-contiguous-segment addressing cost (seconds).
@@ -123,19 +108,6 @@ class Pfs {
   sim::Task read(std::uint64_t file_index, std::uint64_t segments,
                  double bytes);
 
-  /// read() plus per-tenant slot accounting: the elapsed simulated time is
-  /// split into the request's nominal service time (slot occupancy) and
-  /// everything else (queueing, stripe skew, fault retries) and billed to
-  /// `tenant` in tenant_stats().
-  sim::Task read_as(int tenant, std::uint64_t file_index,
-                    std::uint64_t segments, double bytes);
-
-  /// Accumulated per-tenant accounting from read_as (empty for workflows
-  /// that never attribute reads).
-  const std::map<int, TenantIoStats>& tenant_stats() const {
-    return tenant_stats_;
-  }
-
   /// The plan's injector, or nullptr when no faults are configured.
   const FaultInjector* injector() const { return injector_.get(); }
 
@@ -157,7 +129,6 @@ class Pfs {
   sim::Simulation& sim_;
   PfsConfig config_;
   std::vector<std::unique_ptr<Ost>> osts_;
-  std::map<int, TenantIoStats> tenant_stats_;
   std::unique_ptr<FaultInjector> injector_;
   /// Deterministic per-read ordinal feeding the injector's op keys (the
   /// DES runs single-threaded, so issue order is reproducible).

@@ -9,7 +9,6 @@
 #include "net/http_server.hpp"
 #include "telemetry/json_writer.hpp"
 #include "telemetry/liveops/exposition.hpp"
-#include "telemetry/liveops/jobs.hpp"
 #include "telemetry/liveops/profiler.hpp"
 #include "telemetry/liveops/watchdog.hpp"
 #include "telemetry/metrics.hpp"
@@ -45,12 +44,6 @@ void add_routes(net::HttpServer& server) {
     // A stall is a liveness failure: load balancers and the nightly
     // harness read the status code, humans read the body.
     if (watchdog_stats().fired > 0) response.status = 503;
-    return response;
-  });
-  server.add_route("/jobs", [](const net::HttpRequest&) {
-    net::HttpResponse response;
-    response.content_type = "application/json";
-    response.body = JobTable::global().render_json();
     return response;
   });
   server.add_route("/timeseries", [](const net::HttpRequest&) {

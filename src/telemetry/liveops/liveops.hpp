@@ -1,16 +1,15 @@
 // Live operations plane front door (DESIGN.md §16).
 //
-// `ensure_liveops_started()` is the one call engines and the service
-// scheduler make at entry: it reads SENKF_HTTP / SENKF_PROFILE /
-// SENKF_WATCHDOG and lazily starts whichever subsystems those arm.
-// The HTTP server runs on its own thread and serves lock-light
-// snapshots — registry rows, timeseries rings, the live job table,
-// profiler and watchdog state — never touching engine hot paths:
+// `ensure_liveops_started()` is the one call engines make at entry: it
+// reads SENKF_HTTP / SENKF_PROFILE / SENKF_WATCHDOG and lazily starts
+// whichever subsystems those arm.  The HTTP server runs on its own
+// thread and serves lock-light snapshots — registry rows, timeseries
+// rings, profiler and watchdog state — never touching engine hot paths:
 //
 //   /metrics     Prometheus text exposition of the registry
 //   /health      JSON liveness + the watchdog verdict (503 on stall)
-//   /jobs        JSON live job table (service runs)
 //   /timeseries  JSON timeseries rings
+//   /profile     JSON profile section (?collapsed: folded stacks)
 //
 // Teardown is ordered through telemetry::shutdown(): the endpoint
 // stops before the trace/report exporters run.

@@ -9,7 +9,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <tuple>
+#include <utility>
 
 #include <csignal>
 #include <sys/time.h>
@@ -18,6 +18,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/shutdown.hpp"
+#include "telemetry/trace.hpp"
 
 namespace senkf::telemetry::liveops {
 
@@ -39,7 +40,6 @@ struct RingSlot {
   std::atomic<const char*> frames[kPhaseStackDepth] = {};
   std::atomic<int> depth{0};
   std::atomic<std::int32_t> rank{-1};
-  std::atomic<const char*> context{nullptr};
 };
 
 RingSlot g_ring[kRingCapacity];
@@ -59,7 +59,6 @@ void commit_sample(const PhaseStackView& view) {
   }
   slot.depth.store(depth, std::memory_order_relaxed);
   slot.rank.store(view.rank, std::memory_order_relaxed);
-  slot.context.store(view.context, std::memory_order_relaxed);
   slot.ready.store(seq + 1, std::memory_order_release);
 }
 
@@ -75,7 +74,7 @@ void sigprof_handler(int) {
 
 // ---- Aggregation + lifecycle (mutex-guarded, never in the handler) --
 
-using AggKey = std::tuple<std::string, std::string, std::int32_t>;
+using AggKey = std::pair<std::string, std::int32_t>;
 
 struct ProfilerState {
   std::mutex mutex;
@@ -122,7 +121,6 @@ void drain_locked(ProfilerState& s) {
       if (!stack.empty()) stack.push_back(';');
       stack += name;
     }
-    const char* ctx = slot.context.load(std::memory_order_relaxed);
     const std::int32_t rank = slot.rank.load(std::memory_order_relaxed);
     // A producer may have overwritten the slot mid-copy; the frame
     // pointers stayed valid (string literals) but the combination is
@@ -132,7 +130,7 @@ void drain_locked(ProfilerState& s) {
       continue;
     }
     if (stack.empty()) continue;
-    ++s.buckets[AggKey(std::move(stack), ctx == nullptr ? "" : ctx, rank)];
+    ++s.buckets[AggKey(std::move(stack), rank)];
     ++s.aggregated;
   }
 }
@@ -298,9 +296,8 @@ std::vector<ProfileBucket> profile_buckets() {
   out.reserve(s.buckets.size());
   for (const auto& [key, count] : s.buckets) {
     ProfileBucket bucket;
-    bucket.stack = std::get<0>(key);
-    bucket.context = std::get<1>(key);
-    bucket.rank = std::get<2>(key);
+    bucket.stack = key.first;
+    bucket.rank = key.second;
     bucket.count = count;
     out.push_back(std::move(bucket));
   }
@@ -310,7 +307,6 @@ std::vector<ProfileBucket> profile_buckets() {
 std::string render_collapsed() {
   std::ostringstream out;
   for (const ProfileBucket& b : profile_buckets()) {
-    if (!b.context.empty()) out << b.context << ";";
     out << b.stack << " " << b.count << "\n";
   }
   return out.str();
@@ -352,7 +348,6 @@ std::string profile_section_json() {
   for (const ProfileBucket* b : top) {
     json.begin_object()
         .field("stack", b->stack)
-        .field("context", b->context)
         .field("rank", b->rank)
         .field("count", b->count)
         .end_object();

@@ -19,7 +19,7 @@
 // Overhead when armed is one ring write per sample plus the span
 // push/pop (a handful of relaxed stores); when SENKF_PROFILE is unset
 // the profile hook bit stays clear and spans do zero extra work.
-// Samples aggregate at drain time into (stack, rank, context) buckets,
+// Samples aggregate at drain time into (stack, rank) buckets,
 // export as collapsed-stack flame-graph lines, and fold into the run
 // report's v4 "profile" section.
 #pragma once
@@ -27,8 +27,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "telemetry/trace.hpp"
 
 namespace senkf::telemetry::liveops {
 
@@ -72,8 +70,7 @@ ProfileStats profiler_stats();
 
 /// One aggregated sample bucket.
 struct ProfileBucket {
-  std::string stack;    ///< "outer;inner" frame names, outermost first
-  std::string context;  ///< tenant/engine label ("" = none)
+  std::string stack;  ///< "outer;inner" frame names, outermost first
   std::int32_t rank = -1;
   std::uint64_t count = 0;
 };
@@ -82,7 +79,7 @@ struct ProfileBucket {
 /// across calls).  Callable while sampling continues.
 std::vector<ProfileBucket> profile_buckets();
 
-/// Flame-graph collapsed-stack lines: `[context;]outer;inner count\n`,
+/// Flame-graph collapsed-stack lines: `outer;inner count\n`,
 /// one per bucket, ready for flamegraph.pl / speedscope.
 std::string render_collapsed();
 
@@ -91,23 +88,5 @@ std::string profile_section_json();
 
 /// Drops aggregated buckets and sample counters (tests between runs).
 void clear_profile();
-
-/// RAII attribution label for samples taken while in scope — the
-/// engine kind ("senkf") or the service tenant.  Restores the previous
-/// label on exit; `label` must outlive the scope (string literals,
-/// interned tenant names).
-class ProfileContextScope {
- public:
-  explicit ProfileContextScope(const char* label) : prev_(profile_context()) {
-    set_profile_context(label);
-  }
-  ~ProfileContextScope() { set_profile_context(prev_); }
-
-  ProfileContextScope(const ProfileContextScope&) = delete;
-  ProfileContextScope& operator=(const ProfileContextScope&) = delete;
-
- private:
-  const char* prev_;
-};
 
 }  // namespace senkf::telemetry::liveops

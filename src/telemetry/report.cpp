@@ -148,63 +148,6 @@ void write_snapshot(JsonWriter& json, const MetricsSnapshot& snapshot) {
   json.end_object();
 }
 
-void write_job_slo(JsonWriter& json, const JobSlo& j) {
-  json.begin_object()
-      .field("id", j.id)
-      .field("tenant", j.tenant)
-      .field("admitted", j.admitted)
-      .field("reject_reason", j.reject_reason)
-      .field("arrival_s", j.arrival_s)
-      .field("start_s", j.start_s)
-      .field("end_s", j.end_s)
-      .field("queue_wait_s", j.queue_wait_s)
-      .field("run_s", j.run_s)
-      .field("predicted_s", j.predicted_s)
-      .field("deadline_s", j.deadline_s)
-      .field("deadline_met", j.deadline_met)
-      .field("ranks", j.ranks)
-      .field("rank_lo", j.rank_lo)
-      .field("io_slots", j.io_slots)
-      .field("cache_hits", j.cache_hits)
-      .field("cache_saved_bytes", j.cache_saved_bytes)
-      .end_object();
-}
-
-/// Aggregated SLO view of a set of jobs (one tenant's, or the whole run).
-struct JobTotals {
-  std::uint64_t jobs = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t met = 0;
-  std::uint64_t missed = 0;
-  double run_s = 0.0;
-  double queue_wait_s = 0.0;
-
-  void add(const JobSlo& j) {
-    ++jobs;
-    if (!j.admitted) {
-      ++rejected;
-      return;
-    }
-    ++admitted;
-    ++(j.deadline_met ? met : missed);
-    run_s += j.run_s;
-    queue_wait_s += j.queue_wait_s;
-  }
-};
-
-void write_job_totals(JsonWriter& json, const JobTotals& t) {
-  json.begin_object()
-      .field("jobs", t.jobs)
-      .field("admitted", t.admitted)
-      .field("rejected", t.rejected)
-      .field("met", t.met)
-      .field("missed", t.missed)
-      .field("run_s", t.run_s)
-      .field("queue_wait_s", t.queue_wait_s)
-      .end_object();
-}
-
 void write_rank_sample(JsonWriter& json, const RankSample& r) {
   json.begin_object()
       .field("rank", r.rank)
@@ -330,31 +273,6 @@ void write_run_report(std::ostream& out) {
     json.end_array().end_object();
   }
   json.end_array();
-
-  // Per-job SLO section (schema v3, DESIGN.md §14): every job of a
-  // service run with its queue wait, run time and deadline flag, plus
-  // per-tenant totals and run-wide totals derived from the same list —
-  // so tenant sums reconcile with the job records by construction and
-  // the checker can assert it.
-  json.key("jobs").begin_array();
-  for (const JobSlo& j : report.jobs) write_job_slo(json, j);
-  json.end_array();
-  {
-    std::map<std::string, JobTotals> tenants;
-    JobTotals totals;
-    for (const JobSlo& j : report.jobs) {
-      tenants[j.tenant].add(j);
-      totals.add(j);
-    }
-    json.key("tenants").begin_object();
-    for (const auto& [tenant, t] : tenants) {
-      json.key(tenant);
-      write_job_totals(json, t);
-    }
-    json.end_object();
-    json.key("job_totals");
-    write_job_totals(json, totals);
-  }
   json.end_object();  // run
 
   // Whole-registry dump at write time: includes planes outside the run

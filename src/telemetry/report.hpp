@@ -1,10 +1,9 @@
 // Versioned machine-readable run reports (DESIGN.md §11).
 //
-// senkf() and the service scheduler populate the process-global
-// RunReport: config, phase breakdown, model drift, skew summary and the
-// run's aggregate (per-rank samples, histograms and series); the
-// scheduler adds per-job SLO records.  `SENKF_REPORT=<path>` arms an
-// atexit export of that state as JSON (schema "senkf-run-report",
+// senkf() populates the process-global RunReport: config, phase
+// breakdown, model drift, skew summary and the run's aggregate
+// (per-rank samples, histograms and series).  `SENKF_REPORT=<path>`
+// arms an atexit export of that state as JSON (schema "senkf-run-report",
 // version RunReport::kVersion); the fault path calls flush_exports() so
 // an aborting run still leaves a partial report + trace on disk before
 // the exception unwinds past atexit.
@@ -23,40 +22,17 @@
 
 namespace senkf::telemetry {
 
-/// Per-job SLO record for multi-tenant service runs (DESIGN.md §14).
-/// All timestamps are on the service clock (simulated seconds since the
-/// scheduler started); a rejected job carries only arrival + reason.
-struct JobSlo {
-  std::uint64_t id = 0;
-  std::string tenant;
-  bool admitted = false;
-  std::string reject_reason;  ///< empty when admitted
-  double arrival_s = 0.0;
-  double start_s = 0.0;  ///< -1 when never started
-  double end_s = 0.0;    ///< -1 when never finished
-  double queue_wait_s = 0.0;
-  double run_s = 0.0;
-  double predicted_s = 0.0;  ///< cost-model-predicted runtime at admission
-  double deadline_s = 0.0;   ///< relative to arrival; 0 = due immediately
-  bool deadline_met = false;
-  std::uint64_t ranks = 0;     ///< disjoint rank-set size carved for the job
-  std::uint64_t rank_lo = 0;   ///< first rank of the carved interval
-  std::uint64_t io_slots = 0;  ///< disk-concurrency slots held while running
-  std::uint64_t cache_hits = 0;
-  double cache_saved_bytes = 0.0;
-};
-
 struct RunReport {
   /// Bumped when the JSON layout changes incompatibly.  v2 adds the
   /// per-cycle critical-path section, latency quantiles, and the
-  /// time-series section (DESIGN.md §13).  v3 adds the per-job SLO
-  /// section with tenant aggregation (DESIGN.md §14).  v4 adds the
-  /// "profile" and "watchdog" sections fed by the liveops plane
-  /// (DESIGN.md §16); both default to {"enabled": false} when the
-  /// profiler/watchdog never armed.
-  static constexpr int kVersion = 4;
+  /// time-series section (DESIGN.md §13).  v3 added a per-job SLO
+  /// section.  v4 adds the "profile" and "watchdog" sections fed by the
+  /// liveops plane (DESIGN.md §16); both default to {"enabled": false}
+  /// when the profiler/watchdog never armed.  v5 drops the v3 job
+  /// section and the profile buckets' "context" label.
+  static constexpr int kVersion = 5;
 
-  std::string kind;     ///< "senkf" or "service"
+  std::string kind;     ///< "senkf"
   bool valid = false;   ///< a run populated this report
   bool partial = false; ///< the run aborted; numbers cover the prefix
   /// Ordered config key/value pairs (stringified; order preserved).
@@ -72,10 +48,6 @@ struct RunReport {
   /// The run's aggregate: per-rank samples, histograms and per-rank
   /// series (S-EnKF reads them off its run ledger).
   MetricsSnapshot aggregate;
-  /// Per-job SLO accounting for service runs (empty for single runs).
-  /// The writer derives the per-tenant totals from this list, so tenant
-  /// sums always reconcile with the job records by construction.
-  std::vector<JobSlo> jobs;
 };
 
 /// Replaces the process-global report (the last run wins).

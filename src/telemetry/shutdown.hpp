@@ -38,8 +38,8 @@ void register_shutdown_hook(int priority, std::function<void()> fn);
 /// Runs all registered hooks once, in priority order, then stops the
 /// timeseries background sampler.  Hooks that throw are swallowed —
 /// teardown must not abort an exiting process.  Safe to call from
-/// several engines / the service scheduler; later calls only run hooks
-/// registered since the previous call.  noexcept by contract.
+/// several engines; later calls only run hooks registered since the
+/// previous call.  noexcept by contract.
 void shutdown() noexcept;
 
 }  // namespace senkf::telemetry

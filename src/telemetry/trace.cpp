@@ -81,7 +81,6 @@ struct PhaseStack {
   std::atomic<const char*> names[kPhaseStackDepth] = {};
   std::atomic<std::uint8_t> categories[kPhaseStackDepth] = {};
   std::atomic<std::int32_t> rank{-1};
-  std::atomic<const char*> context{nullptr};
 };
 
 std::vector<std::shared_ptr<PhaseStack>>& phase_registry() {
@@ -122,7 +121,6 @@ bool snapshot_phase_stack(const PhaseStack& stack, PhaseStackView* out) {
   }
   out->depth = depth;
   out->rank = stack.rank.load(std::memory_order_relaxed);
-  out->context = stack.context.load(std::memory_order_relaxed);
   const std::uint32_t v2 = stack.version.load(std::memory_order_acquire);
   return v1 == v2;
 }
@@ -264,16 +262,6 @@ void pop_phase_frame() {
   } else {
     stack->depth.store(depth - 1, std::memory_order_relaxed);
   }
-}
-
-void set_profile_context(const char* label) {
-  local_phase_stack().context.store(label, std::memory_order_relaxed);
-}
-
-const char* profile_context() {
-  const PhaseStack* stack = g_phase_stack;
-  return stack == nullptr ? nullptr
-                          : stack->context.load(std::memory_order_relaxed);
 }
 
 std::size_t phase_stack_count() {

@@ -126,9 +126,8 @@ struct PhaseFrame {
 /// A (possibly torn-free) copy of one thread's innermost frames.
 struct PhaseStackView {
   PhaseFrame frames[kPhaseStackDepth];
-  int depth = 0;             ///< frames recorded (clamped to the stack)
-  std::int32_t rank = -1;    ///< the owning thread's rank
-  const char* context = nullptr;  ///< profile context label ("" = none)
+  int depth = 0;           ///< frames recorded (clamped to the stack)
+  std::int32_t rank = -1;  ///< the owning thread's rank
 };
 
 /// Pushes/pops the calling thread's innermost frame.  Called by spans
@@ -137,14 +136,8 @@ struct PhaseStackView {
 void push_phase_frame(const char* name, Category category);
 void pop_phase_frame();
 
-/// Per-thread attribution label (tenant, engine kind) recorded with each
-/// profile sample.  `label` must point at storage that outlives the
-/// profiler (string literals, interned strings); nullptr clears it.
-void set_profile_context(const char* label);
-const char* profile_context();
-
 /// Number of phase stacks ever registered (threads that pushed a frame
-/// or set a rank/context while profiling was armed).
+/// or set a rank while profiling was armed).
 std::size_t phase_stack_count();
 
 /// Seqlock read of stack `index` for the wall-clock sampler; returns

@@ -111,12 +111,6 @@ double CostModel::t_pipeline(const vcluster::SenkfParams& p) const {
          stage_comp;
 }
 
-double predict_runtime(const CostModel& model, const vcluster::SenkfParams& p,
-                       std::uint64_t cycles) {
-  SENKF_REQUIRE(cycles > 0, "predict_runtime: need at least one cycle");
-  return model.t_pipeline(p) * static_cast<double>(cycles);
-}
-
 PhaseDeadlines phase_deadlines(const CostModel& model,
                                const vcluster::SenkfParams& p,
                                double floor_s) {

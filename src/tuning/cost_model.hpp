@@ -101,15 +101,6 @@ class CostModel {
   CostModelParams params_;
 };
 
-/// Predicted wall-clock of `cycles` back-to-back assimilation cycles under
-/// configuration `p`: the pipeline-aware per-cycle total (prologue, steady
-/// state, drain) times the cycle count.  The service plane's admission
-/// control and deadline-aware policy query this (DESIGN.md §14) — it is
-/// deliberately the same quantity the auto-tuner minimizes, so a job's
-/// predicted runtime and its tuned configuration always agree.
-double predict_runtime(const CostModel& model, const vcluster::SenkfParams& p,
-                       std::uint64_t cycles = 1);
-
 /// Per-phase stall deadlines for the liveops watchdog (DESIGN.md §16):
 /// the cost model's per-stage predictions, floored at `floor_s` so the
 /// sub-millisecond predictions of test-sized grids don't fire on

@@ -149,6 +149,10 @@ TEST(Observability, RunReportJsonMatchesTheAggregate) {
   EXPECT_EQ(run.at("kind").as_string(), "senkf");
   EXPECT_TRUE(run.at("valid").as_bool());
   EXPECT_EQ(run.at("config").at("layers").as_string(), "3");
+  // Schema v5: a run report describes one run and has no job section.
+  EXPECT_FALSE(run.has("jobs"));
+  EXPECT_FALSE(run.has("tenants"));
+  EXPECT_FALSE(run.has("job_totals"));
 
   // Acceptance invariant, asserted on the exported JSON itself: the
   // aggregated phase totals equal the sum over the per-rank samples.

@@ -1,9 +1,8 @@
 // Live operations plane (DESIGN.md §16): Prometheus exposition of the
-// registry, the live job table behind /jobs, the health document, the
-// SENKF_HTTP env parsing, the endpoint end-to-end over a real socket,
-// and the ordered telemetry::shutdown() a mid-cycle exit relies on
-// (this file runs under -DSENKF_SANITIZE=address in the CI sanitizer
-// legs).
+// registry, the health document, the SENKF_HTTP env parsing, the
+// endpoint end-to-end over a real socket, and the ordered
+// telemetry::shutdown() a mid-cycle exit relies on (this file runs under
+// -DSENKF_SANITIZE=address in the CI sanitizer legs).
 #include "telemetry/liveops/liveops.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 
 #include "net/http_server.hpp"
 #include "telemetry/liveops/exposition.hpp"
-#include "telemetry/liveops/jobs.hpp"
 #include "telemetry/liveops/profiler.hpp"
 #include "telemetry/liveops/watchdog.hpp"
 #include "telemetry/metrics.hpp"
@@ -81,33 +79,6 @@ TEST(Exposition, GlobalRegistryRendersEveryRow) {
   EXPECT_NE(text.find("liveops_test_exposition 11"), std::string::npos);
 }
 
-TEST(JobTableTest, TracksLifecycleAndCounts) {
-  JobTable table;
-  table.record_queued(1, "acme", 0.5);
-  table.record_queued(2, "acme", 1.0);
-  table.record_rejected(3, "globex", 1.5, "needs 999 ranks");
-  table.record_running(1, 2.0, 64);
-  table.record_done(1, 5.0, true);
-
-  const std::vector<JobRecord> jobs = table.snapshot();
-  ASSERT_EQ(jobs.size(), 3u);
-  EXPECT_EQ(jobs[0].state, "done");
-  EXPECT_TRUE(jobs[0].deadline_met);
-  EXPECT_EQ(jobs[0].ranks, 64u);
-  EXPECT_EQ(jobs[1].state, "queued");
-  EXPECT_EQ(jobs[2].state, "rejected");
-  EXPECT_EQ(jobs[2].reject_reason, "needs 999 ranks");
-
-  const testjson::Value doc = testjson::parse(table.render_json());
-  EXPECT_EQ(doc.at("jobs").as_array().size(), 3u);
-  EXPECT_EQ(doc.at("counts").at("done").as_number(), 1.0);
-  EXPECT_EQ(doc.at("counts").at("queued").as_number(), 1.0);
-  EXPECT_EQ(doc.at("counts").at("rejected").as_number(), 1.0);
-
-  table.clear();
-  EXPECT_TRUE(table.snapshot().empty());
-}
-
 TEST(HttpEnv, ParsesPortsAndRejectsGarbage) {
   EXPECT_FALSE(parse_http_env(nullptr).enabled);
   EXPECT_FALSE(parse_http_env("").enabled);
@@ -123,10 +94,8 @@ TEST(HttpEnv, ParsesPortsAndRejectsGarbage) {
   EXPECT_EQ(fixed.port, 9109);
 }
 
-TEST(LiveopsHttp, ServesMetricsJobsHealthOverSocket) {
+TEST(LiveopsHttp, ServesMetricsHealthOverSocket) {
   Registry::global().counter("liveops.test.endpoint").add(5);
-  JobTable::global().clear();
-  JobTable::global().record_queued(41, "acme", 0.0);
 
   const std::uint16_t port = start_liveops_http(0);
   ASSERT_NE(port, 0);
@@ -138,10 +107,9 @@ TEST(LiveopsHttp, ServesMetricsJobsHealthOverSocket) {
   EXPECT_EQ(status, 200);
   EXPECT_NE(metrics.find("liveops_test_endpoint 5"), std::string::npos);
 
-  const std::string jobs = net::http_get(port, "/jobs", &status);
-  EXPECT_EQ(status, 200);
-  const testjson::Value jobs_doc = testjson::parse(jobs);
-  EXPECT_EQ(jobs_doc.at("counts").at("queued").as_number(), 1.0);
+  // No job table is served: the endpoint describes one process's run.
+  net::http_get(port, "/jobs", &status);
+  EXPECT_EQ(status, 404);
 
   const std::string health = net::http_get(port, "/health", &status);
   // No watchdog overruns in this process: healthy.
@@ -157,7 +125,6 @@ TEST(LiveopsHttp, ServesMetricsJobsHealthOverSocket) {
 
   stop_liveops_http();
   EXPECT_FALSE(liveops_http_running());
-  JobTable::global().clear();
 }
 
 // The asan mid-cycle exit gate: everything the liveops plane starts —
