@@ -1,10 +1,10 @@
 // Fig. 9 companion — measured vs modelled phase times (ISSUE 2).
 //
 // Unlike fig09_phase_breakdown (which reports the DES plane), this bench
-// runs the *numeric-plane* S-EnKF on thread-backed ranks and derives its
-// per-stage phase times from the telemetry counters the pipeline's spans
-// feed (`senkf.io_read_ns` / `senkf.io_send_ns` / `senkf.comp_update_ns`),
-// then compares them against the §4.3 cost model, equations (7)–(10).
+// runs the *numeric-plane* S-EnKF on thread-backed ranks and takes its
+// per-stage phase times from each call's run ledger (SenkfStats'
+// io_read / io_send / comp_update seconds), then compares them against
+// the §4.3 cost model, equations (7)–(10).
 //
 // The model's constants (θ, a, b, c) describe the paper's Tianhe-2, not
 // this host, so they are first calibrated by ratio on a baseline
@@ -20,7 +20,6 @@
 #include "grid/synthetic.hpp"
 #include "obs/perturbed.hpp"
 #include "support/table.hpp"
-#include "telemetry/metrics.hpp"
 #include "tuning/cost_model.hpp"
 
 namespace {
@@ -63,19 +62,6 @@ struct Workload {
         store(g, scenario.members) {}
 };
 
-struct CounterSnapshot {
-  std::uint64_t read_ns = 0;
-  std::uint64_t send_ns = 0;
-  std::uint64_t update_ns = 0;
-
-  static CounterSnapshot take() {
-    auto& r = telemetry::Registry::global();
-    return {r.counter_value("senkf.io_read_ns"),
-            r.counter_value("senkf.io_send_ns"),
-            r.counter_value("senkf.comp_update_ns")};
-  }
-};
-
 // Best-of-kRepeats run, normalized to per-rank per-stage seconds so the
 // measurement matches the model's per-stage quantities regardless of rank
 // counts.  Best-of damps scheduler noise the same way micro benches do.
@@ -83,19 +69,16 @@ Phases measure(const Workload& w, const enkf::SenkfConfig& config) {
   Phases best;
   double best_total = -1.0;
   for (int i = 0; i < kRepeats; ++i) {
-    const auto before = CounterSnapshot::take();
-    (void)enkf::senkf(w.store, w.observations, w.ys, config);
-    const auto after = CounterSnapshot::take();
+    enkf::SenkfStats stats;
+    (void)enkf::senkf(w.store, w.observations, w.ys, config, &stats);
     const double io_norm =
-        1e9 * static_cast<double>(config.io_ranks() * config.layers);
+        static_cast<double>(config.io_ranks() * config.layers);
     const double comp_norm =
-        1e9 *
         static_cast<double>(config.computation_ranks() * config.layers);
     Phases run;
-    run.read = static_cast<double>(after.read_ns - before.read_ns) / io_norm;
-    run.comm = static_cast<double>(after.send_ns - before.send_ns) / io_norm;
-    run.comp =
-        static_cast<double>(after.update_ns - before.update_ns) / comp_norm;
+    run.read = stats.io_read_seconds / io_norm;
+    run.comm = stats.io_send_seconds / io_norm;
+    run.comp = stats.comp_update_seconds / comp_norm;
     const double total = run.read + run.comm + run.comp;
     if (best_total < 0.0 || total < best_total) {
       best_total = total;

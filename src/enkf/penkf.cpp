@@ -7,7 +7,6 @@
 #include "support/thread_pool.hpp"
 #include "telemetry/liveops/liveops.hpp"
 #include "telemetry/phase.hpp"
-#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
 namespace senkf::enkf {
@@ -48,9 +47,8 @@ std::vector<grid::Field> penkf(const EnsembleStore& store,
   std::vector<grid::Field> result;
   std::mutex result_mutex;
 
-  // Same continuous-telemetry arming as senkf(): no-ops unless
+  // Continuous-telemetry arming, as in every engine: no-op unless
   // SENKF_SAMPLE_MS / SENKF_HTTP / SENKF_PROFILE / SENKF_WATCHDOG set.
-  telemetry::ensure_sampler_started();
   telemetry::liveops::ensure_liveops_started();
 
   parcomm::Runtime::run(n_procs, [&](parcomm::Communicator& world) {

@@ -54,45 +54,11 @@ constexpr std::uint64_t kCtrlReissue = 0;
 constexpr std::uint64_t kCtrlAck = 1;
 constexpr std::uint64_t kCtrlDone = 2;
 
-/// Process-wide cumulative phase counters (what SENKF_TRACE-era tooling
-/// and the registry snapshot expose).  SenkfStats never diffs these: its
-/// per-run numbers come from the run ledger below, so back-to-back runs
-/// and registry resets cannot contaminate a run's stats.
-struct PhaseCounters {
-  telemetry::Counter& io_read_ns;
-  telemetry::Counter& io_send_ns;
-  telemetry::Counter& comp_wait_ns;
-  telemetry::Counter& comp_update_ns;
-  telemetry::Counter& messages;
-  telemetry::Counter& read_retries;
-  telemetry::Counter& bars_reissued;
-  telemetry::Counter& duplicate_blocks;
-  telemetry::Counter& members_dropped;
-
-  static PhaseCounters& get() {
-    auto& registry = telemetry::Registry::global();
-    static PhaseCounters counters{
-        registry.counter("senkf.io_read_ns"),
-        registry.counter("senkf.io_send_ns"),
-        registry.counter("senkf.comp_wait_ns"),
-        registry.counter("senkf.comp_update_ns"),
-        registry.counter("senkf.messages"),
-        registry.counter("senkf.read.retries"),
-        registry.counter("senkf.read.reissued"),
-        registry.counter("senkf.read.duplicate_blocks"),
-        registry.counter("senkf.member.dropped"),
-    };
-    return counters;
-  }
-
-};
-
 /// One (rank, stage) cell of the run ledger.  Atomic counters because
-/// the rank's helper, pool and reader threads feed them; the dual-counter
-/// CountedSpan adds the same interval here and to the global
-/// PhaseCounters from one clock pair.
+/// the rank's helper, pool and reader threads feed them; each phase
+/// interval is one CountedSpan into one of them.
 struct StageCell {
-  telemetry::Counter read_ns;    ///< bar-read spans (mirrors senkf.io_read_ns)
+  telemetry::Counter read_ns;    ///< bar-read spans (successful reads only)
   telemetry::Counter obtain_ns;  ///< full acquisition incl. injected delays
   telemetry::Counter send_ns;
   telemetry::Counter wait_ns;
@@ -107,6 +73,7 @@ struct RankCounts {
   telemetry::Counter messages;
   telemetry::Counter retries;
   telemetry::Counter reissued;
+  telemetry::Counter duplicates;  ///< blocks StageBuffers dropped as repeats
   std::uint64_t backlog_peak = 0;  ///< written by the rank's main thread
 };
 
@@ -115,6 +82,8 @@ struct RankCounts {
 /// RankCounts per rank.  A rank's threads write only that rank's entries,
 /// and senkf() reads the ledger only after Runtime::run has joined every
 /// rank thread, so the per-run numbers need no messages and no merge.
+/// The ledger is the run's one record of its phases: the registry's
+/// `senkf.*` counters receive its totals then (publish_ledger).
 struct ObservabilityContext {
   ObservabilityContext(Index n_ranks, Index n_stages)
       : stages(n_stages), cells(n_ranks * n_stages), counts(n_ranks) {}
@@ -168,8 +137,9 @@ T sum_over_ranks(const std::vector<telemetry::RankSample>& ranks,
 /// error.
 class StageBuffers {
  public:
-  StageBuffers(Index layers, Index members)
-      : layers_(layers),
+  StageBuffers(Index layers, Index members, telemetry::Counter& duplicates)
+      : duplicates_(duplicates),
+        layers_(layers),
         members_(members),
         patches_(layers * members),
         accounted_(layers, 0),
@@ -188,7 +158,7 @@ class StageBuffers {
     std::lock_guard<std::mutex> lock(mutex_);
     auto& slot = patches_[stage * members_ + member];
     if (slot.has_value() || dead_[member] != 0) {
-      PhaseCounters::get().duplicate_blocks.add(1);
+      duplicates_.add(1);
       return;
     }
     slot = patch;
@@ -298,6 +268,7 @@ class StageBuffers {
   }
 
  private:
+  telemetry::Counter& duplicates_;
   Index layers_;
   Index members_;
   std::vector<std::optional<grid::PatchView>> patches_;
@@ -381,14 +352,12 @@ class BlockBatch {
   }
 
   /// Sends the accumulated batches (one message per destination) and
-  /// resets; the send time also lands in `stage_send_ns`.  A batch with
-  /// no members sends nothing.
-  void flush(parcomm::Communicator& world, PhaseCounters& phases,
-             telemetry::Counter& stage_send_ns) {
+  /// resets; the send time lands in `stage_send_ns`.  A batch with no
+  /// members sends nothing.
+  void flush(parcomm::Communicator& world, telemetry::Counter& stage_send_ns) {
     if (members_added_ == 0) return;
     telemetry::CountedSpan send_span(telemetry::Category::kSend,
-                                     "block_scatter", phases.io_send_ns,
-                                     &stage_send_ns,
+                                     "block_scatter", stage_send_ns,
                                      static_cast<std::int32_t>(l_));
     for (Index i = 0; i < config_.n_sdx; ++i) {
       world.send(layout_.comp_rank(i, slot_), kBlockTag, packers_[i].take());
@@ -413,11 +382,10 @@ class BlockBatch {
 void scatter_bar(parcomm::Communicator& world, const RankLayout& layout,
                  const grid::Decomposition& decomposition,
                  const SenkfConfig& config, Index l, Index member, Index slot,
-                 const grid::Patch& bar, PhaseCounters& phases,
-                 telemetry::Counter& stage_send_ns) {
+                 const grid::Patch& bar, telemetry::Counter& stage_send_ns) {
   BlockBatch batch(layout, decomposition, config, l, slot, 1);
   batch.add(member, bar);
-  batch.flush(world, phases, stage_send_ns);
+  batch.flush(world, stage_send_ns);
 }
 
 /// Tells every computation rank of latitude row `slot` that `member` is
@@ -543,7 +511,6 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
   const Index slot = layout.io_slot(world.rank());
   const Index n_members = store.members();
   const int my_rank = world.rank();
-  PhaseCounters& phases = PhaseCounters::get();
   RankCounts& counts = ctx.counts[static_cast<Index>(my_rank)];
   const pfs::FaultInjector* injector = injector_of(store);
   const int io_ordinal =
@@ -578,14 +545,12 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
     StageCell& cell = ctx.cell(my_rank, l);
     // obtain_ns covers the whole degraded acquisition — injected delay,
     // backoff sleeps, retries — which is what the straggler check must
-    // see; read_ns mirrors the global bar-read span (successful read
-    // time only).
-    telemetry::ScopedTimerNs obtain_timer(cell.obtain_ns);
-    // Traced sibling of obtain_ns: the critical-path walker needs the
-    // injected delay and backoff sleeps covered by a span, or a straggler
-    // shows up as untracked time instead of disk time on this rank.
-    telemetry::TraceSpan obtain_span(telemetry::Category::kRead, "bar_obtain",
-                                     static_cast<std::int32_t>(l));
+    // see, and the critical-path walker needs the same interval as a
+    // span, or a straggler shows up as untracked time instead of disk
+    // time on this rank.  read_ns is the successful read time only.
+    telemetry::CountedSpan obtain_span(telemetry::Category::kRead, "bar_obtain",
+                                       cell.obtain_ns,
+                                       static_cast<std::int32_t>(l));
     // Stall deadline over the whole degraded acquisition: an injected or
     // real straggler holding this read past the model's per-stage read
     // prediction (times the safety scale) fires the watchdog while the
@@ -603,15 +568,11 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
         config.fault.retry, pfs::op_key(member, rows.begin), sleeper,
         [&] {
           telemetry::CountedSpan read_span(telemetry::Category::kRead,
-                                           "bar_read", phases.io_read_ns,
-                                           &cell.read_ns,
+                                           "bar_read", cell.read_ns,
                                            static_cast<std::int32_t>(l));
           return store.read_bar(member, rows);
         },
-        [&](int) {
-          phases.read_retries.add(1);
-          counts.retries.add(1);
-        });
+        [&](int) { counts.retries.add(1); });
   };
 
   std::set<Index> dead;
@@ -658,7 +619,7 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
       try {
         const grid::Patch bar = perform_read(member, bar_rows(req_slot, l), l);
         scatter_bar(world, layout, decomposition, config, l, member, req_slot,
-                    bar, phases, ctx.cell(my_rank, l).send_ns);
+                    bar, ctx.cell(my_rank, l).send_ns);
       } catch (const pfs::PermanentReadError&) {
         handle_permanent(member, req_slot);
       }
@@ -739,7 +700,6 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
           world.send(layout.io_rank(group, peer_slot), kIoCtrlTag,
                      request.take());
           pending_acks.insert({l, member});
-          phases.bars_reissued.add(1);
           counts.reissued.add(1);
           SENKF_LOG_WARN("senkf: io rank ", world.rank(),
                          " re-issued bar (stage ", l, ", member ", member,
@@ -748,7 +708,7 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
         }
       }
     }
-    batch.flush(world, phases, ctx.cell(my_rank, l).send_ns);
+    batch.flush(world, ctx.cell(my_rank, l).send_ns);
     // Stage boundary: the timestamp of the stage's series points.
     ctx.cell(my_rank, l).boundary_ns = telemetry::now_ns();
   }
@@ -792,9 +752,8 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
                                 layout.comp_j(world.rank())};
   const Index n_members = store.members();
   const int my_rank = world.rank();
-  PhaseCounters& phases = PhaseCounters::get();
   RankCounts& counts = ctx.counts[static_cast<Index>(my_rank)];
-  StageBuffers buffers(config.layers, n_members);
+  StageBuffers buffers(config.layers, n_members, counts.duplicates);
 
   // Helper thread (§4.2): drains block and dead-member messages for this
   // rank into the stage buffers until every (stage, member) pair is
@@ -883,8 +842,7 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
     }
     {
       telemetry::CountedSpan wait_span(telemetry::Category::kWait,
-                                       "stage_wait", phases.comp_wait_ns,
-                                       &cell.wait_ns,
+                                       "stage_wait", cell.wait_ns,
                                        static_cast<std::int32_t>(l));
       // A stage overrunning its end-to-end prediction means an upstream
       // rank stalled; the watchdog names this wait (and its stage) while
@@ -904,8 +862,7 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
       telemetry::set_thread_rank(my_rank);
       telemetry::CountedSpan update_span(telemetry::Category::kUpdate,
                                          "local_analysis",
-                                         phases.comp_update_ns,
-                                         &ctx.cell(my_rank, l).update_ns,
+                                         ctx.cell(my_rank, l).update_ns,
                                          static_cast<std::int32_t>(l));
       const grid::Rect target = decomposition.layer(my_id, l, config.layers);
       const StageBuffers::Stage& stage = stage_data[l];
@@ -961,7 +918,6 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   helper.join();
   if (helper_error) std::rethrow_exception(helper_error);
 
-  phases.messages.add(helper_messages);
   counts.messages.add(helper_messages);
 
   if (world.rank() != 0) {
@@ -971,7 +927,6 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
 
   // Rank 0 assembles the analysis fields for the surviving members.
   const std::vector<Index> dropped = buffers.dead_members();
-  phases.members_dropped.add(dropped.size());
   std::vector<Index> position(n_members, n_members);
   std::vector<grid::Field> fields;
   fields.reserve(live.size());
@@ -984,10 +939,7 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
     fields.push_back(pfs::with_retry(
         config.fault.retry, pfs::op_key(member, ~std::uint64_t{0}), sleeper,
         [&] { return store.load_member(member); },
-        [&](int) {
-          phases.read_retries.add(1);
-          counts.retries.add(1);
-        }));
+        [&](int) { counts.retries.add(1); }));
   }
   // `position` maps a member to its field slot; dropped members have none.
   insert_results(results.take_shared(), position, fields);
@@ -1064,6 +1016,29 @@ telemetry::MetricsSnapshot read_ledger(
   return agg;
 }
 
+/// Adds the ledger's totals to the process-cumulative `senkf.*` registry
+/// counters: once per call, after every rank thread has joined, on the
+/// success and the fault path alike, so the registry, /metrics and the
+/// report agree with the run's own record at every call boundary.
+void publish_ledger(const ObservabilityContext& ctx, std::size_t dropped) {
+  auto& registry = telemetry::Registry::global();
+  const auto publish = [&registry](const char* name, const auto& rows,
+                                   auto field) {
+    std::uint64_t total = 0;
+    for (const auto& row : rows) total += (row.*field).value();
+    registry.counter(name).add(total);
+  };
+  publish("senkf.io_read_ns", ctx.cells, &StageCell::read_ns);
+  publish("senkf.io_send_ns", ctx.cells, &StageCell::send_ns);
+  publish("senkf.comp_wait_ns", ctx.cells, &StageCell::wait_ns);
+  publish("senkf.comp_update_ns", ctx.cells, &StageCell::update_ns);
+  publish("senkf.messages", ctx.counts, &RankCounts::messages);
+  publish("senkf.read.retries", ctx.counts, &RankCounts::retries);
+  publish("senkf.read.reissued", ctx.counts, &RankCounts::reissued);
+  publish("senkf.read.duplicate_blocks", ctx.counts, &RankCounts::duplicates);
+  registry.counter("senkf.member.dropped").add(dropped);
+}
+
 }  // namespace
 
 std::vector<grid::Field> senkf(const EnsembleStore& store,
@@ -1097,12 +1072,11 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   std::vector<grid::Field> result;
   std::vector<Index> dropped;
 
-  // Continuous telemetry: arm the background registry sampler (no-op
-  // unless SENKF_SAMPLE_MS enables it), the live operations plane
-  // (SENKF_HTTP endpoint, SENKF_PROFILE sampler, SENKF_WATCHDOG — all
-  // no-ops when unset), and remember the cycle's start so the
-  // critical-path window excludes spans from earlier cycles.
-  telemetry::ensure_sampler_started();
+  // Continuous telemetry: arm the background registry sampler
+  // (SENKF_SAMPLE_MS) and the live operations plane (SENKF_HTTP endpoint,
+  // SENKF_PROFILE sampler, SENKF_WATCHDOG) — all no-ops when unset — and
+  // remember the cycle's start so the critical-path window excludes
+  // spans from earlier cycles.
   telemetry::liveops::ensure_liveops_started();
   const std::int64_t run_start_ns = telemetry::now_ns();
 
@@ -1156,12 +1130,15 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
           }
         });
   } catch (...) {
-    // Ordered teardown before the flush: quiesce the liveops threads
-    // (watchdog, profiler, endpoint) so none of them writes the export
-    // files concurrently with us, then flush-on-fault — a failed run
-    // still writes its (partial) trace and report, often the only
-    // evidence of what went wrong.  The next run's ensure_* calls
-    // re-arm whatever the environment enables.
+    // The aborted prefix's reads, sends and retries reach the registry
+    // first, so the partial report's metrics and faults sections carry
+    // them.  Then ordered teardown before the flush: quiesce the
+    // background threads (watchdog, profiler, endpoint, sampler) so none
+    // of them writes the export files concurrently with us, then
+    // flush-on-fault — a failed run still writes its (partial) trace and
+    // report, often the only evidence of what went wrong.  The next
+    // run's ensure_* calls re-arm whatever the environment enables.
+    publish_ledger(ctx, 0);
     telemetry::shutdown();
     telemetry::flush_exports(/*partial=*/true);
     if (abort_error) std::rethrow_exception(abort_error);
@@ -1169,6 +1146,7 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   }
 
   SENKF_REQUIRE(!result.empty(), "senkf: no result produced");
+  publish_ledger(ctx, dropped.size());
 
   // Everything below derives from the run ledger, never from
   // process-cumulative counters.  Every total is a sum over the per-rank

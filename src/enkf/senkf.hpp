@@ -74,10 +74,11 @@ struct SenkfConfig {
 /// Per-run instrumentation (numeric-plane analogue of Fig. 9's phases).
 ///
 /// Every field is derived from the run's own ledger: each rank
-/// accumulates its phase times per stage into its own ledger cells
-/// (clock-identical to the global `senkf.*` counters — CountedSpan feeds
-/// both from one clock pair), and senkf() reads the ledger once every
-/// rank thread has joined; each total below is the sum of `ranks`.
+/// accumulates its phase times per stage into its own ledger cells (one
+/// CountedSpan per interval), and senkf() reads the ledger once every
+/// rank thread has joined; each total below is the sum of `ranks`.  The
+/// same read adds the totals to the process-cumulative `senkf.*`
+/// registry counters, on the fault path too.
 /// From the same ledger it checks every stage's read balance and WARNs
 /// on stragglers (DESIGN.md §11).  Because the numbers are per-run by
 /// construction, back-to-back runs in one process never inherit each

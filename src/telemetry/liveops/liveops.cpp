@@ -13,6 +13,7 @@
 #include "telemetry/liveops/watchdog.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/shutdown.hpp"
+#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
 namespace senkf::telemetry::liveops {
@@ -22,7 +23,6 @@ namespace {
 struct HttpState {
   std::mutex mutex;
   std::unique_ptr<net::HttpServer> server;
-  bool ever_started = false;
 };
 
 HttpState& state() {
@@ -95,10 +95,7 @@ std::uint16_t start_liveops_http(std::uint16_t port) {
               << e.what() << "\n";
     return 0;
   }
-  s.ever_started = true;
-  // Re-armed on every start (shutdown() consumes hooks; stop is
-  // idempotent) so the endpoint always dies before the exporters.
-  register_shutdown_hook(kShutdownHttp, [] { stop_liveops_http(); });
+  shutdown_at_exit();  // the endpoint dies before the exporters
   s.server = std::move(server);
   std::cerr << "[senkf liveops] serving on 127.0.0.1:" << s.server->port()
             << "\n";
@@ -127,6 +124,7 @@ std::uint16_t liveops_port() {
 }
 
 bool ensure_liveops_started() {
+  ensure_sampler_started();
   ensure_profiler_started();
   ensure_watchdog_started();
   static const HttpEnvConfig config = parse_http_env(std::getenv("SENKF_HTTP"));

@@ -1,10 +1,11 @@
 // Live operations plane front door (DESIGN.md §16).
 //
-// `ensure_liveops_started()` is the one call engines make at entry: it
-// reads SENKF_HTTP / SENKF_PROFILE / SENKF_WATCHDOG and lazily starts
-// whichever subsystems those arm.  The HTTP server runs on its own
-// thread and serves lock-light snapshots — registry rows, timeseries
-// rings, profiler and watchdog state — never touching engine hot paths:
+// `ensure_liveops_started()` is the one call every engine makes at
+// entry: it reads SENKF_SAMPLE_MS / SENKF_HTTP / SENKF_PROFILE /
+// SENKF_WATCHDOG and lazily starts whichever subsystems those arm.  The
+// HTTP server runs on its own thread and serves lock-light snapshots —
+// registry rows, timeseries rings, profiler and watchdog state — never
+// touching engine hot paths:
 //
 //   /metrics     Prometheus text exposition of the registry
 //   /health      JSON liveness + the watchdog verdict (503 on stall)
@@ -29,10 +30,10 @@ struct HttpEnvConfig {
 };
 HttpEnvConfig parse_http_env(const char* value);
 
-/// Starts everything the liveops env vars arm (HTTP endpoint,
-/// profiler, watchdog) if not already running.  Lazy, idempotent,
-/// cheap when all three are unset.  Returns true when the HTTP
-/// endpoint is serving on return.
+/// Starts everything the telemetry env vars arm (timeseries sampler,
+/// HTTP endpoint, profiler, watchdog) if not already running.  Lazy,
+/// idempotent, cheap when all four are unset.  Returns true when the
+/// HTTP endpoint is serving on return.
 bool ensure_liveops_started();
 
 /// Programmatic endpoint control (tests).  start returns the bound

@@ -16,7 +16,6 @@
 
 #include "telemetry/json_writer.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/report.hpp"
 #include "telemetry/shutdown.hpp"
 #include "telemetry/trace.hpp"
 
@@ -206,12 +205,7 @@ void start_profiler(int hz, bool wall) {
   s.wall = wall;
   s.stop_requested.store(false, std::memory_order_relaxed);
   s.ever_started = true;
-  // Every start re-arms the teardown hook: shutdown() consumes hooks,
-  // and a profiler restarted after a shutdown must still be stopped
-  // before the atexit exporters run.  Duplicate hooks are harmless —
-  // stop_profiler is idempotent.
-  register_shutdown_hook(kShutdownProfiler, [] { stop_profiler(); });
-  set_report_section_provider("profile", [] { return profile_section_json(); });
+  shutdown_at_exit();  // stopped before the atexit exporters run
   set_profile_hooks_enabled(true);
   s.running = true;
   if (wall) {
@@ -236,6 +230,9 @@ void start_profiler(int hz, bool wall) {
 void stop_profiler() {
   ProfilerState& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
+  // shutdown() stops every subsystem; one that never ran must leave the
+  // registry without senkf.profile.* counters.
+  if (!s.ever_started) return;
   if (s.running) {
     s.running = false;
     set_profile_hooks_enabled(false);
@@ -313,6 +310,12 @@ std::string render_collapsed() {
 }
 
 std::string profile_section_json() {
+  {
+    // Checked before profiler_stats(), which publishes the counters.
+    ProfilerState& s = state();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    if (!s.ever_started) return "{\"enabled\":false}";
+  }
   const ProfileStats stats = profiler_stats();
   const std::vector<ProfileBucket> buckets = profile_buckets();
 
@@ -335,7 +338,7 @@ std::string profile_section_json() {
   std::ostringstream out;
   JsonWriter json(out);
   json.begin_object()
-      .field("enabled", stats.ever_started)
+      .field("enabled", true)
       .field("mode", stats.wall ? "wall" : "cpu")
       .field("hz", static_cast<std::int64_t>(stats.hz))
       .field("samples", stats.samples)

@@ -45,14 +45,15 @@ struct ProfileEnvConfig {
 ProfileEnvConfig parse_profile_env(const char* value);
 
 /// Starts the profiler per SENKF_PROFILE if not already running; lazy
-/// and idempotent (engines call it at entry).  Registers the shutdown
-/// hook and the report "profile" section provider on first start.
-/// Returns true when a profiler is running on return.
+/// and idempotent (engines call it at entry).  Returns true when a
+/// profiler is running on return.
 bool ensure_profiler_started();
 
 /// Programmatic start/stop (tests, examples).  start is a no-op when
-/// already running; stop disarms the timer / joins the sampler thread,
-/// drains the ring, and clears the profile hook bit.
+/// already running and installs the shutdown() atexit handler; stop
+/// disarms the timer / joins the sampler thread, drains the ring, and
+/// clears the profile hook bit (a no-op on a profiler that never
+/// started).
 void start_profiler(int hz, bool wall);
 void stop_profiler();
 bool profiler_running();
@@ -83,7 +84,8 @@ std::vector<ProfileBucket> profile_buckets();
 /// one per bucket, ready for flamegraph.pl / speedscope.
 std::string render_collapsed();
 
-/// The run report's v4 "profile" section (one JSON object).
+/// The run report's v4 "profile" section (one JSON object);
+/// {"enabled":false} when the profiler never started.
 std::string profile_section_json();
 
 /// Drops aggregated buckets and sample counters (tests between runs).

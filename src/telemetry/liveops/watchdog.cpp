@@ -145,11 +145,7 @@ void start_watchdog(double scale) {
   s.scale = scale > 0.0 ? scale : 3.0;
   s.stop_requested = false;
   s.ever_started = true;
-  // Re-armed on every start: shutdown() consumes hooks, and a monitor
-  // restarted afterwards must still stop before the atexit exporters.
-  register_shutdown_hook(kShutdownWatchdog, [] { stop_watchdog(); });
-  set_report_section_provider("watchdog",
-                              [] { return watchdog_section_json(); });
+  shutdown_at_exit();  // stopped before the atexit exporters run
   s.running = true;
   s.monitor = std::thread(monitor_loop);
 }
@@ -230,10 +226,11 @@ WatchdogStats watchdog_stats() {
 
 std::string watchdog_section_json() {
   const WatchdogStats stats = watchdog_stats();
+  if (!stats.ever_started) return "{\"enabled\":false}";
   std::ostringstream out;
   JsonWriter json(out);
   json.begin_object()
-      .field("enabled", stats.ever_started)
+      .field("enabled", true)
       .field("running", stats.running)
       .field("scale", stats.scale)
       .field("armed", stats.armed)

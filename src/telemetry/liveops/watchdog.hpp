@@ -29,13 +29,11 @@ struct WatchdogEnvConfig {
 WatchdogEnvConfig parse_watchdog_env(const char* value);
 
 /// Starts the monitor per SENKF_WATCHDOG if not already running; lazy
-/// and idempotent.  Registers the shutdown hook and the report
-/// "watchdog" section provider on first start.  Returns true when the
-/// monitor is running on return.
+/// and idempotent.  Returns true when the monitor is running on return.
 bool ensure_watchdog_started();
 
 /// Programmatic start/stop (tests).  `scale` multiplies every armed
-/// deadline.
+/// deadline; start installs the shutdown() atexit handler.
 void start_watchdog(double scale);
 void stop_watchdog();
 bool watchdog_running();
@@ -66,7 +64,8 @@ struct WatchdogStats {
 };
 WatchdogStats watchdog_stats();
 
-/// The run report's v4 "watchdog" section (one JSON object).
+/// The run report's v4 "watchdog" section (one JSON object);
+/// {"enabled":false} when the monitor never started.
 std::string watchdog_section_json();
 
 /// Drops recorded overruns and counters (tests between runs); armed

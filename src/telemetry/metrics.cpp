@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "telemetry/trace.hpp"
-
 namespace senkf::telemetry {
 
 Histogram::Histogram(std::vector<double> upper_bounds)
@@ -236,13 +234,6 @@ void Registry::reset() {
     if (entry.gauge) entry.gauge->reset();
     if (entry.histogram) entry.histogram->reset();
   }
-}
-
-ScopedTimerNs::ScopedTimerNs(Counter& ns_counter)
-    : counter_(ns_counter), start_ns_(now_ns()) {}
-
-ScopedTimerNs::~ScopedTimerNs() {
-  counter_.add(static_cast<std::uint64_t>(now_ns() - start_ns_));
 }
 
 }  // namespace senkf::telemetry

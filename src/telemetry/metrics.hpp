@@ -4,9 +4,10 @@
 //
 // Creation/lookup takes the registry mutex; call sites on hot paths hold
 // a `static` reference so steady-state updates are plain atomics.
-// Metrics always accumulate — they are the cheap always-on layer the
-// SenkfStats facade is derived from — while spans (trace.hpp) are the
-// opt-in detailed layer behind SENKF_TRACE.
+// Metrics always accumulate — they are the cheap always-on,
+// process-cumulative layer (S-EnKF adds its run ledger's totals here once
+// per call, DESIGN.md §11) — while spans (trace.hpp) are the opt-in
+// detailed layer behind SENKF_TRACE.
 #pragma once
 
 #include <atomic>
@@ -149,21 +150,6 @@ class Registry {
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry, std::less<>> entries_;
-};
-
-/// RAII timer adding elapsed nanoseconds to a counter (and nothing else);
-/// the building block for telemetry-derived phase stats.
-class ScopedTimerNs {
- public:
-  explicit ScopedTimerNs(Counter& ns_counter);
-  ~ScopedTimerNs();
-
-  ScopedTimerNs(const ScopedTimerNs&) = delete;
-  ScopedTimerNs& operator=(const ScopedTimerNs&) = delete;
-
- private:
-  Counter& counter_;
-  std::int64_t start_ns_;
 };
 
 }  // namespace senkf::telemetry

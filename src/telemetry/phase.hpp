@@ -1,7 +1,7 @@
 // CountedSpan: one clock-read pair feeding both telemetry layers — the
-// elapsed nanoseconds go to an always-on Counter (what SenkfStats and the
-// fig09 report derive phase times from) and, when SENKF_TRACE arms the
-// tracer, the same interval is recorded as a span.
+// elapsed nanoseconds go to one always-on Counter (a plane's registry
+// counter, or a cell of S-EnKF's run ledger, DESIGN.md §11) and, when
+// SENKF_TRACE arms the tracer, the same interval is recorded as a span.
 #pragma once
 
 #include "telemetry/metrics.hpp"
@@ -18,24 +18,10 @@ class CountedSpan {
     if (hooks_ & kSpanHookProfile) push_phase_frame(name, category);
   }
 
-  /// Same interval additionally accumulated into a rank-local counter
-  /// (a cell of S-EnKF's run ledger, DESIGN.md §11), so the global and
-  /// per-rank views stay clock-identical.
-  CountedSpan(Category category, const char* name, Counter& ns_counter,
-              Counter* local_ns, std::int32_t stage = -1)
-      : counter_(ns_counter), local_(local_ns), name_(name),
-        start_ns_(now_ns()), stage_(stage), category_(category),
-        hooks_(span_hooks()) {
-    if (hooks_ & kSpanHookProfile) push_phase_frame(name, category);
-  }
-
   ~CountedSpan() {
     if (hooks_ & kSpanHookProfile) pop_phase_frame();
     const std::int64_t end_ns = now_ns();
     counter_.add(static_cast<std::uint64_t>(end_ns - start_ns_));
-    if (local_ != nullptr) {
-      local_->add(static_cast<std::uint64_t>(end_ns - start_ns_));
-    }
     if (hooks_ & kSpanHookTrace) {
       TraceEvent event;
       event.name = name_;
@@ -63,7 +49,6 @@ class CountedSpan {
 
  private:
   Counter& counter_;
-  Counter* local_ = nullptr;
   const char* name_;
   std::int64_t start_ns_;
   std::uint64_t flow_id_ = 0;

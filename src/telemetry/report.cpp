@@ -8,6 +8,8 @@
 #include <stdexcept>
 
 #include "telemetry/json_writer.hpp"
+#include "telemetry/liveops/profiler.hpp"
+#include "telemetry/liveops/watchdog.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
@@ -30,35 +32,6 @@ std::vector<CriticalPathSummary>& global_critical_paths() {
   return *paths;
 }
 std::uint64_t g_next_cycle = 0;
-
-// Pluggable v4 section providers (liveops profile/watchdog).  Own mutex:
-// a provider may itself call report accessors, so it must never run
-// under g_report_mutex.
-std::mutex g_section_mutex;
-std::map<std::string, std::function<std::string()>>& section_providers() {
-  static auto* providers =
-      new std::map<std::string, std::function<std::string()>>();
-  return *providers;
-}
-
-// Renders one pluggable section; {"enabled": false} when unregistered
-// or the provider failed — the key must always be present and valid.
-std::string render_section(const std::string& name) {
-  std::function<std::string()> provider;
-  {
-    std::lock_guard<std::mutex> lock(g_section_mutex);
-    const auto it = section_providers().find(name);
-    if (it != section_providers().end()) provider = it->second;
-  }
-  if (provider) {
-    try {
-      std::string body = provider();
-      if (!body.empty()) return body;
-    } catch (...) {
-    }
-  }
-  return "{\"enabled\":false}";
-}
 
 // Mirrors trace.cpp's EnvInit: parse once before main(), export via
 // atexit so any binary gets a report with zero code changes.
@@ -188,16 +161,6 @@ void clear_critical_paths() {
   std::lock_guard<std::mutex> lock(g_report_mutex);
   global_critical_paths().clear();
   g_next_cycle = 0;
-}
-
-void set_report_section_provider(const std::string& name,
-                                 std::function<std::string()> provider) {
-  std::lock_guard<std::mutex> lock(g_section_mutex);
-  if (provider) {
-    section_providers()[name] = std::move(provider);
-  } else {
-    section_providers().erase(name);
-  }
 }
 
 void mark_run_partial() {
@@ -336,13 +299,12 @@ void write_run_report(std::ostream& out) {
   }
   json.end_object();
 
-  // Pluggable sections (schema v4, DESIGN.md §16): the liveops plane
-  // registers "profile" (sampling-profiler summary + flame data) and
-  // "watchdog" (armed deadlines, fired overruns) providers; absent or
-  // failing providers render as a disabled stub so checkers can rely on
-  // the keys existing in every v4 report.
-  json.key("profile").raw_value(render_section("profile"));
-  json.key("watchdog").raw_value(render_section("watchdog"));
+  // Liveops sections (schema v4, DESIGN.md §16): the sampling-profiler
+  // summary + flame data and the watchdog's armed deadlines and fired
+  // overruns.  A subsystem that never started writes {"enabled":false},
+  // so checkers can rely on both keys in every report.
+  json.key("profile").raw_value(liveops::profile_section_json());
+  json.key("watchdog").raw_value(liveops::watchdog_section_json());
 
   // Convenience view for fault triage: the failure counters in one spot.
   json.key("faults").begin_object();

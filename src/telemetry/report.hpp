@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -66,16 +65,6 @@ std::vector<CriticalPathSummary> critical_paths_copy();
 /// call it between runs).
 void clear_critical_paths();
 
-/// Registers the provider for a pluggable report section (schema v4).
-/// The liveops plane — which sits *above* telemetry in the link order —
-/// registers "profile" and "watchdog" here; write_run_report calls the
-/// provider at write time and splices the returned JSON value under the
-/// section's key.  A section with no provider (or whose provider
-/// throws) is written as {"enabled": false}, so the keys are always
-/// present for the checker.  Passing a null provider unregisters.
-void set_report_section_provider(const std::string& name,
-                                 std::function<std::string()> provider);
-
 /// Marks the global report partial without touching its data; called on
 /// the fault path before flush_exports().
 void mark_run_partial();
@@ -87,8 +76,8 @@ RunReport run_report_copy();
 /// global RunReport plus the per-cycle critical paths, p50/p90/p99
 /// latency quantiles for every "*_us" histogram of the registry and the
 /// run, the time-series section (sampler + the run's per-rank series),
-/// the pluggable sections, and a dump of every metric currently in the
-/// registry.
+/// the liveops "profile" and "watchdog" sections, and a dump of every
+/// metric currently in the registry.
 void write_run_report(std::ostream& out);
 void write_run_report(const std::string& path);
 

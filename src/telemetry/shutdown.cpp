@@ -1,74 +1,32 @@
 #include "telemetry/shutdown.hpp"
 
-#include <algorithm>
-#include <cstdint>
 #include <cstdlib>
 #include <mutex>
-#include <utility>
-#include <vector>
 
+#include "telemetry/liveops/liveops.hpp"
+#include "telemetry/liveops/profiler.hpp"
+#include "telemetry/liveops/watchdog.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace senkf::telemetry {
 
-namespace {
-
-struct Hook {
-  int priority = 0;
-  std::uint64_t seq = 0;  // registration order breaks priority ties
-  std::function<void()> fn;
-};
-
-struct HookState {
-  std::mutex mutex;
-  std::vector<Hook> hooks;
-  std::uint64_t next_seq = 0;
-  bool atexit_armed = false;
-};
-
-HookState& state() {
-  // Leaked: shutdown() runs from atexit, after static destructors of
-  // anything registered during main() would already be gone.
-  static auto* s = new HookState();
-  return *s;
-}
-
-}  // namespace
-
-void register_shutdown_hook(int priority, std::function<void()> fn) {
-  HookState& s = state();
-  bool arm = false;
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.hooks.push_back(Hook{priority, s.next_seq++, std::move(fn)});
-    if (!s.atexit_armed) {
-      s.atexit_armed = true;
-      arm = true;
-    }
-  }
-  if (arm) {
-    // Registered from main()-time code, so this atexit handler runs
-    // LIFO-first — before the static-init-time trace/report exporters.
-    std::atexit([] { shutdown(); });
-  }
+void shutdown_at_exit() {
+  static std::once_flag once;
+  std::call_once(once, [] { std::atexit([] { shutdown(); }); });
 }
 
 void shutdown() noexcept {
-  HookState& s = state();
-  std::vector<Hook> hooks;
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    hooks.swap(s.hooks);  // each hook runs at most once
+  try {
+    liveops::stop_watchdog();
+  } catch (...) {
   }
-  std::stable_sort(hooks.begin(), hooks.end(), [](const Hook& a, const Hook& b) {
-    return a.priority != b.priority ? a.priority < b.priority : a.seq < b.seq;
-  });
-  for (Hook& hook : hooks) {
-    try {
-      if (hook.fn) hook.fn();
-    } catch (...) {
-      // Teardown must not abort an exiting process.
-    }
+  try {
+    liveops::stop_profiler();
+  } catch (...) {
+  }
+  try {
+    liveops::stop_liveops_http();
+  } catch (...) {
   }
   try {
     stop_sampler();

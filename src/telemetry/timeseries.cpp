@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "telemetry/shutdown.hpp"
 #include "telemetry/trace.hpp"
 
 namespace senkf::telemetry {
@@ -171,14 +172,8 @@ bool ensure_sampler_started() {
       std::thread(sampler_loop, std::chrono::milliseconds(config.interval_ms));
   g_sampler_running = true;
   g_sampler_interval_ms = config.interval_ms;
-  // Registered at first start — i.e. after the pre-main trace/report
-  // handlers — so LIFO atexit order stops the sampler before those
-  // exporters run, and the final report sees a quiesced recorder.
-  static const bool registered = [] {
-    std::atexit([] { stop_sampler(); });
-    return true;
-  }();
-  (void)registered;
+  // The final report must see a quiesced recorder.
+  shutdown_at_exit();
   return true;
 }
 

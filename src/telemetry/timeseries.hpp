@@ -98,10 +98,11 @@ struct SampleEnvConfig {
 SampleEnvConfig parse_sample_env(const char* value);
 
 /// Starts the background sampling thread per SENKF_SAMPLE_MS if not
-/// already running.  Lazy and idempotent — called from senkf()/penkf()
-/// and the examples rather than pre-main, so short-lived tools that
-/// never run a filter don't pay for a thread.  Registers an atexit stop
-/// on first start.  Returns true when a sampler is running on return.
+/// already running.  Lazy and idempotent — every engine arms it through
+/// liveops::ensure_liveops_started() rather than pre-main, so
+/// short-lived tools that never run a filter don't pay for a thread.
+/// A start installs the shutdown() atexit handler (shutdown.hpp).
+/// Returns true when a sampler is running on return.
 bool ensure_sampler_started();
 
 /// Stops the background sampler and joins its thread (idempotent).

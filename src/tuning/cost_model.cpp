@@ -117,10 +117,7 @@ PhaseDeadlines phase_deadlines(const CostModel& model,
   SENKF_REQUIRE(floor_s >= 0.0, "phase_deadlines: need floor_s >= 0");
   PhaseDeadlines d;
   d.read_s = std::max(model.t_read(p), floor_s);
-  d.comm_s = std::max(model.t_comm(p), floor_s);
-  d.comp_s = std::max(model.t_comp(p), floor_s);
   d.stage_s = std::max(model.t1(p) + model.t_comp(p), floor_s);
-  d.cycle_s = std::max(model.t_pipeline(p), floor_s);
   return d;
 }
 

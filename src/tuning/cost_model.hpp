@@ -109,10 +109,7 @@ class CostModel {
 /// "should have finished by now" estimates.
 struct PhaseDeadlines {
   double read_s = 0.0;   ///< one rank's bar reads for one stage (eq. (7))
-  double comm_s = 0.0;   ///< one stage's scatter/gather (eq. (8))
-  double comp_s = 0.0;   ///< one stage's local analysis (eq. (9))
   double stage_s = 0.0;  ///< one full stage end-to-end (read+comm+comp)
-  double cycle_s = 0.0;  ///< whole cycle (pipeline-aware total)
 };
 PhaseDeadlines phase_deadlines(const CostModel& model,
                                const vcluster::SenkfParams& p,

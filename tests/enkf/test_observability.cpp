@@ -3,6 +3,9 @@
 //  * SenkfStats derives from the run's own ledger: the phase totals
 //    equal the sum of the per-rank samples, and back-to-back runs (even
 //    across a Registry::reset) never inherit totals;
+//  * the registry's senkf.* counters advance by exactly the ledger's
+//    totals, on the fault path too;
+//  * every engine arms the SENKF_SAMPLE_MS sampler;
 //  * a run sends only data-plane messages (block batches and results);
 //  * the SENKF_REPORT writer emits schema-valid JSON whose run section
 //    matches the stats facade;
@@ -25,6 +28,8 @@
 #include <vector>
 
 #include "enkf/faulty_store.hpp"
+#include "enkf/lenkf.hpp"
+#include "enkf/penkf.hpp"
 #include "enkf/senkf.hpp"
 #include "grid/synthetic.hpp"
 #include "obs/perturbed.hpp"
@@ -272,6 +277,80 @@ TEST(Observability, BackToBackRunsDoNotInheritTotals) {
   EXPECT_EQ(third.messages, first.messages);
   EXPECT_EQ(third.ranks.size(), config.total_ranks());
   EXPECT_GT(third.io_read_seconds, 0.0);
+}
+
+// The registry's senkf.* counters are published from the run ledger once
+// per call, so one call moves them by exactly the facade's totals.
+TEST(Observability, RegistryCountersAdvanceByTheLedgerTotals) {
+  const World w(53);
+  auto& registry = telemetry::Registry::global();
+  const char* const names[] = {"senkf.io_read_ns", "senkf.io_send_ns",
+                               "senkf.comp_wait_ns", "senkf.comp_update_ns",
+                               "senkf.messages"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(registry.counter_value(name));
+  SenkfStats stats;
+  (void)senkf(w.store, w.observations, w.ys, senkf_config(), &stats);
+
+  const auto delta_s = [&](std::size_t i) {
+    return static_cast<double>(registry.counter_value(names[i]) - before[i]) /
+           1e9;
+  };
+  EXPECT_NEAR(delta_s(0), stats.io_read_seconds, 1e-9);
+  EXPECT_NEAR(delta_s(1), stats.io_send_seconds, 1e-9);
+  EXPECT_NEAR(delta_s(2), stats.comp_wait_seconds, 1e-9);
+  EXPECT_NEAR(delta_s(3), stats.comp_update_seconds, 1e-9);
+  EXPECT_EQ(registry.counter_value(names[4]) - before[4], stats.messages);
+  EXPECT_GT(stats.io_read_seconds, 0.0);
+}
+
+TEST(Observability, AbortedRunStillPublishesItsLedger) {
+  const World w(54);
+  const FaultyEnsembleStore faulty(w.store, pfs::parse_fault_plan("dead=1"));
+  SenkfConfig config = senkf_config();
+  config.fault.drop_unreadable_members = false;  // make the run abort
+  auto& registry = telemetry::Registry::global();
+  const std::uint64_t read_before = registry.counter_value("senkf.io_read_ns");
+  const std::uint64_t send_before = registry.counter_value("senkf.io_send_ns");
+
+  EXPECT_THROW(senkf(faulty, w.observations, w.ys, config),
+               pfs::PermanentReadError);
+
+  // Group 0 reads and scatters members 0, 2 and 4 whatever group 1's dead
+  // member does; the fault path publishes that prefix of the ledger.
+  EXPECT_GT(registry.counter_value("senkf.io_read_ns"), read_before);
+  EXPECT_GT(registry.counter_value("senkf.io_send_ns"), send_before);
+}
+
+// SENKF_SAMPLE_MS arms the registry sampler whichever engine runs first.
+TEST(Observability, EveryEngineArmsTheSampler) {
+  const World w(55);
+  EnkfRunConfig run_config;
+  run_config.n_sdx = 4;
+  run_config.n_sdy = 2;
+  run_config.layers = 3;
+  run_config.analysis.halo = grid::Halo{2, 1};
+  const auto lenkf_run = [&] {
+    return lenkf(w.store, w.observations, w.ys, run_config);
+  };
+  const auto penkf_run = [&] {
+    return penkf(w.store, w.observations, w.ys, run_config);
+  };
+  const auto senkf_run = [&] {
+    return senkf(w.store, w.observations, w.ys, senkf_config());
+  };
+  const auto interval_armed_by = [](const char* ms, const auto& engine) {
+    ::setenv("SENKF_SAMPLE_MS", ms, 1);
+    (void)engine();
+    ::unsetenv("SENKF_SAMPLE_MS");
+    const std::int64_t interval = telemetry::sampler_interval_ms();
+    telemetry::stop_sampler();
+    return interval;
+  };
+  EXPECT_EQ(interval_armed_by("7", lenkf_run), 7);
+  EXPECT_EQ(interval_armed_by("8", penkf_run), 8);
+  EXPECT_EQ(interval_armed_by("9", senkf_run), 9);
+  telemetry::TimeSeriesRecorder::global().clear();
 }
 
 TEST(Observability, AggregationSurvivesInjectedFaults) {

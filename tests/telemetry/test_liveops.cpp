@@ -148,7 +148,8 @@ TEST(Shutdown, StopsEveryLiveopsSubsystemInOrderAndIsRestartable) {
   EXPECT_FALSE(profiler_running());
   EXPECT_FALSE(watchdog_running());
 
-  // shutdown() is idempotent (the hooks were consumed)...
+  // shutdown() is idempotent (every stop is a no-op on a stopped
+  // subsystem)...
   telemetry::shutdown();
 
   // ...and a new run can re-arm every subsystem.

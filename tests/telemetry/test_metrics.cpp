@@ -211,13 +211,5 @@ TEST(HistogramQuantile, ClampsQ) {
                    histogram_quantile(bounds, buckets, 1.0));
 }
 
-TEST(ScopedTimer, AddsElapsedNanoseconds) {
-  Counter c;
-  { ScopedTimerNs timer(c); }
-  const auto first = c.value();
-  { ScopedTimerNs timer(c); }
-  EXPECT_GE(c.value(), first);  // monotone accumulation
-}
-
 }  // namespace
 }  // namespace senkf::telemetry

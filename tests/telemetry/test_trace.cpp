@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "telemetry/phase.hpp"
 #include "telemetry/trace.hpp"
 #include "test_json.hpp"
 
@@ -45,6 +47,36 @@ TEST_F(TraceTest, DisabledTracingRecordsNothing) {
   set_tracing_enabled(false);
   { TraceSpan span(Category::kRead, "invisible"); }
   EXPECT_TRUE(collect_events().empty());
+}
+
+TEST_F(TraceTest, CountedSpanAddsItsTracedIntervalToItsCounter) {
+  Counter counter;
+  set_thread_rank(5);
+  {
+    CountedSpan span(Category::kWait, "stage_wait", counter, 2);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  const auto events = collect_events();
+  ASSERT_EQ(events.size(), 1u);
+  const TraceEvent& event = events[0];
+  EXPECT_STREQ(event.name, "stage_wait");
+  EXPECT_EQ(event.category, Category::kWait);
+  EXPECT_EQ(event.rank, 5);
+  EXPECT_EQ(event.stage, 2);
+  // One clock pair: the counter holds exactly the recorded interval.
+  EXPECT_EQ(counter.value(),
+            static_cast<std::uint64_t>(event.t_end_ns - event.t_start_ns));
+  EXPECT_GE(counter.value(), 50'000u);
+
+  // Untraced, the counter still accumulates and no event is recorded.
+  set_tracing_enabled(false);
+  const std::uint64_t traced = counter.value();
+  {
+    CountedSpan span(Category::kWait, "stage_wait", counter, 2);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  EXPECT_GE(counter.value(), traced + 50'000u);
+  EXPECT_EQ(collect_events().size(), 1u);
 }
 
 TEST_F(TraceTest, NestedSpansAreContainedAndOrdered) {

@@ -82,6 +82,17 @@ TEST(CostModel, TotalCombinesPhases) {
   EXPECT_NEAR(model.t1(sp), model.t_read(sp) + model.t_comm(sp), 1e-15);
 }
 
+TEST(CostModel, PhaseDeadlinesAreTheStagePredictionsFloored) {
+  const CostModel model(simple_params());
+  const auto sp = simple_point();
+  const PhaseDeadlines raw = phase_deadlines(model, sp, 0.0);
+  EXPECT_DOUBLE_EQ(raw.read_s, model.t_read(sp));
+  EXPECT_DOUBLE_EQ(raw.stage_s, model.t1(sp) + model.t_comp(sp));
+  const PhaseDeadlines floored = phase_deadlines(model, sp, 1e3);
+  EXPECT_DOUBLE_EQ(floored.read_s, 1e3);
+  EXPECT_DOUBLE_EQ(floored.stage_s, 1e3);
+}
+
 TEST(CostModel, FeasibilityConstraints) {
   const CostModel model(simple_params());
   auto sp = simple_point();
