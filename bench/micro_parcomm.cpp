@@ -252,51 +252,6 @@ void BM_SendBlockTraceOn(benchmark::State& state) {
 }
 BENCHMARK(BM_SendBlockTraceOn)->Arg(262144)->UseRealTime();
 
-void BM_Barrier(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(ranks, [](Communicator& world) {
-      for (int i = 0; i < 32; ++i) world.barrier();
-    });
-  }
-}
-BENCHMARK(BM_Barrier)->Arg(2)->Arg(8)->Arg(32);
-
-void BM_Broadcast(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(ranks, [](Communicator& world) {
-      std::vector<double> data(1024, 1.0);
-      for (int i = 0; i < 8; ++i) world.broadcast(0, data);
-    });
-  }
-}
-BENCHMARK(BM_Broadcast)->Arg(4)->Arg(16);
-
-void BM_Allreduce(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(ranks, [](Communicator& world) {
-      for (int i = 0; i < 8; ++i) {
-        benchmark::DoNotOptimize(world.allreduce(
-            static_cast<double>(world.rank()), Communicator::ReduceOp::kSum));
-      }
-    });
-  }
-}
-BENCHMARK(BM_Allreduce)->Arg(4)->Arg(16);
-
-void BM_Split(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Runtime::run(ranks, [](Communicator& world) {
-      auto sub = world.split(world.rank() % 2, world.rank());
-      benchmark::DoNotOptimize(sub);
-    });
-  }
-}
-BENCHMARK(BM_Split)->Arg(4)->Arg(16);
-
 }  // namespace
 
 BENCHMARK_MAIN();

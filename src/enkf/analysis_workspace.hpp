@@ -29,11 +29,10 @@ using grid::Index;
 
 class LocalAnalysisWorkspace {
  public:
-  /// Mode is forwarded to the arena — tests pin kPooled/kHeap to compare
-  /// the two allocation strategies explicitly; the pool uses kAuto
-  /// (SENKF_ARENA).
+  /// Mode is forwarded to the arena — tests pin kHeap to check that
+  /// results do not depend on the allocation strategy.
   explicit LocalAnalysisWorkspace(
-      support::Arena::Mode mode = support::Arena::Mode::kAuto);
+      support::Arena::Mode mode = support::Arena::Mode::kPooled);
 
   LocalAnalysisWorkspace(const LocalAnalysisWorkspace&) = delete;
   LocalAnalysisWorkspace& operator=(const LocalAnalysisWorkspace&) = delete;

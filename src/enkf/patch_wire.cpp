@@ -27,20 +27,6 @@ void pack_patch(parcomm::Packer& packer, const PatchView& patch) {
   packer.put_span(patch.values());
 }
 
-void pack_field_block(parcomm::Packer& packer, const grid::Field& field,
-                      grid::Rect rect) {
-  const grid::LatLonGrid& g = field.grid();
-  SENKF_REQUIRE(rect.x.end <= g.nx() && rect.y.end <= g.ny(),
-                "pack_field_block: rect outside grid");
-  pack_rect(packer, rect);
-  packer.put<std::uint64_t>(rect.count());
-  for (grid::Index y = rect.y.begin; y < rect.y.end; ++y) {
-    const double* row = field.data().data() + g.flat_index(rect.x.begin, y);
-    packer.put_raw(row, rect.x.size());
-  }
-  if (rect.count() > 0) parcomm::detail::payload_copies_counter().add(1);
-}
-
 void pack_patch_block(parcomm::Packer& packer, const PatchView& bar,
                       grid::Rect block) {
   SENKF_REQUIRE(grid::rect_contains(bar.rect(), block),
@@ -66,12 +52,6 @@ std::span<double> pack_patch_slot(parcomm::Packer& packer, grid::Rect rect) {
   // The producer's in-place fill is the one body write this block sees.
   if (rect.count() > 0) parcomm::detail::payload_copies_counter().add(1);
   return body;
-}
-
-grid::Patch unpack_patch(parcomm::Unpacker& unpacker) {
-  const grid::Rect rect = unpack_rect(unpacker);
-  auto values = unpacker.get_vector<double>();
-  return grid::Patch(rect, std::move(values));
 }
 
 PatchView unpack_patch_view(parcomm::Unpacker& unpacker) {

@@ -2,11 +2,10 @@
 //
 // The wire format of one block is: 4 u64 rect bounds, then a u64 count,
 // then `count` doubles (the same framing as Packer::put_span, so the body
-// can be read back either as an owning vector or, zero-copy, as a
-// grid::PatchView aliasing the payload bytes).  Every field is 8 bytes,
-// so block bodies are always 8-byte aligned however blocks are
-// concatenated — the alignment contract Unpacker::view<double>() relies
-// on.
+// reads back zero-copy as a grid::PatchView aliasing the payload bytes).
+// Every field is 8 bytes, so block bodies are always 8-byte aligned
+// however blocks are concatenated — the alignment contract
+// Unpacker::view<double>() relies on.
 #pragma once
 
 #include <span>
@@ -24,15 +23,11 @@ using PatchView = grid::PatchView;
 /// are re-packed without materializing.
 void pack_patch(parcomm::Packer& packer, const PatchView& patch);
 
-/// Packs the block `rect` straight from the field's row storage — the
+/// Packs the sub-rectangle `block` of `bar` straight from the bar's row
+/// storage (`block` must lie inside the bar's rect) — the
 /// zero-intermediate path for scattering bar slices: no `extract` Patch
-/// is ever built, and the body is copied exactly once (field rows →
+/// is ever built, and the body is copied exactly once (bar rows →
 /// payload).
-void pack_field_block(parcomm::Packer& packer, const grid::Field& field,
-                      grid::Rect rect);
-
-/// Same, packing the sub-rectangle `block` of `bar` straight from the
-/// bar's row storage (`block` must lie inside the bar's rect).
 void pack_patch_block(parcomm::Packer& packer, const PatchView& bar,
                       grid::Rect block);
 
@@ -47,10 +42,6 @@ std::size_t packed_patch_size(grid::Rect rect);
 /// by the next append to `packer`; the resulting bytes are identical to
 /// pack_patch of a patch holding the same values.
 std::span<double> pack_patch_slot(parcomm::Packer& packer, grid::Rect rect);
-
-/// Reads back an owning Patch written by pack_patch/pack_field_block
-/// (one copy-out).
-grid::Patch unpack_patch(parcomm::Unpacker& unpacker);
 
 /// Zero-copy read: returns a view aliasing the payload bytes in place.
 /// Valid only while the payload lives — callers keep the SharedPayload

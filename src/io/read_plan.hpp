@@ -1,14 +1,15 @@
-// Reading plans: the single source of truth for who reads what.
+// Reading plans: the reference schedules of who reads what.
 //
 // The paper's three reading designs — block reading (§4.1.1), bar reading
 // (§4.1.2) and concurrent access (§4.1.3) — are, stripped of their
 // execution substrate, *schedules*: an assignment of (member file, region,
 // sequence position) to readers.  This module builds those schedules from
-// a Decomposition, so that
-//  * the numeric plane executes them against an EnsembleStore,
-//  * the timing plane prices them against the PFS model, and
-//  * tests can assert the paper's seek-count arithmetic directly on the
-//    plan, independent of either executor.
+// a Decomposition.  Neither execution plane runs them: the numeric
+// engines and the DES workflows each compute their own reads.  The plans
+// are the reference both are checked against — tests compare the
+// engines' store counters and the workflows' simulated times with the
+// plans (vcluster::simulate_read_plan prices a plan on the PFS model), and
+// assert the paper's seek-count arithmetic directly on the plan.
 #pragma once
 
 #include <vector>

@@ -1,82 +1,18 @@
 #include "parcomm/bus.hpp"
 
-#include <algorithm>
-
 namespace senkf::parcomm {
 
-void BarrierState::arrive_and_wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const std::uint64_t my_generation = generation_;
-  if (++arrived_ == participants_) {
-    arrived_ = 0;
-    ++generation_;
-    cv_.notify_all();
-    return;
-  }
-  cv_.wait(lock, [&] { return generation_ != my_generation; });
-}
-
-SplitOutcome SplitState::arrive(int rank, SplitEntry entry) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const std::uint64_t my_generation = generation_;
-  SENKF_REQUIRE(entries_.emplace(rank, entry).second,
-                "split: rank arrived twice in the same round");
-  if (static_cast<int>(entries_.size()) == participants_) {
-    // Last arrival computes the outcome for everyone.  Colors are grouped;
-    // within a color, ranks are ordered by (key, old rank).
-    std::map<int, std::vector<std::pair<int, int>>> groups;  // color→(key,rank)
-    for (const auto& [r, e] : entries_) {
-      if (e.color >= 0) groups[e.color].push_back({e.key, r});
-    }
-    outcomes_.clear();
-    for (auto& [color, members] : groups) {
-      std::sort(members.begin(), members.end());
-      for (std::size_t new_rank = 0; new_rank < members.size(); ++new_rank) {
-        outcomes_[members[new_rank].second] =
-            SplitOutcome{true, static_cast<int>(new_rank),
-                         static_cast<int>(members.size())};
-      }
-    }
-    for (const auto& [r, e] : entries_) {
-      if (e.color < 0) outcomes_[r] = SplitOutcome{false, 0, 0};
-    }
-    entries_.clear();
-    ++generation_;
-    cv_.notify_all();
-  } else {
-    cv_.wait(lock, [&] { return generation_ != my_generation; });
-  }
-  return outcomes_.at(rank);
-}
-
-Bus::Bus(int world_size) : world_size_(world_size) {
+Bus::Bus(int world_size) {
   SENKF_REQUIRE(world_size > 0, "Bus: world size must be positive");
-  comms_.push_back(std::make_unique<CommState>(world_size));
+  mailboxes_.reserve(world_size);
+  for (int rank = 0; rank < world_size; ++rank) {
+    mailboxes_.push_back(std::make_unique<Mailbox>());
+  }
 }
 
-int Bus::create_communicator(int size) {
-  SENKF_REQUIRE(size > 0, "Bus: communicator size must be positive");
-  std::lock_guard<std::mutex> lock(mutex_);
-  comms_.push_back(std::make_unique<CommState>(size));
-  return static_cast<int>(comms_.size()) - 1;
+Mailbox& Bus::mailbox(int rank) {
+  SENKF_REQUIRE(rank >= 0 && rank < world_size(), "Bus: rank out of range");
+  return *mailboxes_[rank];
 }
-
-Bus::CommState& Bus::comm(int comm_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  SENKF_REQUIRE(comm_id >= 0 && comm_id < static_cast<int>(comms_.size()),
-                "Bus: unknown communicator id");
-  return *comms_[comm_id];
-}
-
-Mailbox& Bus::mailbox(int comm_id, int rank) {
-  CommState& state = comm(comm_id);
-  SENKF_REQUIRE(rank >= 0 && rank < static_cast<int>(state.mailboxes.size()),
-                "Bus: rank out of range for communicator");
-  return *state.mailboxes[rank];
-}
-
-BarrierState& Bus::barrier(int comm_id) { return comm(comm_id).barrier; }
-
-SplitState& Bus::split_state(int comm_id) { return comm(comm_id).split; }
 
 }  // namespace senkf::parcomm

@@ -1,106 +1,29 @@
-// Shared state behind a Runtime: mailboxes, barriers and split
-// coordination, keyed by communicator id.
+// Shared state behind a Runtime: one Mailbox per world rank.
 //
 // A Bus is shared (via shared_ptr) by every Communicator spawned from one
-// Runtime.  It owns one Mailbox per (communicator, rank), one generation-
-// counting barrier per communicator, and the rendezvous state used by
-// Communicator::split.  All members are internally synchronized.
+// Runtime.  The mailboxes are built in the constructor, before any rank
+// thread starts, and the set never changes afterwards, so looking one up
+// takes no lock; each Mailbox synchronizes its own queue.
 #pragma once
 
-#include <condition_variable>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "parcomm/mailbox.hpp"
 
 namespace senkf::parcomm {
 
-/// Sense-reversing-style barrier with generation counter, reusable across
-/// any number of rounds.
-class BarrierState {
- public:
-  explicit BarrierState(int participants) : participants_(participants) {}
-
-  void arrive_and_wait();
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int participants_;
-  int arrived_ = 0;
-  std::uint64_t generation_ = 0;
-};
-
-/// Rendezvous used by Communicator::split: every rank deposits its
-/// (color, key), the last arrival computes the outcome for everyone.
-struct SplitEntry {
-  int color = 0;
-  int key = 0;
-};
-
-struct SplitOutcome {
-  bool member = false;  ///< false when the rank passed kUndefinedColor
-  int new_rank = 0;
-  int new_size = 0;
-};
-
-class SplitState {
- public:
-  explicit SplitState(int participants) : participants_(participants) {}
-
-  /// Deposits this rank's entry and blocks until every participant has
-  /// arrived; returns this rank's group placement (communicator ids are
-  /// assigned afterwards by the group leaders, see Communicator::split).
-  SplitOutcome arrive(int rank, SplitEntry entry);
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int participants_;
-  int arrived_ = 0;
-  std::uint64_t generation_ = 0;
-  std::map<int, SplitEntry> entries_;
-  std::map<int, SplitOutcome> outcomes_;
-};
-
 class Bus {
  public:
-  /// Creates the bus and communicator 0 ("world") with `world_size` ranks.
   explicit Bus(int world_size);
 
-  int world_size() const { return world_size_; }
+  int world_size() const { return static_cast<int>(mailboxes_.size()); }
 
-  /// Registers a communicator with `size` ranks; returns its id.
-  int create_communicator(int size);
-
-  /// Mailbox of (comm, rank); the communicator must exist.
-  Mailbox& mailbox(int comm_id, int rank);
-
-  /// Barrier shared by the ranks of `comm_id`.
-  BarrierState& barrier(int comm_id);
-
-  /// Split rendezvous of `comm_id`.
-  SplitState& split_state(int comm_id);
+  /// Mailbox of world rank `rank`.
+  Mailbox& mailbox(int rank);
 
  private:
-  struct CommState {
-    explicit CommState(int size)
-        : mailboxes(size), barrier(size), split(size) {
-      for (auto& box : mailboxes) box = std::make_unique<Mailbox>();
-    }
-    std::vector<std::unique_ptr<Mailbox>> mailboxes;
-    BarrierState barrier;
-    SplitState split;
-  };
-
-  CommState& comm(int comm_id);
-
-  mutable std::mutex mutex_;
-  int world_size_;
-  std::vector<std::unique_ptr<CommState>> comms_;
+  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 };
 
 }  // namespace senkf::parcomm

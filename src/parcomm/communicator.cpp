@@ -1,7 +1,5 @@
 #include "parcomm/communicator.hpp"
 
-#include <algorithm>
-
 #include "telemetry/phase.hpp"
 
 namespace senkf::parcomm {
@@ -19,48 +17,32 @@ telemetry::Counter& bytes_sent_counter() {
 }
 }  // namespace
 
-Envelope Request::wait() {
-  if (done_ || box_ == nullptr) return std::move(result_);
-  result_ = box_->pop(source_, tag_);
-  done_ = true;
-  return std::move(result_);
-}
-
-bool Request::test() {
-  if (done_ || box_ == nullptr) return true;
-  if (auto envelope = box_->try_pop(source_, tag_)) {
-    result_ = std::move(*envelope);
-    done_ = true;
-    return true;
-  }
-  return false;
-}
-
-Communicator::Communicator(std::shared_ptr<Bus> bus, int comm_id, int rank,
-                           int size)
-    : bus_(std::move(bus)), comm_id_(comm_id), rank_(rank), size_(size) {
+Communicator::Communicator(std::shared_ptr<Bus> bus, int rank, int size)
+    : bus_(std::move(bus)), rank_(rank), size_(size) {
   SENKF_REQUIRE(bus_ != nullptr, "Communicator: bus must not be null");
   SENKF_REQUIRE(rank >= 0 && rank < size, "Communicator: rank out of range");
 }
 
-Mailbox& Communicator::my_mailbox() { return bus_->mailbox(comm_id_, rank_); }
+Mailbox& Communicator::my_mailbox() { return bus_->mailbox(rank_); }
 
-Mailbox& Communicator::mailbox_of(int rank) {
-  SENKF_REQUIRE(rank >= 0 && rank < size_,
-                "Communicator: destination rank out of range");
-  return bus_->mailbox(comm_id_, rank);
+void Communicator::send(int dest, int tag, Payload payload) {
+  send_shared(dest, tag, SharedPayload(std::move(payload)));
 }
 
-void Communicator::post(int dest, int tag, SharedPayload payload) {
+void Communicator::send_shared(int dest, int tag, SharedPayload payload) {
+  SENKF_REQUIRE(dest >= 0 && dest < size_,
+                "Communicator: destination rank out of range");
+  SENKF_REQUIRE(tag >= 0, "Communicator::send: user tags must be >= 0");
+  telemetry::CountedSpan span(telemetry::Category::kSend, "send",
+                              send_ns_counter());
   Envelope envelope;
   envelope.source = rank_;
   envelope.tag = tag;
   envelope.payload = std::move(payload);
   bytes_sent_counter().add(envelope.payload.size());
   if (telemetry::tracing_enabled()) {
-    // World rank of the sending thread, not the comm-local rank_: split
-    // communicators renumber ranks, but trace attribution (pid rows, the
-    // critical-path table) is keyed by world rank throughout.
+    // Attributed to the sending thread's rank, the key every trace span
+    // (pid rows, the critical-path table) is recorded under.
     envelope.ctx.origin_rank = telemetry::thread_rank();
     envelope.ctx.span_id = telemetry::alloc_flow_id();
     envelope.ctx.send_ns = telemetry::now_ns();
@@ -78,18 +60,7 @@ void Communicator::post(int dest, int tag, SharedPayload payload) {
     event.flow = telemetry::FlowDir::kOut;
     telemetry::record_event(event);
   }
-  mailbox_of(dest).push(std::move(envelope));
-}
-
-void Communicator::send(int dest, int tag, Payload payload) {
-  send_shared(dest, tag, SharedPayload(std::move(payload)));
-}
-
-void Communicator::send_shared(int dest, int tag, SharedPayload payload) {
-  SENKF_REQUIRE(tag >= 0, "Communicator::send: user tags must be >= 0");
-  telemetry::CountedSpan span(telemetry::Category::kSend, "send",
-                              send_ns_counter());
-  post(dest, tag, std::move(payload));
+  bus_->mailbox(dest).push(std::move(envelope));
 }
 
 void Communicator::send_doubles(int dest, int tag,
@@ -103,226 +74,14 @@ Envelope Communicator::recv(int source, int tag) {
   return my_mailbox().pop(source, tag);
 }
 
-std::optional<Envelope> Communicator::recv_for(
-    int source, int tag, std::chrono::milliseconds timeout) {
-  return my_mailbox().pop_for(source, tag, timeout);
-}
-
 std::vector<double> Communicator::recv_doubles(int source, int tag) {
   const Envelope envelope = recv(source, tag);
   Unpacker unpacker(envelope.payload);
   return unpacker.get_vector<double>();
 }
 
-Request Communicator::isend(int dest, int tag, Payload payload) {
-  send(dest, tag, std::move(payload));
-  return Request();  // buffered: already complete
-}
-
-Request Communicator::irecv(int source, int tag) {
-  return Request(&my_mailbox(), source, tag);
-}
-
 bool Communicator::iprobe(int source, int tag) {
-  // try_pop + re-push moves the matched envelope to the queue tail, which
-  // can reorder same-signature messages relative to one another only when
-  // two matching envelopes are queued; callers that mix iprobe with
-  // order-sensitive streams should use distinct tags per message kind (the
-  // library's own users all do).
-  if (auto envelope = my_mailbox().try_pop(source, tag)) {
-    my_mailbox().push(std::move(*envelope));
-    return true;
-  }
-  return false;
-}
-
-void Communicator::barrier() { bus_->barrier(comm_id_).arrive_and_wait(); }
-
-void Communicator::broadcast(int root, std::vector<double>& values) {
-  SENKF_REQUIRE(root >= 0 && root < size_,
-                "Communicator::broadcast: bad root");
-  if (size_ == 1) return;
-  if (rank_ == root) {
-    // Pack once, seal once: every destination receives a handle to the
-    // same immutable buffer — fan-out is O(P) pointer pushes, not O(P)
-    // payload copies.
-    Packer packer;
-    packer.reserve(sizeof(std::uint64_t) + values.size() * sizeof(double));
-    packer.put_vector(values);
-    const SharedPayload payload = packer.take_shared();
-    for (int r = 0; r < size_; ++r) {
-      if (r == root) continue;
-      post(r, kCollectiveTag, payload);
-    }
-  } else {
-    const Envelope envelope = my_mailbox().pop(root, kCollectiveTag);
-    Unpacker unpacker(envelope.payload);
-    values = unpacker.get_vector<double>();
-  }
-}
-
-std::vector<double> Communicator::scatter(
-    int root, const std::vector<std::vector<double>>& chunks) {
-  SENKF_REQUIRE(root >= 0 && root < size_, "Communicator::scatter: bad root");
-  if (rank_ == root) {
-    SENKF_REQUIRE(chunks.size() == static_cast<std::size_t>(size_),
-                  "Communicator::scatter: need one chunk per rank");
-    for (int r = 0; r < size_; ++r) {
-      if (r == root) continue;
-      Packer packer;
-      packer.reserve(sizeof(std::uint64_t) + chunks[r].size() * sizeof(double));
-      packer.put_vector(chunks[r]);
-      post(r, kCollectiveTag, packer.take_shared());
-    }
-    return chunks[root];
-  }
-  const Envelope envelope = my_mailbox().pop(root, kCollectiveTag);
-  Unpacker unpacker(envelope.payload);
-  return unpacker.get_vector<double>();
-}
-
-std::vector<std::vector<double>> Communicator::gather(
-    int root, const std::vector<double>& mine) {
-  SENKF_REQUIRE(root >= 0 && root < size_, "Communicator::gather: bad root");
-  if (rank_ != root) {
-    Packer packer;
-    packer.put_vector(mine);
-    post(root, kCollectiveTag, SharedPayload(packer.take()));
-    return {};
-  }
-  std::vector<std::vector<double>> gathered(size_);
-  gathered[root] = mine;
-  for (int r = 0; r < size_; ++r) {
-    if (r == root) continue;
-    const Envelope envelope = my_mailbox().pop(r, kCollectiveTag);
-    Unpacker unpacker(envelope.payload);
-    gathered[r] = unpacker.get_vector<double>();
-  }
-  return gathered;
-}
-
-std::vector<double> Communicator::allreduce(const std::vector<double>& mine,
-                                            ReduceOp op) {
-  // Binomial-tree reduce to rank 0, then binomial-tree broadcast back:
-  // O(log P) rounds on both legs instead of rank 0 touching all P
-  // contributions serially.  Same kCollectiveTag framing as before;
-  // parcomm stays the correctness plane — the DES models collective
-  // costs separately (net/collectives.hpp).
-  const auto combine = [op](std::vector<double>& acc,
-                            std::span<const double> other) {
-    SENKF_REQUIRE(other.size() == acc.size(),
-                  "Communicator::allreduce: length mismatch across ranks");
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      switch (op) {
-        case ReduceOp::kSum:
-          acc[i] += other[i];
-          break;
-        case ReduceOp::kMin:
-          acc[i] = std::min(acc[i], other[i]);
-          break;
-        case ReduceOp::kMax:
-          acc[i] = std::max(acc[i], other[i]);
-          break;
-      }
-    }
-  };
-  const auto send_doubles_collective = [&](int dest,
-                                           const std::vector<double>& values) {
-    Packer packer;
-    packer.reserve(sizeof(std::uint64_t) + values.size() * sizeof(double));
-    packer.put_vector(values);
-    post(dest, kCollectiveTag, packer.take_shared());
-  };
-
-  std::vector<double> acc = mine;
-  // Reduce leg: in round `mask` the ranks with that bit set fold their
-  // partial into the partner below and go passive.
-  for (int mask = 1; mask < size_; mask <<= 1) {
-    if ((rank_ & mask) != 0) {
-      send_doubles_collective(rank_ - mask, acc);
-      break;
-    }
-    if (rank_ + mask < size_) {
-      const Envelope envelope =
-          my_mailbox().pop(rank_ + mask, kCollectiveTag);
-      Unpacker unpacker(envelope.payload);
-      combine(acc, unpacker.view<double>());
-    }
-  }
-
-  // Broadcast leg: the reverse tree — each rank receives once from the
-  // partner that owns its subtree (the rank below its lowest set bit),
-  // then fans out to the subtree below that bit.  For rank 0 the loop
-  // leaves up_mask at the first power of two >= size, so its children
-  // sweep every bit position.
-  int up_mask = 1;
-  while (up_mask < size_ && (rank_ & up_mask) == 0) up_mask <<= 1;
-  if (rank_ != 0) {
-    const Envelope envelope =
-        my_mailbox().pop(rank_ - up_mask, kCollectiveTag);
-    Unpacker unpacker(envelope.payload);
-    acc = unpacker.get_vector<double>();
-  }
-  for (int mask = up_mask >> 1; mask > 0; mask >>= 1) {
-    if (rank_ + mask < size_) send_doubles_collective(rank_ + mask, acc);
-  }
-  return acc;
-}
-
-double Communicator::allreduce(double mine, ReduceOp op) {
-  return allreduce(std::vector<double>{mine}, op)[0];
-}
-
-std::unique_ptr<Communicator> Communicator::split(int color, int key) {
-  SENKF_REQUIRE(color >= 0 || color == kUndefinedColor,
-                "Communicator::split: colors must be >= 0 or undefined");
-  // Phase 1 — rendezvous: every rank deposits (color, key) and learns its
-  // group placement (new rank and group size).
-  const SplitOutcome outcome =
-      bus_->split_state(comm_id_).arrive(rank_, SplitEntry{color, key});
-
-  // Phase 2 — id distribution: each group's new-rank-0 creates the
-  // communicator and announces (id, color) to every parent rank.  Every
-  // announcement copy is private to its recipient, so discarding a
-  // foreign-color copy is safe.
-  std::unique_ptr<Communicator> result;
-  if (color != kUndefinedColor) {
-    if (outcome.new_rank == 0) {
-      const int new_id = bus_->create_communicator(outcome.new_size);
-      Packer packer;
-      packer.put<int>(new_id);
-      packer.put<int>(color);
-      const SharedPayload announcement = packer.take_shared();
-      for (int r = 0; r < size_; ++r) {
-        if (r == rank_) continue;
-        post(r, kSplitTag, announcement);
-      }
-      result = std::make_unique<Communicator>(bus_, new_id, 0,
-                                              outcome.new_size);
-    } else {
-      int my_comm_id = -1;
-      while (my_comm_id == -1) {
-        const Envelope envelope = my_mailbox().pop(kAnySource, kSplitTag);
-        Unpacker unpacker(envelope.payload);
-        const int announced_id = unpacker.get<int>();
-        const int announced_color = unpacker.get<int>();
-        if (announced_color == color) my_comm_id = announced_id;
-      }
-      result = std::make_unique<Communicator>(bus_, my_comm_id,
-                                              outcome.new_rank,
-                                              outcome.new_size);
-    }
-  }
-
-  // Phase 3 — cleanup: once every rank has passed the first barrier all
-  // announcements have been pushed, so draining leftovers is race-free.
-  // The trailing barrier fences this round's traffic from a subsequent
-  // split() on the same parent communicator.
-  barrier();
-  while (my_mailbox().try_pop(kAnySource, kSplitTag)) {
-  }
-  barrier();
-  return result;
+  return my_mailbox().probe(source, tag);
 }
 
 }  // namespace senkf::parcomm

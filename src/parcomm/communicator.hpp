@@ -1,15 +1,16 @@
-// MPI-flavoured communicator over the in-process Bus.
+// Point-to-point communicator over the in-process Bus.
 //
-// This is the library's stand-in for the MPI subset the paper's workflows
-// use (see DESIGN.md §2): blocking and buffered-nonblocking point-to-point,
-// the collectives EnKF needs (barrier, bcast, scatter(v)/gather(v),
-// allreduce) and communicator splitting — which S-EnKF uses to carve the
-// processor set into I/O groups and computation ranks.
+// The library's stand-in for the MPI subset the paper's pipeline uses
+// (see DESIGN.md §2): data moves only point to point — I/O ranks send
+// layer blocks to computation ranks, L-EnKF's reader scatters by plain
+// sends — so a Communicator offers buffered send, blocking receive and a
+// non-blocking probe over one world of ranks.  Rank groups (S-EnKF's I/O
+// and computation sets) are index arithmetic on world ranks, not
+// sub-communicators.
 //
 // Semantics: sends are buffered (they never block), receives match on
 // (source, tag) with wildcards and are non-overtaking per (source, tag)
-// pair.  All collectives must be called by every rank of the communicator
-// in the same order, as in MPI.
+// pair.
 #pragma once
 
 #include <memory>
@@ -19,49 +20,22 @@
 
 namespace senkf::parcomm {
 
-/// Color for Communicator::split meaning "I opt out of every group".
-inline constexpr int kUndefinedColor = -1;
-
-/// Handle for a pending non-blocking operation.  Buffered isend completes
-/// immediately; irecv completes on wait()/test().
-class Request {
- public:
-  /// Blocks until complete; returns the received envelope for irecv (an
-  /// empty envelope for isend).
-  Envelope wait();
-
-  /// True when a wait() would not block.
-  bool test();
-
- private:
-  friend class Communicator;
-  Request() = default;  // completed isend
-  Request(Mailbox* box, int source, int tag)
-      : box_(box), source_(source), tag_(tag) {}
-
-  Mailbox* box_ = nullptr;  // null → already complete
-  int source_ = kAnySource;
-  int tag_ = kAnyTag;
-  bool done_ = false;
-  Envelope result_;
-};
-
 class Communicator {
  public:
-  Communicator(std::shared_ptr<Bus> bus, int comm_id, int rank, int size);
+  Communicator(std::shared_ptr<Bus> bus, int rank, int size);
 
   int rank() const { return rank_; }
   int size() const { return size_; }
-  int id() const { return comm_id_; }
-
-  // ---- point-to-point ----------------------------------------------------
 
   /// Buffered send: seals the payload (no copy) and returns immediately.
   void send(int dest, int tag, Payload payload);
 
   /// Buffered send of an already-sealed payload handle — the fan-out
   /// primitive: sending the same handle to many destinations moves
-  /// pointers, never bytes.
+  /// pointers, never bytes.  Counts payload bytes and, while tracing is
+  /// armed, stamps the causal span context (origin rank, fresh flow id,
+  /// send timestamp) and records the flow-origin trace event (DESIGN.md
+  /// §13); with tracing off that costs one relaxed atomic load.
   void send_shared(int dest, int tag, SharedPayload payload);
 
   /// Convenience: packs a vector of doubles.
@@ -70,77 +44,18 @@ class Communicator {
   /// Blocking receive with wildcard support.
   Envelope recv(int source = kAnySource, int tag = kAnyTag);
 
-  /// Deadline-aware receive: blocks at most `timeout` and returns nullopt
-  /// when nothing matched — a status, not an error, so callers can treat
-  /// a silent peer as a straggler instead of hanging forever (the
-  /// building block of S-EnKF's degraded I/O paths).
-  std::optional<Envelope> recv_for(int source, int tag,
-                                   std::chrono::milliseconds timeout);
-
   /// Convenience: unpacks a vector of doubles (payload must be one).
   std::vector<double> recv_doubles(int source = kAnySource,
                                    int tag = kAnyTag);
 
-  /// Non-blocking (buffered) send: completes immediately.
-  Request isend(int dest, int tag, Payload payload);
-
-  /// Non-blocking receive: completes when wait()/test() finds a match.
-  Request irecv(int source = kAnySource, int tag = kAnyTag);
-
-  /// Non-blocking probe: true if a matching message is queued.
+  /// Non-blocking probe: true if a matching message is queued.  Removes
+  /// nothing, so the order of queued messages is left as it was.
   bool iprobe(int source = kAnySource, int tag = kAnyTag);
-
-  // ---- collectives ---------------------------------------------------------
-
-  /// All ranks block until every rank arrived.
-  void barrier();
-
-  /// Root's `values` is broadcast to everyone; others receive into it.
-  void broadcast(int root, std::vector<double>& values);
-
-  /// Root scatters `chunks[i]` to rank i (chunks may differ in length);
-  /// returns this rank's chunk.  Non-roots pass an empty vector.
-  std::vector<double> scatter(int root,
-                              const std::vector<std::vector<double>>& chunks);
-
-  /// Every rank contributes `mine`; root returns all contributions in rank
-  /// order (others get an empty vector).  Variable lengths allowed.
-  std::vector<std::vector<double>> gather(int root,
-                                          const std::vector<double>& mine);
-
-  enum class ReduceOp { kSum, kMin, kMax };
-
-  /// Element-wise allreduce over equal-length vectors: binomial-tree
-  /// reduce to rank 0 followed by a binomial-tree broadcast (O(log P)
-  /// rounds each way).  Note the summation order differs from a serial
-  /// rank-0..P-1 fold, as in any tree reduction.
-  std::vector<double> allreduce(const std::vector<double>& mine, ReduceOp op);
-
-  /// Scalar convenience allreduce.
-  double allreduce(double mine, ReduceOp op);
-
-  /// Splits into sub-communicators by color (kUndefinedColor opts out and
-  /// yields nullptr).  Rank order within a color follows (key, old rank).
-  std::unique_ptr<Communicator> split(int color, int key);
 
  private:
   Mailbox& my_mailbox();
-  Mailbox& mailbox_of(int rank);
-
-  /// Every outbound envelope funnels through here: counts payload bytes
-  /// and, while tracing is armed, stamps the causal span context (origin
-  /// rank, fresh flow id, send timestamp) and records the flow-origin
-  /// trace event (DESIGN.md §13).  Cost with tracing off is one relaxed
-  /// atomic load.
-  void post(int dest, int tag, SharedPayload payload);
-
-  // Internal tag space for collectives, disjoint from user tags (which
-  // must be >= 0).
-  static constexpr int kCollectiveTag = -1000;
-  static constexpr int kSplitTag = -1001;
 
   std::shared_ptr<Bus> bus_;
-  int comm_id_;
   int rank_;
   int size_;
 };

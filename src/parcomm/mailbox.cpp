@@ -90,14 +90,12 @@ std::optional<Envelope> Mailbox::pop_until(
   }
 }
 
-std::optional<Envelope> Mailbox::pop_for(int source, int tag,
-                                         std::chrono::milliseconds timeout) {
-  return pop_until(source, tag, std::chrono::steady_clock::now() + timeout);
-}
-
-std::optional<Envelope> Mailbox::try_pop(int source, int tag) {
+bool Mailbox::probe(int source, int tag) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return take_matching_locked(source, tag);
+  for (const Envelope& envelope : queue_) {
+    if (matches(envelope, source, tag)) return true;
+  }
+  return false;
 }
 
 std::size_t Mailbox::size() const {

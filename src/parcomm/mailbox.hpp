@@ -1,8 +1,8 @@
 // Per-rank message queue with MPI-style (source, tag) matching.
 //
-// A Mailbox holds the envelopes addressed to one (communicator, rank)
-// pair.  `pop` blocks until an envelope matching the requested source/tag
-// arrives (wildcards supported), preserving arrival order among matching
+// A Mailbox holds the envelopes addressed to one world rank.  `pop`
+// blocks until an envelope matching the requested source/tag arrives
+// (wildcards supported), preserving arrival order among matching
 // envelopes — the non-overtaking guarantee MPI programs rely on.  A
 // deadline turns silent deadlocks in user code into loud ProtocolErrors.
 #pragma once
@@ -62,18 +62,15 @@ class Mailbox {
                std::chrono::milliseconds timeout = kDefaultTimeout);
 
   /// Deadline overload returning a status instead of throwing: nullopt
-  /// means the deadline passed with nothing matching — the caller decides
-  /// whether that is a straggler, a dead peer or business as usual.  A
-  /// deadline already in the past degrades to try_pop.
+  /// means the deadline passed with nothing matching.  `pop` is built on
+  /// it.  A deadline already in the past still takes an envelope that is
+  /// queued already.
   std::optional<Envelope> pop_until(
       int source, int tag, std::chrono::steady_clock::time_point deadline);
 
-  /// Relative-timeout convenience over pop_until.
-  std::optional<Envelope> pop_for(int source, int tag,
-                                  std::chrono::milliseconds timeout);
-
-  /// Non-blocking variant: returns nullopt when nothing matches now.
-  std::optional<Envelope> try_pop(int source, int tag);
+  /// True if an envelope matching (source, tag) is queued now.  Removes
+  /// nothing, so the queue's order is left as it was.
+  bool probe(int source, int tag) const;
 
   /// Number of queued envelopes (diagnostic).
   std::size_t size() const;

@@ -1,8 +1,5 @@
 #include "parcomm/payload_pool.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace senkf::parcomm {
 
 namespace {
@@ -33,14 +30,8 @@ std::size_t bucket_count() {
 
 }  // namespace
 
-bool pool_enabled_from_spec(const char* spec) {
-  if (spec == nullptr) return true;
-  return !(std::strcmp(spec, "off") == 0 || std::strcmp(spec, "0") == 0 ||
-           std::strcmp(spec, "false") == 0);
-}
-
 PayloadPool& PayloadPool::global() {
-  static PayloadPool pool(pool_enabled_from_spec(std::getenv("SENKF_COMM_POOL")));
+  static PayloadPool pool;
   return pool;
 }
 
@@ -55,7 +46,7 @@ std::size_t PayloadPool::bucket_of(std::size_t bytes) {
 }
 
 Payload PayloadPool::acquire(std::size_t bytes) {
-  if (enabled_ && bytes <= kMaxBytes) {
+  if (bytes <= kMaxBytes) {
     const std::size_t index = bucket_of(bytes);
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -84,7 +75,7 @@ Payload PayloadPool::acquire(std::size_t bytes) {
 
 void PayloadPool::release(Payload&& buffer) {
   const std::size_t capacity = buffer.capacity();
-  if (!enabled_ || capacity < kMinBytes || capacity > kMaxBytes) {
+  if (capacity < kMinBytes || capacity > kMaxBytes) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }

@@ -25,7 +25,7 @@ void Runtime::run(int world_size, const RankMain& rank_main) {
         // Every span this thread records is attributed to its rank
         // (helper threads and pool workers re-assert it themselves).
         telemetry::set_thread_rank(rank);
-        Communicator world(bus, /*comm_id=*/0, rank, world_size);
+        Communicator world(bus, rank, world_size);
         rank_main(world);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);

@@ -10,7 +10,7 @@
 //
 // Ownership (DESIGN.md §10): a payload is produced by exactly one Packer,
 // sealed into an immutable `SharedPayload` by `take_shared()`, and from
-// then on only read.  Fan-out (broadcast, multi-destination sends) pushes
+// then on only read.  Fan-out (one payload sent to many ranks) pushes
 // handles to the one buffer instead of per-rank deep copies; receivers
 // read it in place via `Unpacker::view<T>()` and keep it alive by holding
 // the handle.  When the last handle drops, the buffer returns to the

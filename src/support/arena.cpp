@@ -1,8 +1,6 @@
 #include "support/arena.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <new>
 
 #include "support/error.hpp"
@@ -19,17 +17,7 @@ std::size_t align_up(std::size_t n) {
 
 }  // namespace
 
-bool Arena::pooled_by_env() {
-  static const bool pooled = [] {
-    const char* env = std::getenv("SENKF_ARENA");
-    if (env == nullptr) return true;
-    return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0;
-  }();
-  return pooled;
-}
-
-Arena::Arena(Mode mode)
-    : pooled_(mode == Mode::kAuto ? pooled_by_env() : mode == Mode::kPooled) {}
+Arena::Arena(Mode mode) : pooled_(mode == Mode::kPooled) {}
 
 Arena::~Arena() {
   rewind(Marker{});  // frees kHeap blocks; pooled chunks are freed below

@@ -14,10 +14,11 @@
 // (via enkf::LocalAnalysisWorkspace).  Stats (high-water bytes, chunk
 // allocations, resets) are exported by the owner as `analysis.arena.*`.
 //
-// Kill switch: SENKF_ARENA=off (or 0) makes every allocation an
-// individual heap block that `rewind()`/`reset()` actually frees — the
-// debugging mode in which AddressSanitizer sees a use-after-rewind as a
-// real use-after-free instead of a silent read of recycled arena bytes.
+// Mode::kHeap makes every allocation an individual heap block that
+// `rewind()`/`reset()` actually frees — the mode in which
+// AddressSanitizer sees a use-after-rewind as a real use-after-free
+// instead of a silent read of recycled arena bytes, and the tests'
+// cross-check that results do not depend on the allocation strategy.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +35,6 @@ class Arena {
   static constexpr std::size_t kAlignment = 64;
 
   enum class Mode {
-    kAuto,     ///< follow SENKF_ARENA (default: pooled)
     kPooled,   ///< chunked bump allocator (the fast path)
     kHeap,     ///< one heap block per allocation, freed on rewind
   };
@@ -48,7 +48,7 @@ class Arena {
     std::uint64_t resets = 0;          ///< reset() calls
   };
 
-  explicit Arena(Mode mode = Mode::kAuto);
+  explicit Arena(Mode mode = Mode::kPooled);
   ~Arena();
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -82,9 +82,6 @@ class Arena {
   bool pooled() const { return pooled_; }
   std::size_t bytes_in_use() const { return in_use_; }
   const Stats& stats() const { return stats_; }
-
-  /// The process-wide SENKF_ARENA resolution (read once).
-  static bool pooled_by_env();
 
  private:
   struct Chunk {

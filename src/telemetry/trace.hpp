@@ -36,7 +36,7 @@ enum class Category : std::uint8_t {
   kRead = 0,   ///< pfs / store reads (bars, blocks, whole members)
   kSend,       ///< parcomm sends (block scatter, result gather)
   kRecv,       ///< helper-thread drains and explicit receives
-  kWait,       ///< blocked on stage data / mailbox / barrier
+  kWait,       ///< blocked on stage data / mailbox
   kUpdate,     ///< local analysis compute
   kTask,       ///< ThreadPool task execution
   kKernel,     ///< linalg kernel dispatch

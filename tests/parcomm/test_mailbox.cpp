@@ -17,6 +17,11 @@ Envelope make(int source, int tag, double value = 0.0) {
   return envelope;
 }
 
+/// Deadline `timeout` from now.
+std::chrono::steady_clock::time_point after(std::chrono::milliseconds timeout) {
+  return std::chrono::steady_clock::now() + timeout;
+}
+
 TEST(Mailbox, PushPopFifoPerSignature) {
   Mailbox box;
   box.push(make(0, 1, 1.0));
@@ -60,12 +65,13 @@ TEST(Mailbox, SkipsNonMatching) {
   EXPECT_EQ(box.size(), 1u);  // tag-1 message still queued
 }
 
-TEST(Mailbox, TryPopNonBlocking) {
+TEST(Mailbox, ProbeLeavesTheQueueAlone) {
   Mailbox box;
-  EXPECT_FALSE(box.try_pop(kAnySource, kAnyTag).has_value());
+  EXPECT_FALSE(box.probe(kAnySource, kAnyTag));
   box.push(make(0, 1));
-  EXPECT_TRUE(box.try_pop(0, 1).has_value());
-  EXPECT_FALSE(box.try_pop(0, 1).has_value());
+  EXPECT_TRUE(box.probe(0, 1));
+  EXPECT_FALSE(box.probe(0, 2));
+  EXPECT_EQ(box.size(), 1u);
 }
 
 TEST(Mailbox, BlocksUntilPushFromAnotherThread) {
@@ -92,24 +98,27 @@ TEST(Mailbox, TimeoutDoesNotLoseQueuedMismatch) {
   EXPECT_NO_THROW(box.pop(0, 1, std::chrono::milliseconds(10)));
 }
 
-// ---- status-returning deadline waits (the overload the straggler
-// re-issue path is built on: a blown deadline is a *decision point*, not
-// a protocol failure, so it must not throw).
+// ---- status-returning deadline waits (the overload `pop`'s deadlock
+// guard is built on: a blown deadline returns nullopt and `pop` turns it
+// into the ProtocolError, so pop_until itself must not throw).
 
 TEST(Mailbox, PopForReturnsMessageWithinDeadline) {
   Mailbox box;
   box.push(make(0, 4, 2.5));
-  const auto envelope = box.pop_for(0, 4, std::chrono::milliseconds(10));
+  const auto envelope =
+      box.pop_until(0, 4, after(std::chrono::milliseconds(10)));
   ASSERT_TRUE(envelope.has_value());
   EXPECT_DOUBLE_EQ(Unpacker(envelope->payload).get<double>(), 2.5);
 }
 
 TEST(Mailbox, PopForReturnsNulloptOnDeadline) {
   Mailbox box;
-  EXPECT_FALSE(box.pop_for(0, 4, std::chrono::milliseconds(20)).has_value());
+  EXPECT_FALSE(
+      box.pop_until(0, 4, after(std::chrono::milliseconds(20))).has_value());
   box.push(make(0, 9));
   // The miss consumed nothing; unrelated messages stay queued.
-  EXPECT_FALSE(box.pop_for(0, 4, std::chrono::milliseconds(10)).has_value());
+  EXPECT_FALSE(
+      box.pop_until(0, 4, after(std::chrono::milliseconds(10))).has_value());
   EXPECT_EQ(box.size(), 1u);
 }
 
@@ -119,7 +128,7 @@ TEST(Mailbox, PopForWakesOnConcurrentPush) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     box.push(make(1, 6, 8.0));
   });
-  const auto envelope = box.pop_for(1, 6, std::chrono::seconds(5));
+  const auto envelope = box.pop_until(1, 6, after(std::chrono::seconds(5)));
   producer.join();
   ASSERT_TRUE(envelope.has_value());
   EXPECT_DOUBLE_EQ(Unpacker(envelope->payload).get<double>(), 8.0);

@@ -10,18 +10,8 @@
 namespace senkf::parcomm {
 namespace {
 
-TEST(PayloadPool, SpecParsing) {
-  EXPECT_TRUE(pool_enabled_from_spec(nullptr));
-  EXPECT_TRUE(pool_enabled_from_spec(""));
-  EXPECT_TRUE(pool_enabled_from_spec("on"));
-  EXPECT_TRUE(pool_enabled_from_spec("1"));
-  EXPECT_FALSE(pool_enabled_from_spec("off"));
-  EXPECT_FALSE(pool_enabled_from_spec("0"));
-  EXPECT_FALSE(pool_enabled_from_spec("false"));
-}
-
 TEST(PayloadPool, RecyclesReleasedBuffer) {
-  PayloadPool pool(true);
+  PayloadPool pool;
   Payload a = pool.acquire(1000);
   EXPECT_GE(a.capacity(), 1000u);
   a.resize(1000);
@@ -43,7 +33,7 @@ TEST(PayloadPool, RecyclesReleasedBuffer) {
 }
 
 TEST(PayloadPool, CapacityContractAcrossBuckets) {
-  PayloadPool pool(true);
+  PayloadPool pool;
   // A 1.5 KiB-capacity buffer floors into the 1 KiB bucket, so a 2 KiB
   // acquire must not be handed a too-small recycled buffer...
   Payload odd;
@@ -58,24 +48,8 @@ TEST(PayloadPool, CapacityContractAcrossBuckets) {
   EXPECT_GE(small.capacity(), 1024u);
 }
 
-TEST(PayloadPool, DisabledPoolFallsBackToPlainAllocation) {
-  PayloadPool pool(false);
-  EXPECT_FALSE(pool.enabled());
-  Payload a = pool.acquire(512);
-  EXPECT_GE(a.capacity(), 512u);
-  a.resize(512);
-  pool.release(std::move(a));
-  Payload b = pool.acquire(512);
-  EXPECT_GE(b.capacity(), 512u);
-  const PayloadPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.hits, 0u);       // never recycles
-  EXPECT_EQ(stats.returned, 0u);   // never retains
-  EXPECT_EQ(stats.dropped, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-}
-
 TEST(PayloadPool, OutOfRangeCapacitiesBypassThePool) {
-  PayloadPool pool(true);
+  PayloadPool pool;
   Payload tiny;
   tiny.reserve(8);  // below kMinBytes
   pool.release(std::move(tiny));
@@ -84,7 +58,7 @@ TEST(PayloadPool, OutOfRangeCapacitiesBypassThePool) {
 }
 
 TEST(PayloadPool, ConcurrentAcquireReleaseKeepsAccountsBalanced) {
-  PayloadPool pool(true);
+  PayloadPool pool;
   constexpr int kThreads = 8;
   constexpr int kIters = 500;
   std::vector<std::thread> threads;
