@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Schema checker for senkf-run-report JSON (schema v5, DESIGN.md §11-§16).
+"""Schema checker for senkf-run-report JSON (schema v6, DESIGN.md §11-§16).
 
 Usage: check_report.py REPORT.json [--kind senkf] [--require-warns]
-                       [--require-critical-path] [--require-profile]
+                       [--require-critical-path]
 
 Validates structure and types, cross-checks the acceptance invariants
 (aggregated phase totals equal the sum of the per-rank samples;
 critical-path splits partition each cycle's wall clock to within 5%;
-profile/watchdog sections are either disabled stubs or fully
-populated), and exits nonzero on any violation.  Stdlib only — runs
+the watchdog section is either a disabled stub or fully populated),
+and exits nonzero on any violation.  Stdlib only — runs
 anywhere CI has a python3.
 """
 import argparse
@@ -80,65 +80,10 @@ def check_critical_path(cp, where):
               f"(>5% off)")
 
 
-def check_series_map(series, where):
-    for name, data in series.items():
-        require(data, "dropped", (int,), f"{where}.{name}")
-        points = require(data, "points", (list,), f"{where}.{name}") or []
-        last_t = None
-        for i, point in enumerate(points):
-            ok = (isinstance(point, list) and len(point) == 2 and
-                  isinstance(point[0], int) and
-                  isinstance(point[1], (int, float)))
-            if not check(ok, f"{where}.{name}.points[{i}]: want [t_ns, value]"):
-                continue
-            if last_t is not None:
-                check(point[0] >= last_t,
-                      f"{where}.{name}.points[{i}]: out of time order")
-            last_t = point[0]
-
-
 def check_gauge_stat(stat, where):
     for key in ("min", "max", "mean", "sum", "sumsq"):
         require(stat, key, (int, float), where)
     require(stat, "count", (int,), where)
-
-
-def check_profile(profile, where, required):
-    """The v4 profiler section: a disabled stub or a full sample dump."""
-    enabled = require(profile, "enabled", (bool,), where)
-    if required:
-        check(enabled is True, f"{where}.enabled: profiler did not run")
-    if not enabled:
-        return
-    require(profile, "mode", (str,), where)
-    check(profile.get("mode") in ("cpu", "wall"),
-          f"{where}.mode: got {profile.get('mode')!r}")
-    hz = require(profile, "hz", (int,), where)
-    check(hz is None or 1 <= hz <= 1000, f"{where}.hz: got {hz}")
-    samples = require(profile, "samples", (int,), where)
-    require(profile, "dropped", (int,), where)
-    require(profile, "torn", (int,), where)
-    phases = require(profile, "phases", (dict,), where) or {}
-    for name, count in phases.items():
-        check(isinstance(count, int) and not isinstance(count, bool),
-              f"{where}.phases.{name}: not an integer")
-    top = require(profile, "top", (list,), where) or []
-    top_total = 0
-    for i, bucket in enumerate(top):
-        require(bucket, "stack", (str,), f"{where}.top[{i}]")
-        require(bucket, "rank", (int,), f"{where}.top[{i}]")
-        count = require(bucket, "count", (int,), f"{where}.top[{i}]")
-        top_total += count or 0
-    if isinstance(samples, int):
-        # `top` is a truncated view of the same sample population.
-        check(top_total <= samples,
-              f"{where}: top buckets sum {top_total} > samples {samples}")
-        check(sum(phases.values()) <= samples,
-              f"{where}: phase counts sum {sum(phases.values())} > "
-              f"samples {samples}")
-        if required:
-            check(samples >= 1, f"{where}.samples: got {samples}, want >= 1")
-            check(len(phases) >= 1, f"{where}.phases: empty")
 
 
 def check_watchdog(watchdog, where):
@@ -204,9 +149,6 @@ def main():
                         help="require at least one straggler WARN")
     parser.add_argument("--require-critical-path", action="store_true",
                         help="require at least one per-cycle critical path")
-    parser.add_argument("--require-profile", action="store_true",
-                        help="require an enabled profile section with "
-                             "samples attributed to at least one phase")
     args = parser.parse_args()
 
     with open(args.report, encoding="utf-8") as f:
@@ -214,7 +156,7 @@ def main():
 
     check(doc.get("schema") == "senkf-run-report",
           f"schema: got {doc.get('schema')!r}")
-    check(doc.get("version") == 5, f"version: got {doc.get('version')!r}")
+    check(doc.get("version") == 6, f"version: got {doc.get('version')!r}")
     require(doc, "partial", (bool,), "$")
 
     run = require(doc, "run", (dict,), "$") or {}
@@ -275,20 +217,7 @@ def main():
                   f"$.latency.{name}: quantiles not monotone "
                   f"({p50}, {p90}, {p99})")
 
-    timeseries = require(doc, "timeseries", (dict,), "$") or {}
-    require(timeseries, "sample_interval_ms", (int,), "$.timeseries")
-    require(timeseries, "samples", (int,), "$.timeseries")
-    require(timeseries, "capacity", (int,), "$.timeseries")
-    series = require(timeseries, "series", (dict,), "$.timeseries")
-    if series is not None:
-        check_series_map(series, "$.timeseries.series")
-
-    # --- v4 additions (DESIGN.md §16): live operations plane -----------
-    profile = require(doc, "profile", (dict,), "$")
-    if profile is not None:
-        check_profile(profile, "$.profile", args.require_profile)
-    elif args.require_profile:
-        check(False, "$.profile: missing but --require-profile set")
+    # --- v4 addition (DESIGN.md §16): live operations plane ------------
     watchdog = require(doc, "watchdog", (dict,), "$")
     if watchdog is not None:
         check_watchdog(watchdog, "$.watchdog")

@@ -2,7 +2,7 @@
 """Soft benchmark gate: diff two google-benchmark JSON outputs.
 
 Usage: compare_bench.py BASELINE.json CURRENT.json [--threshold 0.15]
-                        [--hard] [--pair OFF ON --pair-threshold 0.02]
+                        [--hard]
 
 Matches benchmarks by name, compares real_time (normalized to ns), and
 prints a delta table.  Regressions beyond --threshold emit warnings
@@ -16,16 +16,7 @@ benchmark missing from the current run still counts as a regression
 
 Cross-run deltas are only meaningful on comparable machines, so the two
 files' `context` blocks are diffed first: a num_cpus or cpu frequency
-mismatch demotes every timing regression to a notice (the pair gate
-below is immune — both sides ran in the same process).
-
---pair OFF ON gates benchmark ON against benchmark OFF *within the
-current run* (prefix match, so `--pair BM_ProfileOff BM_ProfileOn`
-covers every shape).  This is how the profiler overhead bound is
-enforced: BM_ProfileOn may exceed BM_ProfileOff by at most
---pair-threshold (default 0.02 = the 2% acceptance bound), and a pair
-violation always exits 1 — same-run ratios don't need a seeded
-baseline.  Stdlib only.
+mismatch demotes every timing regression to a notice.  Stdlib only.
 """
 import argparse
 import json
@@ -65,32 +56,6 @@ def context_mismatches(base_doc, cur_doc):
     return out
 
 
-def check_pairs(current, off_prefix, on_prefix, threshold):
-    """Gate `on` against `off` within one run, matched by args suffix."""
-    failures = []
-    offs = {name[len(off_prefix):]: ns for name, ns in current.items()
-            if name.startswith(off_prefix)}
-    ons = {name[len(on_prefix):]: ns for name, ns in current.items()
-           if name.startswith(on_prefix)}
-    if not offs or not ons:
-        print(f"::warning title=bench pair-gate::no benchmarks match "
-              f"--pair {off_prefix} {on_prefix}")
-        return [(f"{off_prefix}/{on_prefix}", None)]
-    for suffix, off_ns in sorted(offs.items()):
-        on_ns = ons.get(suffix)
-        if on_ns is None:
-            failures.append((on_prefix + suffix, None))
-            continue
-        ratio = (on_ns - off_ns) / off_ns if off_ns > 0 else 0.0
-        flag = " <-- over budget" if ratio > threshold else ""
-        print(f"pair {off_prefix}{suffix}: off {off_ns:.1f} ns, "
-              f"on {on_ns:.1f} ns, overhead {ratio:+.2%}"
-              f" (budget +{threshold:.0%}){flag}")
-        if ratio > threshold:
-            failures.append((on_prefix + suffix, ratio))
-    return failures
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -100,29 +65,12 @@ def main():
                              "(default 0.15 = +15%%)")
     parser.add_argument("--hard", action="store_true",
                         help="exit 1 when a regression exceeds the threshold")
-    parser.add_argument("--pair", nargs=2, metavar=("OFF", "ON"),
-                        help="gate benchmark ON against OFF within the "
-                             "current run (prefix match); a violation "
-                             "always exits 1")
-    parser.add_argument("--pair-threshold", type=float, default=0.02,
-                        help="max relative overhead ON may add over OFF "
-                             "(default 0.02 = +2%%)")
     args = parser.parse_args()
 
     base_doc = load_doc(args.baseline)
     cur_doc = load_doc(args.current)
     baseline = benchmarks_of(base_doc)
     current = benchmarks_of(cur_doc)
-
-    pair_failures = []
-    if args.pair:
-        pair_failures = check_pairs(current, args.pair[0], args.pair[1],
-                                    args.pair_threshold)
-        for name, ratio in pair_failures:
-            detail = "pair benchmark missing" if ratio is None else \
-                f"+{ratio:.2%} over its off-pair " \
-                f"(budget +{args.pair_threshold:.0%})"
-            print(f"::error title=bench pair-gate::{name}: {detail}")
 
     mismatches = context_mismatches(base_doc, cur_doc)
     for key, base_v, cur_v in mismatches:
@@ -133,7 +81,7 @@ def main():
     if not baseline:
         print(f"compare_bench: no benchmarks in {args.baseline}; "
               "nothing to compare")
-        return 1 if pair_failures else 0
+        return 0
 
     regressions = []
     width = max(len("benchmark"),
@@ -172,13 +120,11 @@ def main():
             print(f"::{level} title=bench regression::{name}: {detail}")
         print(f"compare_bench: {len(regressions)} regression(s) beyond "
               f"+{args.threshold:.0%}")
-        if pair_failures:
-            return 1
         return 1 if args.hard and not mismatches else 0
     extra = f", {len(new_metrics)} new-metric" if new_metrics else ""
     print("compare_bench: no regressions beyond "
           f"+{args.threshold:.0%} ({len(baseline)} benchmarks{extra})")
-    return 1 if pair_failures else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -17,9 +17,7 @@
 #include "grid/synthetic.hpp"
 #include "obs/local_obs.hpp"
 #include "obs/perturbed.hpp"
-#include "telemetry/liveops/profiler.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace {
 
@@ -175,43 +173,6 @@ void BM_LocalizeObservations(benchmark::State& state) {
 BENCHMARK(BM_LocalizeObservations)
     ->Args({3000, 66, 26})
     ->Args({800, 36, 16});
-
-// Profiler overhead gate (DESIGN.md §16): the same analysis kernel with
-// the sampling profiler off vs running at its default 97 Hz.  The two
-// entries share a shape so compare_bench.py can gate BM_ProfileOn
-// against BM_ProfileOff's committed baseline — the acceptance bound is
-// <= 2% overhead, dominated by the per-span phase-stack push/pop the
-// profile hook enables.
-void run_profile_overhead(benchmark::State& state, bool profiled) {
-  telemetry::liveops::stop_profiler();
-  if (profiled) {
-    telemetry::liveops::start_profiler(
-        telemetry::liveops::kDefaultProfileHz, /*wall=*/false);
-  }
-  {
-    // One span held across the measured region, as in the engines: the
-    // SIGPROF handler attributes its samples here, so the On entry pays
-    // the full commit path, not just the timer delivery.
-    const telemetry::TraceSpan span(telemetry::Category::kUpdate,
-                                    "micro_profile_bench");
-    run_kernel(state, enkf::AnalysisKind::kDeterministicTransform);
-  }
-  if (profiled) {
-    state.counters["samples"] = static_cast<double>(
-        telemetry::liveops::profiler_stats().samples);
-    telemetry::liveops::stop_profiler();
-  }
-}
-
-void BM_ProfileOff(benchmark::State& state) {
-  run_profile_overhead(state, false);
-}
-BENCHMARK(BM_ProfileOff)->Args({12, 10});
-
-void BM_ProfileOn(benchmark::State& state) {
-  run_profile_overhead(state, true);
-}
-BENCHMARK(BM_ProfileOn)->Args({12, 10});
 
 }  // namespace
 

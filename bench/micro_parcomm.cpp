@@ -212,7 +212,7 @@ void stream_blocks(const std::vector<double>& data) {
 }
 
 /// Trace-off overhead guard (DESIGN.md §13): the span-context header now
-/// rides in every envelope and the sampler hook sits on the send path,
+/// rides in every envelope and a disarmed span sits on the send path,
 /// but with tracing disarmed (the default) their cost must stay within
 /// noise.  compare_bench.py gates this bench against the stored nightly
 /// baseline, so a regression in the disarmed path fails the build even

@@ -9,7 +9,6 @@
 //   SENKF_REPORT=report.json ./monitored_run   # machine-readable report
 //   SENKF_WATCHDOG=on        ./monitored_run   # live stall deadlines
 //   SENKF_FAULTS="straggler=0:0.03" ./monitored_run   # pick the delay
-//   SENKF_SAMPLE_MS=5        ./monitored_run   # continuous sampling
 //   SENKF_TRACE=trace.json   ./monitored_run   # flow-event trace export
 #include <cstdio>
 #include <iostream>
@@ -21,9 +20,7 @@
 #include "obs/perturbed.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
-#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
-#include "tuning/drift.hpp"
 
 int main() {
   using namespace senkf;
@@ -82,16 +79,11 @@ int main() {
 
   // Drift table: measured per-rank per-stage phase seconds vs the
   // uncalibrated cost model (eqs. (7)-(9)); large values are expected —
-  // the gap *is* the recalibration signal an auto-tuning loop would use.
-  // The trend is fitted to the milli-unit drift gauges; it is printed
-  // relative, like the drift itself.
+  // the gap *is* the residual a calibration of the model must close.
   const telemetry::RunReport report = telemetry::run_report_copy();
   std::cout << "\nModel drift (measured vs eqs. (7)-(9), relative):\n";
   for (const auto& [phase, rel] : report.drift) {
-    const tuning::DriftTrend trend = tuning::drift_trend(phase);
-    std::printf("  %-5s %+9.3f   trend: %zu pts, mean %+.3f, slope %+.3f/s\n",
-                phase.c_str(), rel, trend.points, trend.mean / 1e3,
-                trend.slope_per_s / 1e3);
+    std::printf("  %-5s %+9.3f\n", phase.c_str(), rel);
   }
 
   // Critical-path attribution (DESIGN.md §13): where this cycle's wall

@@ -47,8 +47,8 @@ std::vector<grid::Field> penkf(const EnsembleStore& store,
   std::vector<grid::Field> result;
   std::mutex result_mutex;
 
-  // Continuous-telemetry arming, as in every engine: no-op unless
-  // SENKF_SAMPLE_MS / SENKF_HTTP / SENKF_PROFILE / SENKF_WATCHDOG set.
+  // Live-operations arming, as in every engine: no-op unless
+  // SENKF_HTTP / SENKF_WATCHDOG set.
   telemetry::liveops::ensure_liveops_started();
 
   parcomm::Runtime::run(n_procs, [&](parcomm::Communicator& world) {

@@ -23,7 +23,6 @@
 #include "telemetry/phase.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/shutdown.hpp"
-#include "telemetry/timeseries.hpp"
 #include "tuning/cost_model.hpp"
 #include "tuning/drift.hpp"
 
@@ -63,9 +62,6 @@ struct StageCell {
   telemetry::Counter send_ns;
   telemetry::Counter wait_ns;
   telemetry::Counter update_ns;
-  /// When the rank's main thread closed the stage: the timestamp of the
-  /// stage's series points.
-  std::int64_t boundary_ns = 0;
 };
 
 /// One rank's per-run counts in the run ledger.
@@ -709,8 +705,6 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
       }
     }
     batch.flush(world, ctx.cell(my_rank, l).send_ns);
-    // Stage boundary: the timestamp of the stage's series points.
-    ctx.cell(my_rank, l).boundary_ns = telemetry::now_ns();
   }
 
   if (reissue_enabled) {
@@ -855,8 +849,6 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
       wait_span.set_flow(telemetry::FlowDir::kIn,
                          stage_data[l].cause.span_id);
     }
-    // Stage boundary: the timestamp of the stage's wait_s point.
-    cell.boundary_ns = telemetry::now_ns();
 
     pool.submit([&, l, my_rank] {
       telemetry::set_thread_rank(my_rank);
@@ -960,8 +952,7 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
 double seconds(std::uint64_t ns) { return static_cast<double>(ns) / 1e9; }
 
 /// The run's aggregate, read off the ledger once every rank thread has
-/// joined: one RankSample per rank in rank order, one `ts.rankN.*` point
-/// per stage at its boundary time (DESIGN.md §13), and the per-stage
+/// joined: one RankSample per rank in rank order and the per-stage
 /// acquisition histogram.  `stage_samples[l]` receives the I/O ranks'
 /// stage-l samples (obtain_s = that stage's acquisition) for the
 /// straggler check.
@@ -978,27 +969,17 @@ telemetry::MetricsSnapshot read_ledger(
     if (sample.is_io != 0) {
       sample.group = static_cast<std::int32_t>(layout.io_group(rank));
     }
-    const std::string prefix = "ts.rank" + std::to_string(rank) + ".";
     for (Index l = 0; l < ctx.stages; ++l) {
       const StageCell& cell = ctx.cell(rank, l);
-      const double read_s = seconds(cell.read_ns.value());
       const double obtain_s = seconds(cell.obtain_ns.value());
-      const double send_s = seconds(cell.send_ns.value());
-      const double wait_s = seconds(cell.wait_ns.value());
-      sample.read_s += read_s;
+      sample.read_s += seconds(cell.read_ns.value());
       sample.obtain_s += obtain_s;
-      sample.send_s += send_s;
-      sample.wait_s += wait_s;
+      sample.send_s += seconds(cell.send_ns.value());
+      sample.wait_s += seconds(cell.wait_ns.value());
       sample.update_s += seconds(cell.update_ns.value());
-      if (sample.is_io == 0) {
-        agg.append_series(prefix + "wait_s", cell.boundary_ns, wait_s);
-        continue;
-      }
+      if (sample.is_io == 0) continue;
       agg.observe_histogram("senkf.rank.stage_obtain_us",
                             stage_obtain_bounds(), obtain_s * 1e6);
-      agg.append_series(prefix + "obtain_s", cell.boundary_ns, obtain_s);
-      agg.append_series(prefix + "read_s", cell.boundary_ns, read_s);
-      agg.append_series(prefix + "send_s", cell.boundary_ns, send_s);
       telemetry::RankSample stage;
       stage.rank = rank;
       stage.is_io = 1;
@@ -1072,11 +1053,9 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   std::vector<grid::Field> result;
   std::vector<Index> dropped;
 
-  // Continuous telemetry: arm the background registry sampler
-  // (SENKF_SAMPLE_MS) and the live operations plane (SENKF_HTTP endpoint,
-  // SENKF_PROFILE sampler, SENKF_WATCHDOG) — all no-ops when unset — and
-  // remember the cycle's start so the critical-path window excludes
-  // spans from earlier cycles.
+  // Arm the live operations plane (SENKF_HTTP endpoint, SENKF_WATCHDOG)
+  // — no-ops when unset — and remember the cycle's start so the
+  // critical-path window excludes spans from earlier cycles.
   telemetry::liveops::ensure_liveops_started();
   const std::int64_t run_start_ns = telemetry::now_ns();
 
@@ -1133,8 +1112,8 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     // The aborted prefix's reads, sends and retries reach the registry
     // first, so the partial report's metrics and faults sections carry
     // them.  Then ordered teardown before the flush: quiesce the
-    // background threads (watchdog, profiler, endpoint, sampler) so none
-    // of them writes the export files concurrently with us, then
+    // background threads (watchdog, endpoint) so neither of them writes
+    // the export files concurrently with us, then
     // flush-on-fault — a failed run still writes its (partial) trace and
     // report, often the only evidence of what went wrong.  The next
     // run's ensure_* calls re-arm whatever the environment enables.
@@ -1201,10 +1180,8 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
       model, params, io_read_s / io_norm, io_send_s / io_norm,
       comp_update_s / comp_norm);
 
-  // Cycle boundary: snapshot the registry into the process time-series
-  // (the drift gauges set above become a per-cycle trend point), then
-  // attribute this cycle's critical path from the spans it recorded.
-  telemetry::TimeSeriesRecorder::global().sample(telemetry::Registry::global());
+  // Cycle boundary: attribute this cycle's critical path from the spans
+  // it recorded.
   if (telemetry::tracing_enabled()) {
     telemetry::CriticalPathOptions options;
     options.window_start_ns = run_start_ns;

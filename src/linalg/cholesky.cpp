@@ -47,16 +47,6 @@ void cholesky_factor_into(const Matrix& a, Matrix& l) {
   }
 }
 
-void cholesky_solve_in_place(const Matrix& l, Matrix& x) {
-  SENKF_REQUIRE(l.square() && x.rows() == l.rows(),
-                "cholesky_solve_in_place: row mismatch");
-  const auto& table = kernels::active_kernels();
-  table.trsm_lln(l.rows(), x.cols(), l.data(), l.stride(), x.data(),
-                 x.stride());
-  table.trsm_llt(l.rows(), x.cols(), l.data(), l.stride(), x.data(),
-                 x.stride());
-}
-
 void cholesky_solve_in_place(const Matrix& l, Vector& x) {
   SENKF_REQUIRE(l.square() && x.size() == l.rows(),
                 "cholesky_solve_in_place: length mismatch");

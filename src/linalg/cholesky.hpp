@@ -41,11 +41,10 @@ class CholeskyFactor {
 /// numerics and failure behaviour as the CholeskyFactor constructor.
 void cholesky_factor_into(const Matrix& a, Matrix& l);
 
-/// Allocation-free solves against a factor produced by
+/// Allocation-free solve against a factor produced by
 /// cholesky_factor_into (or CholeskyFactor::lower()): overwrites `x`
-/// (holding B on entry) with A⁻¹ B.  Bit-identical to
+/// (holding b on entry) with A⁻¹ b.  Bit-identical to
 /// CholeskyFactor::solve on the same factor.
-void cholesky_solve_in_place(const Matrix& l, Matrix& x);
 void cholesky_solve_in_place(const Matrix& l, Vector& x);
 
 /// Banded SPD systems in the kernel table's compact lower-band layout

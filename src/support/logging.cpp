@@ -1,6 +1,5 @@
 #include "support/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -14,9 +13,8 @@ namespace senkf {
 namespace {
 
 // SENKF_LOG=debug|info|warn|error overrides the quiet default once at
-// process start; set_log_level() still wins afterwards (examples raise
-// the level for narration).  Unrecognised values keep the default so a
-// typo can't silence errors.
+// process start.  Unrecognised values keep the default so a typo can't
+// silence errors.
 int initial_level() {
   const char* env = std::getenv("SENKF_LOG");
   const std::string v = env == nullptr ? "" : env;
@@ -32,7 +30,7 @@ int initial_level() {
   return static_cast<int>(LogLevel::kWarn);
 }
 
-std::atomic<int> g_level{initial_level()};
+const int g_level = initial_level();
 std::mutex g_log_mutex;
 
 const char* level_tag(LogLevel level) {
@@ -51,9 +49,7 @@ const char* level_tag(LogLevel level) {
 
 }  // namespace
 
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
-
-void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
+LogLevel log_level() { return static_cast<LogLevel>(g_level); }
 
 void log_message(LogLevel level, const std::string& message) {
   // Monotonic seconds share the tracer's epoch and the thread tag matches

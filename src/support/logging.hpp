@@ -1,8 +1,8 @@
 // Leveled, thread-safe logger.  Quiet by default (warnings and errors only)
-// so tests and benches stay clean; examples raise the level for narration,
-// and `SENKF_LOG=debug|info|warn|error` overrides the threshold at process
-// start.  Every line carries a monotonic timestamp (same epoch as the
-// telemetry tracer) and a thread tag matching the trace export's tid:
+// so tests and benches stay clean; `SENKF_LOG=debug|info|warn|error` sets
+// the threshold at process start.  Every line carries a monotonic
+// timestamp (same epoch as the telemetry tracer) and a thread tag matching
+// the trace export's tid:
 //   [senkf INFO     12.345678 t03] message
 #pragma once
 
@@ -13,9 +13,8 @@ namespace senkf {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Returns / sets the global threshold; messages below it are dropped.
+/// The global threshold; messages below it are dropped.
 LogLevel log_level();
-void set_log_level(LogLevel level);
 
 /// Emits one line to stderr with a level tag.  Thread-safe.
 void log_message(LogLevel level, const std::string& message);

@@ -38,11 +38,6 @@ void MetricsSnapshot::observe_histogram(std::string_view name,
   h.observe(v);
 }
 
-void MetricsSnapshot::append_series(std::string_view name, std::int64_t t_ns,
-                                    double value) {
-  series[std::string(name)].append(t_ns, value, kDefaultSeriesCapacity);
-}
-
 std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
   const auto it = counters.find(std::string(name));
   return it == counters.end() ? 0 : it->second;

@@ -1,7 +1,7 @@
 // Cross-rank metric views (DESIGN.md §11): per-rank phase samples, the
 // run-level MetricsSnapshot the report carries (counters, gauge
-// distributions, histograms, rank samples and per-rank series), and the
-// skew statistics computed over the samples.
+// distributions, histograms and rank samples), and the skew statistics
+// computed over the samples.
 //
 // S-EnKF fills one snapshot per run from its run ledger after every rank
 // thread has joined, so nothing here is shipped between ranks or merged;
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "telemetry/metrics.hpp"
-#include "telemetry/timeseries.hpp"
 
 namespace senkf::telemetry {
 
@@ -69,15 +68,10 @@ class MetricsSnapshot {
   std::map<std::string, GaugeStat> gauges;
   std::map<std::string, HistogramState> histograms;
   std::vector<RankSample> ranks;
-  /// Per-rank trend series (DESIGN.md §13), e.g. "ts.rank3.obtain_s":
-  /// one point per stage, so the report shows every rank's per-stage
-  /// trajectory, not just its total.
-  std::map<std::string, SeriesData> series;
 
   /// Throws std::logic_error when `name` was observed with other bounds.
   void observe_histogram(std::string_view name,
                          const std::vector<double>& bounds, double v);
-  void append_series(std::string_view name, std::int64_t t_ns, double value);
 
   std::uint64_t counter(std::string_view name) const;
 

@@ -35,8 +35,8 @@ class JsonWriter {
   JsonWriter& value(bool v);
 
   /// Emits `json` verbatim as the next value — for pre-rendered section
-  /// bodies (the report's profile and watchdog sections).  The caller
-  /// guarantees `json` is one well-formed JSON value.
+  /// bodies (the report's watchdog section).  The caller guarantees
+  /// `json` is one well-formed JSON value.
   JsonWriter& raw_value(std::string_view json);
 
   /// key() + value() in one call.

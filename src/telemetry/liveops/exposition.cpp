@@ -4,9 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "telemetry/json_writer.hpp"
-#include "telemetry/timeseries.hpp"
-
 namespace senkf::telemetry::liveops {
 
 namespace {
@@ -73,27 +70,6 @@ std::string render_prometheus(const std::vector<MetricRow>& rows) {
 
 std::string render_prometheus() {
   return render_prometheus(Registry::global().rows());
-}
-
-std::string render_timeseries_json() {
-  const std::map<std::string, SeriesData> series =
-      TimeSeriesRecorder::global().snapshot();
-  std::ostringstream out;
-  JsonWriter json(out);
-  json.begin_object();
-  json.field("samples", TimeSeriesRecorder::global().samples());
-  json.key("series").begin_object();
-  for (const auto& [name, data] : series) {
-    json.key(name).begin_object().field("dropped", data.dropped);
-    json.key("points").begin_array();
-    for (const SeriesPoint& p : data.points) {
-      json.begin_array().value(p.t_ns).value(p.value).end_array();
-    }
-    json.end_array().end_object();
-  }
-  json.end_object();
-  json.end_object();
-  return out.str();
 }
 
 }  // namespace senkf::telemetry::liveops

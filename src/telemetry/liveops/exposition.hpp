@@ -28,8 +28,4 @@ std::string render_prometheus(const std::vector<MetricRow>& rows);
 /// The /metrics body for the global registry.
 std::string render_prometheus();
 
-/// The /timeseries body: every ring of the global TimeSeriesRecorder as
-/// `{"series": {name: {"dropped": n, "points": [[t_ns, value], ...]}}}`.
-std::string render_timeseries_json();
-
 }  // namespace senkf::telemetry::liveops

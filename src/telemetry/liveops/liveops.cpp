@@ -9,11 +9,9 @@
 #include "net/http_server.hpp"
 #include "telemetry/json_writer.hpp"
 #include "telemetry/liveops/exposition.hpp"
-#include "telemetry/liveops/profiler.hpp"
 #include "telemetry/liveops/watchdog.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/shutdown.hpp"
-#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
 namespace senkf::telemetry::liveops {
@@ -44,23 +42,6 @@ void add_routes(net::HttpServer& server) {
     // A stall is a liveness failure: load balancers and the nightly
     // harness read the status code, humans read the body.
     if (watchdog_stats().fired > 0) response.status = 503;
-    return response;
-  });
-  server.add_route("/timeseries", [](const net::HttpRequest&) {
-    net::HttpResponse response;
-    response.content_type = "application/json";
-    response.body = render_timeseries_json();
-    return response;
-  });
-  server.add_route("/profile", [](const net::HttpRequest& request) {
-    net::HttpResponse response;
-    if (request.query == "collapsed") {
-      response.content_type = "text/plain";
-      response.body = render_collapsed();
-    } else {
-      response.content_type = "application/json";
-      response.body = profile_section_json();
-    }
     return response;
   });
 }
@@ -124,8 +105,6 @@ std::uint16_t liveops_port() {
 }
 
 bool ensure_liveops_started() {
-  ensure_sampler_started();
-  ensure_profiler_started();
   ensure_watchdog_started();
   static const HttpEnvConfig config = parse_http_env(std::getenv("SENKF_HTTP"));
   if (config.enabled && !liveops_http_running()) {
@@ -135,7 +114,6 @@ bool ensure_liveops_started() {
 }
 
 std::string health_json() {
-  const ProfileStats profile = profiler_stats();
   const WatchdogStats watchdog = watchdog_stats();
   std::ostringstream out;
   JsonWriter json(out);
@@ -144,14 +122,6 @@ std::string health_json() {
       .field("uptime_ns", now_ns())
       .field("metrics",
              static_cast<std::uint64_t>(Registry::global().rows().size()));
-  json.key("profiler")
-      .begin_object()
-      .field("running", profile.running)
-      .field("mode", profile.wall ? "wall" : "cpu")
-      .field("hz", static_cast<std::int64_t>(profile.hz))
-      .field("samples", profile.samples)
-      .field("dropped", profile.dropped)
-      .end_object();
   json.key("watchdog")
       .begin_object()
       .field("running", watchdog.running)

@@ -1,16 +1,13 @@
 // Live operations plane front door (DESIGN.md §16).
 //
 // `ensure_liveops_started()` is the one call every engine makes at
-// entry: it reads SENKF_SAMPLE_MS / SENKF_HTTP / SENKF_PROFILE /
-// SENKF_WATCHDOG and lazily starts whichever subsystems those arm.  The
-// HTTP server runs on its own thread and serves lock-light snapshots —
-// registry rows, timeseries rings, profiler and watchdog state — never
+// entry: it reads SENKF_HTTP / SENKF_WATCHDOG and lazily starts whichever
+// subsystems those arm.  The HTTP server runs on its own thread and
+// serves lock-light snapshots — registry rows and watchdog state — never
 // touching engine hot paths:
 //
 //   /metrics     Prometheus text exposition of the registry
 //   /health      JSON liveness + the watchdog verdict (503 on stall)
-//   /timeseries  JSON timeseries rings
-//   /profile     JSON profile section (?collapsed: folded stacks)
 //
 // Teardown is ordered through telemetry::shutdown(): the endpoint
 // stops before the trace/report exporters run.
@@ -30,10 +27,9 @@ struct HttpEnvConfig {
 };
 HttpEnvConfig parse_http_env(const char* value);
 
-/// Starts everything the telemetry env vars arm (timeseries sampler,
-/// HTTP endpoint, profiler, watchdog) if not already running.  Lazy,
-/// idempotent, cheap when all four are unset.  Returns true when the
-/// HTTP endpoint is serving on return.
+/// Starts everything the telemetry env vars arm (HTTP endpoint,
+/// watchdog) if not already running.  Lazy, idempotent, cheap when both
+/// are unset.  Returns true when the HTTP endpoint is serving on return.
 bool ensure_liveops_started();
 
 /// Programmatic endpoint control (tests).  start returns the bound
@@ -45,8 +41,8 @@ bool liveops_http_running();
 /// The bound port while serving (0 otherwise).
 std::uint16_t liveops_port();
 
-/// The /health body: process uptime, registry size, profiler and
-/// watchdog state, and an overall "ok"/"stalled" status.
+/// The /health body: process uptime, registry size, watchdog state, and
+/// an overall "ok"/"stalled" status.
 std::string health_json();
 
 }  // namespace senkf::telemetry::liveops

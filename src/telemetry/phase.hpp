@@ -14,15 +14,12 @@ class CountedSpan {
   CountedSpan(Category category, const char* name, Counter& ns_counter,
               std::int32_t stage = -1)
       : counter_(ns_counter), name_(name), start_ns_(now_ns()),
-        stage_(stage), category_(category), hooks_(span_hooks()) {
-    if (hooks_ & kSpanHookProfile) push_phase_frame(name, category);
-  }
+        stage_(stage), category_(category), traced_(tracing_enabled()) {}
 
   ~CountedSpan() {
-    if (hooks_ & kSpanHookProfile) pop_phase_frame();
     const std::int64_t end_ns = now_ns();
     counter_.add(static_cast<std::uint64_t>(end_ns - start_ns_));
-    if (hooks_ & kSpanHookTrace) {
+    if (traced_) {
       TraceEvent event;
       event.name = name_;
       event.t_start_ns = start_ns_;
@@ -55,7 +52,7 @@ class CountedSpan {
   std::int32_t stage_;
   Category category_;
   FlowDir flow_ = FlowDir::kNone;
-  std::uint8_t hooks_;
+  bool traced_;
 };
 
 }  // namespace senkf::telemetry

@@ -8,9 +8,7 @@
 #include <stdexcept>
 
 #include "telemetry/json_writer.hpp"
-#include "telemetry/liveops/profiler.hpp"
 #include "telemetry/liveops/watchdog.hpp"
-#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
 namespace senkf::telemetry {
@@ -84,20 +82,6 @@ void write_histogram_state(JsonWriter& json, const HistogramState& h) {
   json.field("p50", histogram_quantile(h.bounds, h.buckets, 0.50))
       .field("p90", histogram_quantile(h.bounds, h.buckets, 0.90))
       .field("p99", histogram_quantile(h.bounds, h.buckets, 0.99));
-  json.end_object();
-}
-
-void write_series_map(JsonWriter& json,
-                      const std::map<std::string, SeriesData>& series) {
-  json.begin_object();
-  for (const auto& [name, s] : series) {
-    json.key(name).begin_object().field("dropped", s.dropped);
-    json.key("points").begin_array();
-    for (const SeriesPoint& p : s.points) {
-      json.begin_array().value(p.t_ns).value(p.value).end_array();
-    }
-    json.end_array().end_object();
-  }
   json.end_object();
 }
 
@@ -267,25 +251,6 @@ void write_run_report(std::ostream& out) {
   }
   json.end_object();
 
-  // Time-series section: the process sampler's registry-delta series
-  // unioned with the run's per-rank series (names are disjoint by
-  // convention — "ts.rankN.*" vs metric names).
-  {
-    const TimeSeriesRecorder& recorder = TimeSeriesRecorder::global();
-    std::map<std::string, SeriesData> series = recorder.snapshot();
-    for (const auto& [name, s] : report.aggregate.series) {
-      series[name].merge(s, kDefaultSeriesCapacity);
-    }
-    json.key("timeseries")
-        .begin_object()
-        .field("sample_interval_ms", sampler_interval_ms())
-        .field("samples", recorder.samples())
-        .field("capacity", static_cast<std::uint64_t>(recorder.capacity()));
-    json.key("series");
-    write_series_map(json, series);
-    json.end_object();
-  }
-
   // Convenience view of the analysis hot path (DESIGN.md §15): patch
   // throughput, steady-state allocation events, arena occupancy and
   // localization-cache effectiveness in one spot (counters as totals,
@@ -299,11 +264,9 @@ void write_run_report(std::ostream& out) {
   }
   json.end_object();
 
-  // Liveops sections (schema v4, DESIGN.md §16): the sampling-profiler
-  // summary + flame data and the watchdog's armed deadlines and fired
-  // overruns.  A subsystem that never started writes {"enabled":false},
-  // so checkers can rely on both keys in every report.
-  json.key("profile").raw_value(liveops::profile_section_json());
+  // Liveops section (DESIGN.md §16): the watchdog's armed deadlines and
+  // fired overruns.  A watchdog that never started writes
+  // {"enabled":false}, so checkers can rely on the key in every report.
   json.key("watchdog").raw_value(liveops::watchdog_section_json());
 
   // Convenience view for fault triage: the failure counters in one spot.
@@ -344,12 +307,6 @@ const std::string& report_export_path() { return env_init().export_path; }
 
 void flush_exports(bool partial) noexcept {
   if (partial) mark_run_partial();
-  try {
-    // Tail sample: the aborted interval's deltas make it into the
-    // exported time-series even when the background sampler never fired.
-    TimeSeriesRecorder::global().sample(Registry::global());
-  } catch (...) {
-  }
   try {
     // An abort before the first cycle boundary leaves the critical-path
     // list empty; attribute the partial window from whatever spans were

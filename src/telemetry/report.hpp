@@ -2,7 +2,7 @@
 //
 // senkf() populates the process-global RunReport: config, phase
 // breakdown, model drift, skew summary and the run's aggregate
-// (per-rank samples, histograms and series).  `SENKF_REPORT=<path>`
+// (per-rank samples and histograms).  `SENKF_REPORT=<path>`
 // arms an atexit export of that state as JSON (schema "senkf-run-report",
 // version RunReport::kVersion); the fault path calls flush_exports() so
 // an aborting run still leaves a partial report + trace on disk before
@@ -22,14 +22,12 @@
 namespace senkf::telemetry {
 
 struct RunReport {
-  /// Bumped when the JSON layout changes incompatibly.  v2 adds the
-  /// per-cycle critical-path section, latency quantiles, and the
-  /// time-series section (DESIGN.md §13).  v3 added a per-job SLO
-  /// section.  v4 adds the "profile" and "watchdog" sections fed by the
-  /// liveops plane (DESIGN.md §16); both default to {"enabled": false}
-  /// when the profiler/watchdog never armed.  v5 drops the v3 job
-  /// section and the profile buckets' "context" label.
-  static constexpr int kVersion = 5;
+  /// Bumped when the JSON layout changes incompatibly.  v2 added the
+  /// per-cycle critical paths and latency quantiles (DESIGN.md §13), v4
+  /// the liveops "watchdog" section (DESIGN.md §16; {"enabled": false}
+  /// when the watchdog never armed).  v5 dropped the job section v3 had
+  /// added, and v6 the "timeseries" and "profile" sections of v2 and v4.
+  static constexpr int kVersion = 6;
 
   std::string kind;     ///< "senkf"
   bool valid = false;   ///< a run populated this report
@@ -44,8 +42,8 @@ struct RunReport {
   std::map<std::string, double> skew;
   std::uint64_t straggler_warns = 0;
   std::vector<std::uint64_t> dropped_members;
-  /// The run's aggregate: per-rank samples, histograms and per-rank
-  /// series (S-EnKF reads them off its run ledger).
+  /// The run's aggregate: per-rank samples and histograms (S-EnKF reads
+  /// them off its run ledger).
   MetricsSnapshot aggregate;
 };
 
@@ -75,9 +73,8 @@ RunReport run_report_copy();
 /// Writes schema "senkf-run-report" version RunReport::kVersion: the
 /// global RunReport plus the per-cycle critical paths, p50/p90/p99
 /// latency quantiles for every "*_us" histogram of the registry and the
-/// run, the time-series section (sampler + the run's per-rank series),
-/// the liveops "profile" and "watchdog" sections, and a dump of every
-/// metric currently in the registry.
+/// run, the liveops "watchdog" section, and a dump of every metric
+/// currently in the registry.
 void write_run_report(std::ostream& out);
 void write_run_report(const std::string& path);
 
@@ -92,10 +89,9 @@ const std::string& report_export_path();
 
 /// Immediately writes the armed exports (trace and report, if their env
 /// paths are set), marking the report partial first when `partial`.
-/// Before writing it takes one final time-series sample (so the exported
-/// report carries the tail of the aborted interval) and, when tracing is
-/// armed and no cycle completed, computes a partial critical path over
-/// the events recorded so far — an aborting run keeps its attribution.
+/// Before writing, when tracing is armed and no cycle completed, it
+/// computes a partial critical path over the events recorded so far — an
+/// aborting run keeps its attribution.
 /// Never throws: a failed run must not lose its root cause to an export
 /// error.  Used by the fault-abort path; safe to call more than once
 /// (atexit simply rewrites with fuller data on a clean exit).

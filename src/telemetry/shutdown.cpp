@@ -4,9 +4,7 @@
 #include <mutex>
 
 #include "telemetry/liveops/liveops.hpp"
-#include "telemetry/liveops/profiler.hpp"
 #include "telemetry/liveops/watchdog.hpp"
-#include "telemetry/timeseries.hpp"
 
 namespace senkf::telemetry {
 
@@ -21,15 +19,7 @@ void shutdown() noexcept {
   } catch (...) {
   }
   try {
-    liveops::stop_profiler();
-  } catch (...) {
-  }
-  try {
     liveops::stop_liveops_http();
-  } catch (...) {
-  }
-  try {
-    stop_sampler();
   } catch (...) {
   }
 }

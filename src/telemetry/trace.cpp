@@ -24,9 +24,9 @@ using Clock = std::chrono::steady_clock;
 // one monotonic epoch.
 const Clock::time_point g_epoch = Clock::now();
 
-// Shared span-hook mask (kSpanHookTrace | kSpanHookProfile); one relaxed
-// load in every span constructor serves both planes.
-std::atomic<std::uint8_t> g_span_hooks{0};
+// The SENKF_TRACE arming; every span constructor reads it with one
+// relaxed load.
+std::atomic<bool> g_tracing{false};
 
 constexpr std::size_t kChunkCapacity = 4096;
 
@@ -66,65 +66,6 @@ ThreadBuffer& local_buffer() {
 
 thread_local std::int32_t g_thread_rank = -1;
 
-// ---- Phase-frame stacks (profiler attribution, DESIGN.md §16) -------
-//
-// One bounded stack per thread, heap-registered like the trace buffers
-// so the wall-clock sampler can walk them cross-thread.  Every field is
-// a lock-free atomic: the SIGPROF handler reads its own stack through a
-// raw thread_local pointer (async-signal-safe — no locks, no
-// allocation), and cross-thread reads go through the seqlock `version`
-// (odd = write in flight; changed = torn, skip the sample).  A write
-// interrupted by the owner's own SIGPROF is caught the same way.
-struct PhaseStack {
-  std::atomic<std::uint32_t> version{0};
-  std::atomic<int> depth{0};  ///< total frames; may exceed the array
-  std::atomic<const char*> names[kPhaseStackDepth] = {};
-  std::atomic<std::uint8_t> categories[kPhaseStackDepth] = {};
-  std::atomic<std::int32_t> rank{-1};
-};
-
-std::vector<std::shared_ptr<PhaseStack>>& phase_registry() {
-  // Leaked for the same reason as the trace-buffer registry: the
-  // profiler's atexit export must be able to walk it.
-  static auto* stacks = new std::vector<std::shared_ptr<PhaseStack>>();
-  return *stacks;
-}
-
-thread_local PhaseStack* g_phase_stack = nullptr;
-
-PhaseStack& local_phase_stack() {
-  if (g_phase_stack == nullptr) {
-    auto stack = std::make_shared<PhaseStack>();
-    stack->rank.store(g_thread_rank, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(g_registry_mutex);
-      phase_registry().push_back(stack);
-    }
-    // The registry (leaked) keeps the stack alive forever, so the raw
-    // pointer never dangles — even past thread exit.
-    g_phase_stack = stack.get();
-  }
-  return *g_phase_stack;
-}
-
-// Seqlock read; false when the owner mutated the stack mid-copy.
-bool snapshot_phase_stack(const PhaseStack& stack, PhaseStackView* out) {
-  const std::uint32_t v1 = stack.version.load(std::memory_order_acquire);
-  if ((v1 & 1u) != 0) return false;
-  int depth = stack.depth.load(std::memory_order_relaxed);
-  if (depth < 0) depth = 0;
-  if (depth > kPhaseStackDepth) depth = kPhaseStackDepth;
-  for (int i = 0; i < depth; ++i) {
-    out->frames[i].name = stack.names[i].load(std::memory_order_relaxed);
-    out->frames[i].category = static_cast<Category>(
-        stack.categories[i].load(std::memory_order_relaxed));
-  }
-  out->depth = depth;
-  out->rank = stack.rank.load(std::memory_order_relaxed);
-  const std::uint32_t v2 = stack.version.load(std::memory_order_acquire);
-  return v1 == v2;
-}
-
 void append(ThreadBuffer& buffer, const TraceEvent& event) {
   Chunk* chunk = buffer.current;
   if (chunk == nullptr ||
@@ -148,9 +89,7 @@ struct EnvInit {
   EnvInit() {
     const TraceEnvConfig config = parse_trace_env(std::getenv("SENKF_TRACE"));
     export_path = config.export_path;
-    if (config.enabled) {
-      g_span_hooks.fetch_or(kSpanHookTrace, std::memory_order_relaxed);
-    }
+    if (config.enabled) g_tracing.store(true, std::memory_order_relaxed);
     if (!export_path.empty()) {
       std::atexit([] {
         const std::string& path = trace_export_path();
@@ -205,94 +144,13 @@ std::int64_t now_ns() {
       .count();
 }
 
-#ifndef SENKF_TELEMETRY_DISABLED
-std::uint8_t span_hooks() {
-  return g_span_hooks.load(std::memory_order_relaxed);
-}
-
-bool tracing_enabled() {
-  return (g_span_hooks.load(std::memory_order_relaxed) & kSpanHookTrace) != 0;
-}
-#endif
+bool tracing_enabled() { return g_tracing.load(std::memory_order_relaxed); }
 
 void set_tracing_enabled(bool enabled) {
-  if (enabled) {
-    g_span_hooks.fetch_or(kSpanHookTrace, std::memory_order_relaxed);
-  } else {
-    g_span_hooks.fetch_and(static_cast<std::uint8_t>(~kSpanHookTrace),
-                           std::memory_order_relaxed);
-  }
+  g_tracing.store(enabled, std::memory_order_relaxed);
 }
 
-void set_profile_hooks_enabled(bool enabled) {
-  if (enabled) {
-    g_span_hooks.fetch_or(kSpanHookProfile, std::memory_order_relaxed);
-  } else {
-    g_span_hooks.fetch_and(static_cast<std::uint8_t>(~kSpanHookProfile),
-                           std::memory_order_relaxed);
-  }
-}
-
-void push_phase_frame(const char* name, Category category) {
-  PhaseStack& stack = local_phase_stack();
-  const int depth = stack.depth.load(std::memory_order_relaxed);
-  if (depth < kPhaseStackDepth) {
-    stack.version.fetch_add(1, std::memory_order_relaxed);  // odd: writing
-    stack.names[depth].store(name, std::memory_order_relaxed);
-    stack.categories[depth].store(static_cast<std::uint8_t>(category),
-                                  std::memory_order_relaxed);
-    stack.depth.store(depth + 1, std::memory_order_relaxed);
-    stack.version.fetch_add(1, std::memory_order_release);  // even: done
-  } else {
-    // Beyond the bounded depth only the counter moves; the recorded
-    // frames stay the outermost kPhaseStackDepth, and pop re-balances.
-    stack.depth.store(depth + 1, std::memory_order_relaxed);
-  }
-}
-
-void pop_phase_frame() {
-  PhaseStack* stack = g_phase_stack;
-  if (stack == nullptr) return;  // hooks flipped mid-span; stay safe
-  const int depth = stack->depth.load(std::memory_order_relaxed);
-  if (depth <= 0) return;
-  if (depth <= kPhaseStackDepth) {
-    stack->version.fetch_add(1, std::memory_order_relaxed);
-    stack->depth.store(depth - 1, std::memory_order_relaxed);
-    stack->version.fetch_add(1, std::memory_order_release);
-  } else {
-    stack->depth.store(depth - 1, std::memory_order_relaxed);
-  }
-}
-
-std::size_t phase_stack_count() {
-  std::lock_guard<std::mutex> lock(g_registry_mutex);
-  return phase_registry().size();
-}
-
-bool read_phase_stack(std::size_t index, PhaseStackView* out) {
-  std::shared_ptr<PhaseStack> stack;
-  {
-    std::lock_guard<std::mutex> lock(g_registry_mutex);
-    if (index >= phase_registry().size()) return false;
-    stack = phase_registry()[index];
-  }
-  return snapshot_phase_stack(*stack, out);
-}
-
-bool read_own_phase_stack(PhaseStackView* out) {
-  const PhaseStack* stack = g_phase_stack;
-  if (stack == nullptr) return false;
-  return snapshot_phase_stack(*stack, out);
-}
-
-void set_thread_rank(std::int32_t rank) {
-  g_thread_rank = rank;
-  // Mirror into the phase stack (if this thread has one) so profile
-  // samples inherit rank attribution without touching the hot path.
-  if (g_phase_stack != nullptr) {
-    g_phase_stack->rank.store(rank, std::memory_order_relaxed);
-  }
-}
+void set_thread_rank(std::int32_t rank) { g_thread_rank = rank; }
 
 std::int32_t thread_rank() { return g_thread_rank; }
 

@@ -9,14 +9,10 @@
 // alive past thread exit, so helper threads and pool workers that die
 // before shutdown still contribute to the merged export.
 //
-// Kill switches:
-//  * env — `SENKF_TRACE=off|on|<path>` (read once at process start).
-//    `off` (the default) disarms every TraceSpan at the cost of a single
-//    relaxed atomic load + branch; `on` records and exports to
-//    `senkf_trace.json` at exit; any other value is the export path.
-//  * compile time — configure with -DSENKF_TELEMETRY=OFF and
-//    tracing_enabled() becomes `constexpr false`, so span bodies fold
-//    away entirely.
+// Kill switch: `SENKF_TRACE=off|on|<path>` (read once at process start).
+// `off` (the default) disarms every TraceSpan at the cost of a single
+// relaxed atomic load + branch; `on` records and exports to
+// `senkf_trace.json` at exit; any other value is the export path.
 //
 // The merged buffers export as Chrome trace-event JSON ("X" complete
 // events, one process row per rank) loadable in Perfetto or
@@ -72,29 +68,11 @@ struct TraceEvent {
 /// at static-init time; shared with the logger's timestamps).
 std::int64_t now_ns();
 
-/// Bits of the shared span-hook mask: one relaxed load in every span
-/// constructor covers both the tracer and the profiler, so an
-/// uninstrumented run pays exactly the single load + branch it always
-/// did (and zero extra work when SENKF_PROFILE is unset).
-inline constexpr std::uint8_t kSpanHookTrace = 1u;
-inline constexpr std::uint8_t kSpanHookProfile = 2u;
-
-/// One relaxed atomic load; `constexpr 0` when compiled out.
-#ifdef SENKF_TELEMETRY_DISABLED
-constexpr std::uint8_t span_hooks() { return 0; }
-constexpr bool tracing_enabled() { return false; }
-#else
-std::uint8_t span_hooks();
+/// Whether spans record: one relaxed atomic load.
 bool tracing_enabled();
-#endif
 
 /// Programmatic override of the SENKF_TRACE arming (tests, examples).
 void set_tracing_enabled(bool enabled);
-
-/// Arms/disarms the profiler's span hooks (kSpanHookProfile): while set,
-/// every TraceSpan/CountedSpan pushes a phase frame the sampling
-/// profiler attributes its samples to (DESIGN.md §16).
-void set_profile_hooks_enabled(bool enabled);
 
 /// Rank attribution for every span recorded by the calling thread.
 /// parcomm::Runtime sets this on each rank thread; helper threads and
@@ -107,62 +85,17 @@ std::int32_t thread_rank();
 /// lifetime.
 std::int32_t thread_index();
 
-// ---- Phase-frame stack (profiler attribution, DESIGN.md §16) --------
-//
-// While profiling is armed, every span pushes a {name, category} frame
-// onto its thread's bounded stack; the sampling profiler attributes
-// each sample to the innermost frame.  Stacks are heap-registered (like
-// the trace buffers) so a wall-clock sampler thread can read them
-// cross-thread, and every field is a lock-free atomic so the SIGPROF
-// handler can read its own stack async-signal-safely.
-
-inline constexpr int kPhaseStackDepth = 16;
-
-struct PhaseFrame {
-  const char* name = nullptr;
-  Category category = Category::kOther;
-};
-
-/// A (possibly torn-free) copy of one thread's innermost frames.
-struct PhaseStackView {
-  PhaseFrame frames[kPhaseStackDepth];
-  int depth = 0;           ///< frames recorded (clamped to the stack)
-  std::int32_t rank = -1;  ///< the owning thread's rank
-};
-
-/// Pushes/pops the calling thread's innermost frame.  Called by spans
-/// only while kSpanHookProfile is armed; frames beyond kPhaseStackDepth
-/// are counted but not recorded (pop stays symmetric).
-void push_phase_frame(const char* name, Category category);
-void pop_phase_frame();
-
-/// Number of phase stacks ever registered (threads that pushed a frame
-/// or set a rank while profiling was armed).
-std::size_t phase_stack_count();
-
-/// Seqlock read of stack `index` for the wall-clock sampler; returns
-/// false when the owner mutated it mid-read (skip the sample) or the
-/// index is stale.
-bool read_phase_stack(std::size_t index, PhaseStackView* out);
-
-/// Same for the calling thread, async-signal-safe (reads only lock-free
-/// atomics and pre-registered thread-local state); false when the
-/// thread has no stack yet.
-bool read_own_phase_stack(PhaseStackView* out);
-
-/// RAII span.  Construction is one load + branch when both hooks are off.
+/// RAII span.  Construction is one load + branch when tracing is off.
 class TraceSpan {
  public:
   explicit TraceSpan(Category category, const char* name,
                      std::int32_t stage = -1)
       : name_(name), stage_(stage), category_(category),
-        hooks_(span_hooks()) {
-    if (hooks_ & kSpanHookTrace) start_ns_ = now_ns();
-    if (hooks_ & kSpanHookProfile) push_phase_frame(name, category);
+        armed_(tracing_enabled()) {
+    if (armed_) start_ns_ = now_ns();
   }
   ~TraceSpan() {
-    if (hooks_ & kSpanHookProfile) pop_phase_frame();
-    if (hooks_ & kSpanHookTrace) record();
+    if (armed_) record();
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -182,7 +115,7 @@ class TraceSpan {
   }
 
   std::int64_t start_ns() const { return start_ns_; }
-  bool armed() const { return (hooks_ & kSpanHookTrace) != 0; }
+  bool armed() const { return armed_; }
 
  private:
   void record();
@@ -193,7 +126,7 @@ class TraceSpan {
   std::int32_t stage_;
   Category category_;
   FlowDir flow_ = FlowDir::kNone;
-  std::uint8_t hooks_;
+  bool armed_;
 };
 
 /// Process-unique nonzero flow id for a new message (atomic counter).

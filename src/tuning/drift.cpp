@@ -50,36 +50,4 @@ PhaseDrift record_model_drift(const CostModel& model,
   return drift;
 }
 
-DriftTrend fit_trend(const std::vector<telemetry::SeriesPoint>& points) {
-  DriftTrend trend;
-  trend.points = points.size();
-  if (points.empty()) return trend;
-  trend.latest = points.back().value;
-  double sum = 0.0;
-  for (const telemetry::SeriesPoint& p : points) sum += p.value;
-  trend.mean = sum / static_cast<double>(points.size());
-  if (points.size() < 2) return trend;
-  // Ordinary least squares on (seconds since the first point, value);
-  // anchoring at t0 keeps the normal equations well conditioned even
-  // though t_ns is a large monotonic count.
-  const double t0 = static_cast<double>(points.front().t_ns);
-  double st = 0.0, sv = 0.0, stt = 0.0, stv = 0.0;
-  for (const telemetry::SeriesPoint& p : points) {
-    const double t = (static_cast<double>(p.t_ns) - t0) / 1e9;
-    st += t;
-    sv += p.value;
-    stt += t * t;
-    stv += t * p.value;
-  }
-  const double n = static_cast<double>(points.size());
-  const double denom = n * stt - st * st;
-  if (denom > 0.0) trend.slope_per_s = (n * stv - st * sv) / denom;
-  return trend;
-}
-
-DriftTrend drift_trend(const std::string& phase) {
-  return fit_trend(
-      telemetry::TimeSeriesRecorder::global().series("model.drift." + phase));
-}
-
 }  // namespace senkf::tuning

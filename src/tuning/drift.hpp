@@ -1,15 +1,10 @@
 // Live cost-model drift (DESIGN.md §11): compares measured per-rank
 // per-stage phase times against equations (7)–(9) and publishes the
-// relative errors as `model.drift.{read,comm,comp}` gauges — the
-// empirical feedback signal a future auto-tuner recalibration loop
-// (Algorithms 1–2) consumes.  Unlike bench/fig09_measured_vs_model, no
-// calibration happens here: the drift *is* the calibration residual.
+// relative errors as `model.drift.{read,comm,comp}` gauges.  Unlike
+// bench/fig09_measured_vs_model, no calibration happens here: the drift
+// *is* the calibration residual.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "telemetry/timeseries.hpp"
 #include "tuning/cost_model.hpp"
 
 namespace senkf::tuning {
@@ -42,26 +37,5 @@ PhaseDrift record_model_drift(const CostModel& model,
                               const vcluster::SenkfParams& p,
                               double measured_read_s, double measured_comm_s,
                               double measured_comp_s);
-
-/// Trend of one drift gauge over its sampled history (DESIGN.md §13):
-/// the time-series recorder turns the point-in-time drift gauges into a
-/// per-cycle trend, which is what a recalibration loop actually needs —
-/// a model that is 20% off but stable is calibratable, one whose drift
-/// grows every cycle is not.
-struct DriftTrend {
-  std::size_t points = 0;
-  double latest = 0.0;       ///< newest sampled value (milli-units)
-  double mean = 0.0;         ///< mean over the recorded window
-  double slope_per_s = 0.0;  ///< least-squares slope, milli-units per
-                             ///< second; 0 with fewer than 2 points
-};
-
-/// Least-squares fit over a recorded series (helper shared with tests).
-DriftTrend fit_trend(const std::vector<telemetry::SeriesPoint>& points);
-
-/// Trend of `model.drift.<phase>` (phase in {"read", "comm", "comp"})
-/// read from the global TimeSeriesRecorder.  Zeroed result when the
-/// gauge was never sampled (sampling off and no cycle boundary hit).
-DriftTrend drift_trend(const std::string& phase);
 
 }  // namespace senkf::tuning

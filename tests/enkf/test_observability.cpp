@@ -5,7 +5,6 @@
 //    across a Registry::reset) never inherit totals;
 //  * the registry's senkf.* counters advance by exactly the ledger's
 //    totals, on the fault path too;
-//  * every engine arms the SENKF_SAMPLE_MS sampler;
 //  * a run sends only data-plane messages (block batches and results);
 //  * the SENKF_REPORT writer emits schema-valid JSON whose run section
 //    matches the stats facade;
@@ -17,7 +16,7 @@
 // Causal-tracing acceptance (DESIGN.md §13): an injected straggler rank
 // dominates the per-cycle critical path and the attribution sums to the
 // measured wall clock; re-issued bar reads leave no dangling flow ids;
-// flush-on-fault still emits the partial time-series and critical path.
+// flush-on-fault still emits the partial report and critical path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,15 +27,12 @@
 #include <vector>
 
 #include "enkf/faulty_store.hpp"
-#include "enkf/lenkf.hpp"
-#include "enkf/penkf.hpp"
 #include "enkf/senkf.hpp"
 #include "grid/synthetic.hpp"
 #include "obs/perturbed.hpp"
 #include "telemetry/critical_path.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
-#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 #include "../telemetry/test_json.hpp"
 
@@ -322,37 +318,6 @@ TEST(Observability, AbortedRunStillPublishesItsLedger) {
   EXPECT_GT(registry.counter_value("senkf.io_send_ns"), send_before);
 }
 
-// SENKF_SAMPLE_MS arms the registry sampler whichever engine runs first.
-TEST(Observability, EveryEngineArmsTheSampler) {
-  const World w(55);
-  EnkfRunConfig run_config;
-  run_config.n_sdx = 4;
-  run_config.n_sdy = 2;
-  run_config.layers = 3;
-  run_config.analysis.halo = grid::Halo{2, 1};
-  const auto lenkf_run = [&] {
-    return lenkf(w.store, w.observations, w.ys, run_config);
-  };
-  const auto penkf_run = [&] {
-    return penkf(w.store, w.observations, w.ys, run_config);
-  };
-  const auto senkf_run = [&] {
-    return senkf(w.store, w.observations, w.ys, senkf_config());
-  };
-  const auto interval_armed_by = [](const char* ms, const auto& engine) {
-    ::setenv("SENKF_SAMPLE_MS", ms, 1);
-    (void)engine();
-    ::unsetenv("SENKF_SAMPLE_MS");
-    const std::int64_t interval = telemetry::sampler_interval_ms();
-    telemetry::stop_sampler();
-    return interval;
-  };
-  EXPECT_EQ(interval_armed_by("7", lenkf_run), 7);
-  EXPECT_EQ(interval_armed_by("8", penkf_run), 8);
-  EXPECT_EQ(interval_armed_by("9", senkf_run), 9);
-  telemetry::TimeSeriesRecorder::global().clear();
-}
-
 TEST(Observability, AggregationSurvivesInjectedFaults) {
   const World w(47);
   ::setenv("SENKF_FAULTS", "seed=4,transient=0.3,burst=1", 1);
@@ -409,8 +374,7 @@ TEST(Observability, SteadyStateAnalysisIsAllocationFree) {
   EXPECT_TRUE(doc.at("analysis").has("analysis.localization.hits"));
 }
 
-// Tracing state, the critical-path list, and the series recorder are
-// process-global; each tracing test arms them on entry and scrubs them on
+// Tracing state and the critical-path list are process-global; each tracing test arms them on entry and scrubs them on
 // exit so the plain Observability suites above stay oblivious.
 class ObservabilityTracing : public ::testing::Test {
  protected:
@@ -506,26 +470,22 @@ TEST_F(ObservabilityTracing, ReissuedBarsLeaveNoDanglingFlowIds) {
   EXPECT_EQ(cp.missing_edges, 0u);
 }
 
-TEST_F(ObservabilityTracing, FlushOnFaultEmitsTimeseriesAndCriticalPath) {
+TEST_F(ObservabilityTracing, FlushOnFaultEmitsCriticalPath) {
   const World w(51);
   const FaultyEnsembleStore faulty(w.store, pfs::parse_fault_plan("dead=1"));
   SenkfConfig config = senkf_config();
   config.fault.drop_unreadable_members = false;  // make the run abort
 
-  telemetry::TimeSeriesRecorder::global().clear();
   EXPECT_THROW(senkf(faulty, w.observations, w.ys, config),
                pfs::PermanentReadError);
 
-  // Flush-on-fault must leave behind (a) a report marked partial, (b) a
-  // critical path attributing the aborted window, (c) the tail
-  // time-series sample covering the aborted interval's deltas.
+  // Flush-on-fault must leave behind (a) a report marked partial and (b)
+  // a critical path attributing the aborted window.
   EXPECT_TRUE(telemetry::run_report_copy().partial);
   const auto paths = telemetry::critical_paths_copy();
   ASSERT_FALSE(paths.empty());
   EXPECT_GT(paths.front().wall_s, 0.0);
   EXPECT_GT(paths.front().attributed_s + paths.front().untracked_s, 0.0);
-  EXPECT_FALSE(telemetry::TimeSeriesRecorder::global().snapshot().empty());
-  telemetry::TimeSeriesRecorder::global().clear();
 }
 
 }  // namespace

@@ -246,7 +246,7 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
   write_run_report(out);
   const testjson::Value doc = testjson::parse(out.str());
   EXPECT_EQ(doc.at("schema").as_string(), "senkf-run-report");
-  EXPECT_DOUBLE_EQ(doc.at("version").as_number(), RunReport::kVersion);
+  EXPECT_DOUBLE_EQ(doc.at("version").as_number(), 6.0);
   EXPECT_FALSE(doc.at("partial").as_bool());
   const testjson::Value& run = doc.at("run");
   EXPECT_EQ(run.at("kind").as_string(), "senkf");
@@ -267,6 +267,11 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
                    2.0);
   EXPECT_TRUE(doc.has("metrics"));
   EXPECT_TRUE(doc.has("faults"));
+  // v6 carries the watchdog section but no time series and no profile:
+  // per-stage and per-phase times are the ledger's and the trace's.
+  EXPECT_TRUE(doc.has("watchdog"));
+  EXPECT_FALSE(doc.has("timeseries"));
+  EXPECT_FALSE(doc.has("profile"));
 
   mark_run_partial();
   std::ostringstream partial_out;

@@ -12,7 +12,6 @@
 
 #include "net/http_server.hpp"
 #include "telemetry/liveops/exposition.hpp"
-#include "telemetry/liveops/profiler.hpp"
 #include "telemetry/liveops/watchdog.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/shutdown.hpp"
@@ -107,45 +106,40 @@ TEST(LiveopsHttp, ServesMetricsHealthOverSocket) {
   EXPECT_EQ(status, 200);
   EXPECT_NE(metrics.find("liveops_test_endpoint 5"), std::string::npos);
 
-  // No job table is served: the endpoint describes one process's run.
-  net::http_get(port, "/jobs", &status);
-  EXPECT_EQ(status, 404);
+  // No job table, time series or profile is served: the endpoint
+  // describes one process's run from the registry and the watchdog.
+  for (const char* path : {"/jobs", "/timeseries", "/profile"}) {
+    net::http_get(port, path, &status);
+    EXPECT_EQ(status, 404) << path;
+  }
 
   const std::string health = net::http_get(port, "/health", &status);
   // No watchdog overruns in this process: healthy.
   EXPECT_EQ(status, 200);
   const testjson::Value health_doc = testjson::parse(health);
   EXPECT_EQ(health_doc.at("status").as_string(), "ok");
-  EXPECT_TRUE(health_doc.at("profiler").as_object().count("running"));
+  EXPECT_FALSE(health_doc.has("profiler"));
   EXPECT_TRUE(health_doc.at("watchdog").as_object().count("fired"));
-
-  const std::string timeseries = net::http_get(port, "/timeseries", &status);
-  EXPECT_EQ(status, 200);
-  EXPECT_NO_THROW(testjson::parse(timeseries));
 
   stop_liveops_http();
   EXPECT_FALSE(liveops_http_running());
 }
 
 // The asan mid-cycle exit gate: everything the liveops plane starts —
-// endpoint, profiler, watchdog — must come down cleanly and in order
-// through the one telemetry::shutdown() call the engines' fault path
-// makes, leaving no running threads and no leaked server, and the
-// subsystems must be restartable afterwards (the next in-process run
-// re-arms them).
+// endpoint, watchdog — must come down cleanly and in order through the
+// one telemetry::shutdown() call the engines' fault path makes, leaving
+// no running threads and no leaked server, and the subsystems must be
+// restartable afterwards (the next in-process run re-arms them).
 TEST(Shutdown, StopsEveryLiveopsSubsystemInOrderAndIsRestartable) {
   ASSERT_NE(start_liveops_http(0), 0);
-  start_profiler(200, /*wall=*/true);
   start_watchdog(1.0);
   const std::uint64_t token = watchdog_arm("shutdown_test", 30.0, 0);
   EXPECT_NE(token, 0u);
   ASSERT_TRUE(liveops_http_running());
-  ASSERT_TRUE(profiler_running());
   ASSERT_TRUE(watchdog_running());
 
   telemetry::shutdown();
   EXPECT_FALSE(liveops_http_running());
-  EXPECT_FALSE(profiler_running());
   EXPECT_FALSE(watchdog_running());
 
   // shutdown() is idempotent (every stop is a no-op on a stopped
