@@ -5,7 +5,9 @@ Usage: check_report.py REPORT.json [--kind senkf] [--require-warns]
                        [--require-critical-path]
 
 Validates structure and types, cross-checks the acceptance invariants
-(aggregated phase totals equal the sum of the per-rank samples;
+(aggregated phase totals equal the sum of the per-rank samples; with
+--kind senkf, the run's stage_obtain_us histogram holds one observation
+per I/O rank per layer and sums to the I/O ranks' obtain_s;
 critical-path splits partition each cycle's wall clock to within 5%;
 the watchdog section is either a disabled stub or fully populated),
 and exits nonzero on any violation.  Stdlib only — runs
@@ -140,6 +142,30 @@ def check_snapshot(snapshot, where):
                   f"{len(bounds)} bounds (want bounds+1)")
 
 
+def check_stage_obtain(run, ranks, config):
+    """S-EnKF's run histogram and run.ranks read the same ledger cells."""
+    name = "senkf.rank.stage_obtain_us"
+    where = f"run.aggregate.histograms.{name}"
+    histograms = (run.get("aggregate") or {}).get("histograms") or {}
+    hist = histograms.get(name)
+    if not check(isinstance(hist, dict), f"{where}: missing"):
+        return
+    io_ranks = [r for r in ranks if r.get("is_io") is True]
+    layers = config.get("layers", "")
+    if check(isinstance(layers, str) and layers.isdigit(),
+             f"run.config.layers: got {layers!r}"):
+        want = len(io_ranks) * int(layers)
+        check(hist.get("count") == want,
+              f"{where}.count: {hist.get('count')} != {len(io_ranks)} "
+              f"I/O ranks x {layers} layers")
+    want_sum = 1e6 * sum(r.get("obtain_s", 0) for r in io_ranks)
+    got_sum = hist.get("sum")
+    check(isinstance(got_sum, (int, float)) and
+          abs(got_sum - want_sum) <= 1e-9 * abs(want_sum),
+          f"{where}.sum: {got_sum} != 1e6 x I/O ranks' obtain_s "
+          f"{want_sum}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("report")
@@ -241,6 +267,9 @@ def main():
             tolerance = 1e-9 + 1e-9 * abs(total)
             check(abs(reported - total) <= tolerance,
                   f"run.phases.{name}: {reported} != per-rank sum {total}")
+
+    if args.kind == "senkf":
+        check_stage_obtain(run, ranks, config)
 
     # Drift gauges must be populated for a completed run (model vs an
     # in-memory measurement always disagrees).

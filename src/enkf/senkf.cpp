@@ -7,6 +7,7 @@
 #include <exception>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -44,14 +45,10 @@ constexpr int kIoCtrlTag = 3;
 ///   8-byte aligned and receivers consume it as a PatchView in place.
 constexpr std::uint64_t kKindBlock = 0;
 constexpr std::uint64_t kKindDead = 1;
-/// The sending rank is unwinding; receivers must stop waiting for stage
-/// data and unwind too (only sent when drop_unreadable_members is off).
-constexpr std::uint64_t kKindAbort = 2;
 
 /// Payload discriminators on kIoCtrlTag.
 constexpr std::uint64_t kCtrlReissue = 0;
-constexpr std::uint64_t kCtrlAck = 1;
-constexpr std::uint64_t kCtrlDone = 2;
+constexpr std::uint64_t kCtrlDone = 1;
 
 /// One (rank, stage) cell of the run ledger.  Atomic counters because
 /// the rank's helper, pool and reader threads feed them; each phase
@@ -97,8 +94,8 @@ struct ObservabilityContext {
   tuning::PhaseDeadlines deadlines;
 };
 
-/// Bucket ladder for the per-stage acquisition histogram every I/O rank
-/// contributes to the aggregate (μs, 10 → ~41 s).
+/// Bucket ladder for the run's per-stage acquisition histogram, one
+/// observation per I/O rank per stage (μs, 10 → ~41 s).
 const std::vector<double>& stage_obtain_bounds() {
   static const std::vector<double> bounds =
       telemetry::exponential_bounds(10.0, 4.0, 12);
@@ -200,8 +197,9 @@ class StageBuffers {
   }
 
   /// Wakes everyone and makes take_stage throw: called when the helper
-  /// thread dies or a peer rank announced it is unwinding, so the main
-  /// thread never blocks on stage data that can no longer arrive.
+  /// thread dies (its recv throws once Runtime::run cancels a failed
+  /// run), so the main thread never blocks on stage data that can no
+  /// longer arrive.
   void abort() {
     std::lock_guard<std::mutex> lock(mutex_);
     aborted_ = true;
@@ -400,10 +398,11 @@ void announce_dead(parcomm::Communicator& world, const RankLayout& layout,
 
 /// One bar read executed off the I/O rank's main thread, so the main
 /// thread can give up after the straggler deadline and re-issue the bar
-/// to a group peer while the slow read keeps grinding in the background.
-/// Abandoned results are discarded on completion (the re-issued copy is
-/// the one that reaches the computation ranks), so duplicates can only
-/// arise from protocol races — which StageBuffers tolerates anyway.
+/// to a group peer.  A timed-out request the worker has not started is
+/// dropped from the queue; the one in flight keeps grinding in the
+/// background and its result is discarded on completion (the re-issued
+/// copy is the one that reaches the computation ranks), so duplicates can
+/// only arise from protocol races — which StageBuffers tolerates anyway.
 class BarReader {
  public:
   enum class Status { kOk, kTimeout, kDead };
@@ -429,8 +428,9 @@ class BarReader {
     worker_.join();
   }
 
-  /// Blocks up to `deadline` for the read; kTimeout abandons the request
-  /// (its eventual result is dropped).
+  /// Blocks up to `deadline` for the read; kTimeout drops the request if
+  /// it is still queued and abandons it (its eventual result is dropped)
+  /// if it is in flight.
   Outcome read(Index member, grid::IndexRange rows, Index stage,
                std::chrono::nanoseconds deadline) {
     std::uint64_t id = 0;
@@ -445,7 +445,14 @@ class BarReader {
       return results_.find(id) != results_.end();
     });
     if (!done) {
-      abandoned_.insert(id);
+      const auto queued =
+          std::find_if(queue_.begin(), queue_.end(),
+                       [id](const Request& r) { return r.id == id; });
+      if (queued != queue_.end()) {
+        queue_.erase(queued);
+      } else {
+        abandoned_.insert(id);
+      }
       return Outcome{Status::kTimeout, {}};
     }
     Outcome outcome = std::move(results_[id]);
@@ -574,16 +581,8 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
   std::set<Index> dead;
   const auto handle_permanent = [&](Index member, Index for_slot) {
     if (!config.fault.drop_unreadable_members) {
-      // Tell every computation rank the run is unwinding before we throw,
-      // so their main threads wake instead of waiting for stage data that
-      // will never arrive.
-      for (Index j = 0; j < config.n_sdy; ++j) {
-        for (Index i = 0; i < config.n_sdx; ++i) {
-          parcomm::Packer abort_msg;
-          abort_msg.put<std::uint64_t>(kKindAbort);
-          world.send(layout.comp_rank(i, j), kBlockTag, abort_msg.take());
-        }
-      }
+      // Runtime::run cancels the run on this error: every rank blocked on
+      // data that will never arrive wakes and unwinds.
       throw pfs::PermanentReadError(
           "senkf: member " + std::to_string(member) +
           " unreadable and drop_unreadable_members is off");
@@ -597,18 +596,15 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
 
   // ---- straggler re-issue protocol (kIoCtrlTag, I/O peers of one group).
   // reissue{l, member, slot}: "read this bar for me and scatter it to my
-  // row" — served between own reads and while waiting for acks/dones.
-  // ack{l, member}: the re-issued bar reached the requester's row.
-  // done: the sender finished its own schedule.  A rank exits once its
-  // own schedule is resolved (all acks in) and every peer sent done;
-  // per-(source, tag) ordering guarantees no request can trail its
-  // sender's done.
-  std::set<std::pair<Index, Index>> pending_acks;
+  // row" — served between own reads and while waiting for dones.
+  // done: the sender finished its own schedule.  A rank exits once every
+  // peer sent done; per-(source, tag) ordering puts each request ahead of
+  // its sender's done, so every request is served before its server
+  // exits, and the requester needs no reply.
   Index peers_done = 0;
   const Index n_peers = config.n_sdy - 1;
 
-  const auto serve_reissue = [&](Index l, Index member, Index req_slot,
-                                 int requester) {
+  const auto serve_reissue = [&](Index l, Index member, Index req_slot) {
     if (dead.count(member) != 0) {
       announce_dead(world, layout, config, member, req_slot);
     } else {
@@ -620,11 +616,6 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
         handle_permanent(member, req_slot);
       }
     }
-    parcomm::Packer ack;
-    ack.put<std::uint64_t>(kCtrlAck);
-    ack.put<std::uint64_t>(l);
-    ack.put<std::uint64_t>(member);
-    world.send(requester, kIoCtrlTag, ack.take());
   };
 
   const auto handle_ctrl = [&](const parcomm::Envelope& envelope) {
@@ -634,11 +625,7 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
       const auto l = unpacker.get<std::uint64_t>();
       const auto member = unpacker.get<std::uint64_t>();
       const auto req_slot = unpacker.get<std::uint64_t>();
-      serve_reissue(l, member, req_slot, envelope.source);
-    } else if (kind == kCtrlAck) {
-      const auto l = unpacker.get<std::uint64_t>();
-      const auto member = unpacker.get<std::uint64_t>();
-      pending_acks.erase({l, member});
+      serve_reissue(l, member, req_slot);
     } else {
       SENKF_REQUIRE(kind == kCtrlDone, "senkf: unknown I/O control kind");
       ++peers_done;
@@ -695,7 +682,6 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
           request.put<std::uint64_t>(slot);
           world.send(layout.io_rank(group, peer_slot), kIoCtrlTag,
                      request.take());
-          pending_acks.insert({l, member});
           counts.reissued.add(1);
           SENKF_LOG_WARN("senkf: io rank ", world.rank(),
                          " re-issued bar (stage ", l, ", member ", member,
@@ -714,7 +700,7 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
       done.put<std::uint64_t>(kCtrlDone);
       world.send(layout.io_rank(group, s), kIoCtrlTag, done.take());
     }
-    while (!pending_acks.empty() || peers_done < n_peers) {
+    while (peers_done < n_peers) {
       handle_ctrl(world.recv(parcomm::kAnySource, kIoCtrlTag));
     }
     // ~BarReader waits for any abandoned slow read still in flight.
@@ -755,8 +741,8 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   // main thread per completed stage.  Its own failures are captured and
   // rethrown after the join; the join itself is guaranteed even when the
   // main thread unwinds (the I/O ranks keep resolving the remaining
-  // members regardless, so the helper always drains to completion or
-  // times out via the mailbox deadline).
+  // members regardless, so the helper always drains to completion, or
+  // its recv throws once Runtime::run cancels a failed run).
   std::exception_ptr helper_error;
   std::uint64_t helper_messages = 0;
   std::thread helper([&world, &buffers, &helper_error, &helper_messages,
@@ -775,10 +761,6 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
         const auto kind = unpacker.get<std::uint64_t>();
         if (kind == kKindDead) {
           buffers.mark_dead(unpacker.get<std::uint64_t>(), envelope.ctx);
-          continue;
-        }
-        if (kind == kKindAbort) {
-          buffers.abort();  // complete() turns true; the loop exits
           continue;
         }
         SENKF_REQUIRE(kind == kKindBlock, "senkf: unknown block-message kind");
@@ -951,19 +933,14 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
 
 double seconds(std::uint64_t ns) { return static_cast<double>(ns) / 1e9; }
 
-/// The run's aggregate, read off the ledger once every rank thread has
-/// joined: one RankSample per rank in rank order and the per-stage
-/// acquisition histogram.  `stage_samples[l]` receives the I/O ranks'
-/// stage-l samples (obtain_s = that stage's acquisition) for the
-/// straggler check.
-telemetry::MetricsSnapshot read_ledger(
-    ObservabilityContext& ctx, const RankLayout& layout,
-    std::vector<std::vector<telemetry::RankSample>>& stage_samples) {
-  telemetry::MetricsSnapshot agg;
-  stage_samples.assign(ctx.stages, {});
-  for (Index r = 0; r < ctx.counts.size(); ++r) {
+/// The run's per-rank samples, read off the ledger once every rank
+/// thread has joined: one RankSample per rank, in rank order.
+std::vector<telemetry::RankSample> read_ledger(ObservabilityContext& ctx,
+                                               const RankLayout& layout) {
+  std::vector<telemetry::RankSample> ranks(ctx.counts.size());
+  for (Index r = 0; r < ranks.size(); ++r) {
     const int rank = static_cast<int>(r);
-    telemetry::RankSample sample;
+    telemetry::RankSample& sample = ranks[r];
     sample.rank = rank;
     sample.is_io = layout.is_io(rank) ? 1 : 0;
     if (sample.is_io != 0) {
@@ -971,30 +948,39 @@ telemetry::MetricsSnapshot read_ledger(
     }
     for (Index l = 0; l < ctx.stages; ++l) {
       const StageCell& cell = ctx.cell(rank, l);
-      const double obtain_s = seconds(cell.obtain_ns.value());
       sample.read_s += seconds(cell.read_ns.value());
-      sample.obtain_s += obtain_s;
+      sample.obtain_s += seconds(cell.obtain_ns.value());
       sample.send_s += seconds(cell.send_ns.value());
       sample.wait_s += seconds(cell.wait_ns.value());
       sample.update_s += seconds(cell.update_ns.value());
-      if (sample.is_io == 0) continue;
-      agg.observe_histogram("senkf.rank.stage_obtain_us",
-                            stage_obtain_bounds(), obtain_s * 1e6);
-      telemetry::RankSample stage;
-      stage.rank = rank;
-      stage.is_io = 1;
-      stage.group = sample.group;
-      stage.obtain_s = obtain_s;
-      stage_samples[l].push_back(stage);
     }
     const RankCounts& counts = ctx.counts[r];
     sample.messages = counts.messages.value();
     sample.retries = counts.retries.value();
     sample.reissued = counts.reissued.value();
     sample.backlog_peak = counts.backlog_peak;
-    agg.ranks.push_back(sample);
   }
-  return agg;
+  return ranks;
+}
+
+/// Slowest against mean of one time per rank or per group.
+struct Skew {
+  double max_s = 0.0;
+  double mean_s = 0.0;
+  double ratio = 0.0;  ///< max / mean; 0 when nothing took time
+  std::size_t slowest = 0;  ///< index of the (first) slowest entry
+};
+
+Skew skew_of(const std::vector<double>& seconds) {
+  Skew out;
+  if (seconds.empty()) return out;
+  const auto slowest = std::max_element(seconds.begin(), seconds.end());
+  out.slowest = static_cast<std::size_t>(slowest - seconds.begin());
+  out.max_s = *slowest;
+  out.mean_s = std::accumulate(seconds.begin(), seconds.end(), 0.0) /
+               static_cast<double>(seconds.size());
+  out.ratio = out.mean_s > 0.0 ? out.max_s / out.mean_s : 0.0;
+  return out;
 }
 
 /// Adds the ledger's totals to the process-cumulative `senkf.*` registry
@@ -1083,26 +1069,15 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     ctx.deadlines = tuning::phase_deadlines(model, params);
   }
 
-  // When drop_unreadable_members is off, the failing io rank broadcasts
-  // an abort before throwing PermanentReadError, so computation ranks
-  // wake with a ProtocolError — and whichever thread errors *first* is
-  // what Runtime::run rethrows.  Record the root cause here so the
-  // caller always sees the PermanentReadError, not a racing secondary.
-  std::mutex abort_mutex;
-  std::exception_ptr abort_error;
-
   try {
+    // A rank's failure (a PermanentReadError when drop_unreadable_members
+    // is off) cancels the run: Runtime::run wakes every blocked rank and
+    // rethrows that first error, the root cause.
     parcomm::Runtime::run(
         static_cast<int>(config.total_ranks()),
         [&](parcomm::Communicator& world) {
           if (layout.is_io(world.rank())) {
-            try {
-              run_io_rank(world, layout, decomposition, store, config, ctx);
-            } catch (const pfs::PermanentReadError&) {
-              const std::lock_guard<std::mutex> lock(abort_mutex);
-              if (!abort_error) abort_error = std::current_exception();
-              throw;
-            }
+            run_io_rank(world, layout, decomposition, store, config, ctx);
           } else {
             run_comp_rank(world, layout, decomposition, store, observations,
                           perturbed, config, ctx, &result, &dropped);
@@ -1120,7 +1095,6 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     publish_ledger(ctx, 0);
     telemetry::shutdown();
     telemetry::flush_exports(/*partial=*/true);
-    if (abort_error) std::rethrow_exception(abort_error);
     throw;
   }
 
@@ -1132,38 +1106,58 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   // samples, so the report's "phases = Σ ranks" invariant holds by
   // construction.
   using telemetry::RankSample;
-  std::vector<std::vector<RankSample>> stage_samples;
-  telemetry::MetricsSnapshot agg = read_ledger(ctx, layout, stage_samples);
-  const double io_read_s = sum_over_ranks(agg.ranks, &RankSample::read_s);
-  const double io_send_s = sum_over_ranks(agg.ranks, &RankSample::send_s);
-  const double comp_wait_s = sum_over_ranks(agg.ranks, &RankSample::wait_s);
-  const double comp_update_s = sum_over_ranks(agg.ranks, &RankSample::update_s);
+  std::vector<RankSample> ranks = read_ledger(ctx, layout);
+  const double io_read_s = sum_over_ranks(ranks, &RankSample::read_s);
+  const double io_send_s = sum_over_ranks(ranks, &RankSample::send_s);
+  const double comp_wait_s = sum_over_ranks(ranks, &RankSample::wait_s);
+  const double comp_update_s = sum_over_ranks(ranks, &RankSample::update_s);
 
-  const telemetry::SkewStats run_skew = telemetry::read_skew(agg.ranks);
-  const std::uint64_t backlog_peak = telemetry::drain_backlog_peak(agg.ranks);
+  std::vector<double> run_obtain_s;
+  std::uint64_t backlog_peak = 0;
+  for (const RankSample& r : ranks) {
+    if (r.is_io != 0) {
+      run_obtain_s.push_back(r.obtain_s);
+    } else {
+      backlog_peak = std::max(backlog_peak, r.backlog_peak);
+    }
+  }
+  const Skew run_skew = skew_of(run_obtain_s);
   auto& registry = telemetry::Registry::global();
   registry.gauge("senkf.skew.read").set(ratio_milli(run_skew.ratio));
   registry.gauge("senkf.backlog.peak")
       .set(static_cast<std::int64_t>(backlog_peak));
 
-  // Straggler check (DESIGN.md §11): every stage's read balance across
-  // the I/O ranks' ledger cells of that stage.
+  // Straggler check (DESIGN.md §11): one pass per stage over the I/O
+  // ranks' ledger cells of that stage gives the stage's read skew across
+  // I/O ranks and across concurrent groups, and the run's acquisition
+  // histogram.
+  telemetry::Histogram stage_obtain(stage_obtain_bounds());
   double worst_stage_ratio = 0.0;
   double worst_group_ratio = 0.0;
   std::uint64_t straggler_warns = 0;
-  const std::vector<telemetry::StageSkew> stages =
-      telemetry::stage_read_skew(stage_samples);
-  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
-    const telemetry::SkewStats& skew = stages[stage].read;
+  const Index first_io = config.computation_ranks();  // I/O ranks follow
+  std::vector<double> stage_obtain_s(config.io_ranks());
+  std::vector<double> group_obtain_s(config.n_cg);
+  for (Index l = 0; l < config.layers; ++l) {
+    std::fill(group_obtain_s.begin(), group_obtain_s.end(), 0.0);
+    for (Index io = 0; io < stage_obtain_s.size(); ++io) {
+      const int rank = static_cast<int>(first_io + io);
+      const double obtain_s = seconds(ctx.cell(rank, l).obtain_ns.value());
+      stage_obtain_s[io] = obtain_s;
+      group_obtain_s[layout.io_group(rank)] += obtain_s;
+      stage_obtain.observe(obtain_s * 1e6);
+    }
+    const Skew skew = skew_of(stage_obtain_s);
     worst_stage_ratio = std::max(worst_stage_ratio, skew.ratio);
-    worst_group_ratio = std::max(worst_group_ratio, stages[stage].group.ratio);
+    worst_group_ratio =
+        std::max(worst_group_ratio, skew_of(group_obtain_s).ratio);
     if (skew.ratio < kStragglerRatio || skew.max_s < kStragglerFloorS) continue;
     ++straggler_warns;
-    registry.gauge("senkf.straggler.last_rank").set(skew.max_rank);
-    SENKF_LOG_WARN("senkf: stage ", stage, " read straggler: rank ",
-                   skew.max_rank, " took ", skew.max_s, " s vs stage mean ",
-                   skew.mean_s, " s (x", skew.ratio, ", threshold x",
-                   kStragglerRatio, ")");
+    const auto straggler = static_cast<std::int64_t>(first_io + skew.slowest);
+    registry.gauge("senkf.straggler.last_rank").set(straggler);
+    SENKF_LOG_WARN("senkf: stage ", l, " read straggler: rank ", straggler,
+                   " took ", skew.max_s, " s vs stage mean ", skew.mean_s,
+                   " s (x", skew.ratio, ", threshold x", kStragglerRatio, ")");
   }
   registry.counter("senkf.straggler.warns").add(straggler_warns);
   registry.gauge("senkf.skew.stage_read").set(ratio_milli(worst_stage_ratio));
@@ -1195,13 +1189,13 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     stats->io_send_seconds = io_send_s;
     stats->comp_wait_seconds = comp_wait_s;
     stats->comp_update_seconds = comp_update_s;
-    stats->messages = sum_over_ranks(agg.ranks, &RankSample::messages);
-    stats->read_retries = sum_over_ranks(agg.ranks, &RankSample::retries);
-    stats->bars_reissued = sum_over_ranks(agg.ranks, &RankSample::reissued);
+    stats->messages = sum_over_ranks(ranks, &RankSample::messages);
+    stats->read_retries = sum_over_ranks(ranks, &RankSample::retries);
+    stats->bars_reissued = sum_over_ranks(ranks, &RankSample::reissued);
     stats->dropped_members = dropped;
     stats->straggler_warns = straggler_warns;
     stats->read_skew = run_skew.ratio;
-    stats->ranks = agg.ranks;
+    stats->ranks = ranks;
   }
 
   // Machine-readable run report (SENKF_REPORT=<path> arms the export).
@@ -1230,7 +1224,9 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
                  {"group.worst_ratio", worst_group_ratio}};
   report.straggler_warns = straggler_warns;
   report.dropped_members.assign(dropped.begin(), dropped.end());
-  report.aggregate = std::move(agg);
+  report.ranks = std::move(ranks);
+  report.aggregate.push_back(
+      telemetry::histogram_row("senkf.rank.stage_obtain_us", stage_obtain));
   telemetry::set_run_report(std::move(report));
 
   return result;

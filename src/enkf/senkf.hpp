@@ -25,7 +25,7 @@
 
 #include "enkf/serial_enkf.hpp"
 #include "pfs/faults.hpp"
-#include "telemetry/aggregate.hpp"
+#include "telemetry/report.hpp"
 
 namespace senkf::enkf {
 

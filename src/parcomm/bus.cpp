@@ -15,4 +15,8 @@ Mailbox& Bus::mailbox(int rank) {
   return *mailboxes_[rank];
 }
 
+void Bus::cancel() {
+  for (const auto& mailbox : mailboxes_) mailbox->cancel();
+}
+
 }  // namespace senkf::parcomm

@@ -22,6 +22,9 @@ class Bus {
   /// Mailbox of world rank `rank`.
   Mailbox& mailbox(int rank);
 
+  /// Cancels every mailbox (Mailbox::cancel): the run has failed.
+  void cancel();
+
  private:
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 };

@@ -61,8 +61,13 @@ Envelope Mailbox::pop(int source, int tag, std::chrono::milliseconds timeout) {
           pop_until(source, tag, std::chrono::steady_clock::now() + timeout)) {
     return std::move(*envelope);
   }
-  throw ProtocolError("Mailbox::pop: timed out waiting for source=" +
-                      std::to_string(source) + " tag=" + std::to_string(tag) +
+  const std::string waiting_for =
+      "source=" + std::to_string(source) + " tag=" + std::to_string(tag);
+  if (cancelled_.load()) {
+    throw ProtocolError("Mailbox::pop: run cancelled while waiting for " +
+                        waiting_for + " (another rank failed)");
+  }
+  throw ProtocolError("Mailbox::pop: timed out waiting for " + waiting_for +
                       " (likely deadlock)");
 }
 
@@ -78,6 +83,7 @@ std::optional<Envelope> Mailbox::pop_until(
       span.set_flow(telemetry::FlowDir::kStep, envelope->ctx.span_id);
       return envelope;
     }
+    if (cancelled_.load()) return std::nullopt;
     if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
       // One last sweep: a push may have landed between the final wake-up
       // and the deadline check.
@@ -88,6 +94,14 @@ std::optional<Envelope> Mailbox::pop_until(
       return envelope;
     }
   }
+}
+
+void Mailbox::cancel() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    cancelled_.store(true);
+  }
+  cv_.notify_all();
 }
 
 bool Mailbox::probe(int source, int tag) const {

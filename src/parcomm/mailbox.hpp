@@ -4,9 +4,11 @@
 // blocks until an envelope matching the requested source/tag arrives
 // (wildcards supported), preserving arrival order among matching
 // envelopes — the non-overtaking guarantee MPI programs rely on.  A
-// deadline turns silent deadlocks in user code into loud ProtocolErrors.
+// deadline turns silent deadlocks in user code into loud ProtocolErrors,
+// and cancel() ends every wait at once when the run has already failed.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -57,16 +59,22 @@ class Mailbox {
 
   /// Blocks until an envelope matching (source, tag) is available and
   /// removes it.  Throws ProtocolError after `timeout` (guards tests and
-  /// examples against deadlock).
+  /// examples against deadlock), or at once when the mailbox is
+  /// cancelled and nothing matches.
   Envelope pop(int source, int tag,
                std::chrono::milliseconds timeout = kDefaultTimeout);
 
   /// Deadline overload returning a status instead of throwing: nullopt
-  /// means the deadline passed with nothing matching.  `pop` is built on
-  /// it.  A deadline already in the past still takes an envelope that is
-  /// queued already.
+  /// means the deadline passed, or the mailbox is cancelled, with nothing
+  /// matching.  `pop` is built on it.  A deadline already in the past, or
+  /// a cancelled mailbox, still takes an envelope that is queued already.
   std::optional<Envelope> pop_until(
       int source, int tag, std::chrono::steady_clock::time_point deadline);
+
+  /// Wakes every waiter; from now on a pop that finds nothing matching
+  /// fails instead of waiting.  Runtime::run calls it on every rank's
+  /// mailbox once a rank has failed.  Pushes still enqueue.
+  void cancel();
 
   /// True if an envelope matching (source, tag) is queued now.  Removes
   /// nothing, so the queue's order is left as it was.
@@ -88,6 +96,9 @@ class Mailbox {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Envelope> queue_;
+  /// Written under mutex_ (so no waiter misses the wake-up); atomic so
+  /// pop can name the cause of a miss without the lock.
+  std::atomic<bool> cancelled_{false};
 };
 
 }  // namespace senkf::parcomm

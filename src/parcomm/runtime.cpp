@@ -29,7 +29,10 @@ void Runtime::run(int world_size, const RankMain& rank_main) {
         rank_main(world);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
+        if (!first_error) {
+          first_error = std::current_exception();
+          bus->cancel();
+        }
       }
     });
   }

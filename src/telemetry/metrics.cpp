@@ -199,11 +199,27 @@ std::string Registry::snapshot() const {
   return out.str();
 }
 
+MetricRow histogram_row(std::string name, const Histogram& histogram) {
+  MetricRow row;
+  row.name = std::move(name);
+  row.kind = MetricRow::Kind::kHistogram;
+  row.bounds = histogram.bounds();
+  HistogramCut cut = histogram.cut();
+  row.buckets = std::move(cut.buckets);
+  row.count = cut.count;
+  row.sum = cut.sum;
+  return row;
+}
+
 std::vector<MetricRow> Registry::rows() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MetricRow> out;
   out.reserve(entries_.size());
   for (const auto& [name, entry] : entries_) {
+    if (entry.histogram) {
+      out.push_back(histogram_row(name, *entry.histogram));
+      continue;
+    }
     MetricRow row;
     row.name = name;
     if (entry.counter) {
@@ -212,13 +228,6 @@ std::vector<MetricRow> Registry::rows() const {
     } else if (entry.gauge) {
       row.kind = MetricRow::Kind::kGauge;
       row.gauge = entry.gauge->value();
-    } else if (entry.histogram) {
-      row.kind = MetricRow::Kind::kHistogram;
-      row.bounds = entry.histogram->bounds();
-      HistogramCut cut = entry.histogram->cut();
-      row.buckets = std::move(cut.buckets);
-      row.count = cut.count;
-      row.sum = cut.sum;
     } else {
       continue;
     }

@@ -98,8 +98,9 @@ std::vector<double> exponential_bounds(double first, double factor,
 double histogram_quantile(const std::vector<double>& bounds,
                           const std::vector<std::uint64_t>& buckets, double q);
 
-/// One registered metric with its current values, for exporters that
-/// iterate the whole registry (run report, aggregation snapshots).
+/// One metric with its current values: what Registry::rows() returns,
+/// and the one representation the /metrics exposition and the run
+/// report write (DESIGN.md §11).
 struct MetricRow {
   enum class Kind { kCounter, kGauge, kHistogram };
   std::string name;
@@ -111,6 +112,9 @@ struct MetricRow {
   std::uint64_t count = 0;               ///< histogram only
   double sum = 0.0;                      ///< histogram only
 };
+
+/// `histogram` cut (Histogram::cut) into a row named `name`.
+MetricRow histogram_row(std::string name, const Histogram& histogram);
 
 class Registry {
  public:

@@ -59,47 +59,47 @@ EnvInit& env_init() {
 
 const bool g_env_applied = (env_init(), true);
 
-void write_gauge_stat(JsonWriter& json, const GaugeStat& g) {
-  json.begin_object()
-      .field("min", g.min)
-      .field("max", g.max)
-      .field("mean", g.mean())
-      .field("sum", g.sum)
-      .field("sumsq", g.sumsq)
-      .field("count", g.count)
-      .end_object();
-}
+using Kind = MetricRow::Kind;
 
-void write_histogram_state(JsonWriter& json, const HistogramState& h) {
-  json.begin_object();
-  json.key("bounds").begin_array();
-  for (const double b : h.bounds) json.value(b);
-  json.end_array();
-  json.key("buckets").begin_array();
-  for (const std::uint64_t b : h.buckets) json.value(b);
-  json.end_array();
-  json.field("count", h.count).field("sum", h.sum);
-  json.field("p50", histogram_quantile(h.bounds, h.buckets, 0.50))
-      .field("p90", histogram_quantile(h.bounds, h.buckets, 0.90))
-      .field("p99", histogram_quantile(h.bounds, h.buckets, 0.99));
-  json.end_object();
-}
-
-void write_snapshot(JsonWriter& json, const MetricsSnapshot& snapshot) {
+/// Writes `rows` as {counters, gauges, histograms}.  A gauge row holds
+/// one value; v6 writes it as a distribution with count 1.
+void write_rows(JsonWriter& json, const std::vector<MetricRow>& rows) {
   json.begin_object();
   json.key("counters").begin_object();
-  for (const auto& [name, v] : snapshot.counters) json.field(name, v);
+  for (const MetricRow& row : rows) {
+    if (row.kind == Kind::kCounter) json.field(row.name, row.counter);
+  }
   json.end_object();
   json.key("gauges").begin_object();
-  for (const auto& [name, g] : snapshot.gauges) {
-    json.key(name);
-    write_gauge_stat(json, g);
+  for (const MetricRow& row : rows) {
+    if (row.kind != Kind::kGauge) continue;
+    const auto v = static_cast<double>(row.gauge);
+    json.key(row.name)
+        .begin_object()
+        .field("min", row.gauge)
+        .field("max", row.gauge)
+        .field("mean", v)
+        .field("sum", v)
+        .field("sumsq", v * v)
+        .field("count", std::uint64_t{1})
+        .end_object();
   }
   json.end_object();
   json.key("histograms").begin_object();
-  for (const auto& [name, h] : snapshot.histograms) {
-    json.key(name);
-    write_histogram_state(json, h);
+  for (const MetricRow& row : rows) {
+    if (row.kind != Kind::kHistogram) continue;
+    json.key(row.name).begin_object();
+    json.key("bounds").begin_array();
+    for (const double b : row.bounds) json.value(b);
+    json.end_array();
+    json.key("buckets").begin_array();
+    for (const std::uint64_t b : row.buckets) json.value(b);
+    json.end_array();
+    json.field("count", row.count).field("sum", row.sum);
+    json.field("p50", histogram_quantile(row.bounds, row.buckets, 0.50))
+        .field("p90", histogram_quantile(row.bounds, row.buckets, 0.90))
+        .field("p99", histogram_quantile(row.bounds, row.buckets, 0.99));
+    json.end_object();
   }
   json.end_object();
   json.end_object();
@@ -185,12 +185,10 @@ void write_run_report(std::ostream& out) {
   for (const std::uint64_t m : report.dropped_members) json.value(m);
   json.end_array();
   json.key("ranks").begin_array();
-  for (const RankSample& r : report.aggregate.ranks) {
-    write_rank_sample(json, r);
-  }
+  for (const RankSample& r : report.ranks) write_rank_sample(json, r);
   json.end_array();
   json.key("aggregate");
-  write_snapshot(json, report.aggregate);
+  write_rows(json, report.aggregate);
 
   // Per-cycle critical-path attribution (DESIGN.md §13): the splits
   // partition each cycle's wall clock, so attributed_s + untracked_s
@@ -226,26 +224,27 @@ void write_run_report(std::ostream& out) {
   // (parcomm, pfs faults, kernels) and survives even when no run
   // populated the report.
   json.key("metrics");
-  const MetricsSnapshot registry = MetricsSnapshot::capture(Registry::global());
-  write_snapshot(json, registry);
+  const std::vector<MetricRow> registry = Registry::global().rows();
+  write_rows(json, registry);
 
   // Latency quantiles for every microsecond histogram, the registry's
   // (thread-pool queue/exec wait) and the run's (stage obtain) — the
   // triage view; the raw buckets stay available in the dumps above.
   // Names are disjoint by convention ("senkf.rank.*" lives in the run).
   json.key("latency").begin_object();
-  for (const auto* histograms :
-       {&registry.histograms, &report.aggregate.histograms}) {
-    for (const auto& [name, h] : *histograms) {
-      if (name.size() < 3 || name.compare(name.size() - 3, 3, "_us") != 0) {
+  for (const auto* rows : {&registry, &report.aggregate}) {
+    for (const MetricRow& row : *rows) {
+      const std::string& name = row.name;
+      if (row.kind != Kind::kHistogram || name.size() < 3 ||
+          name.compare(name.size() - 3, 3, "_us") != 0) {
         continue;
       }
       json.key(name)
           .begin_object()
-          .field("p50", histogram_quantile(h.bounds, h.buckets, 0.50))
-          .field("p90", histogram_quantile(h.bounds, h.buckets, 0.90))
-          .field("p99", histogram_quantile(h.bounds, h.buckets, 0.99))
-          .field("count", h.count)
+          .field("p50", histogram_quantile(row.bounds, row.buckets, 0.50))
+          .field("p90", histogram_quantile(row.bounds, row.buckets, 0.90))
+          .field("p99", histogram_quantile(row.bounds, row.buckets, 0.99))
+          .field("count", row.count)
           .end_object();
     }
   }
@@ -253,14 +252,13 @@ void write_run_report(std::ostream& out) {
 
   // Convenience view of the analysis hot path (DESIGN.md §15): patch
   // throughput, steady-state allocation events, arena occupancy and
-  // localization-cache effectiveness in one spot (counters as totals,
-  // gauges as their maximum).
+  // localization-cache effectiveness in one spot (counter totals and
+  // gauge values).
   json.key("analysis").begin_object();
-  for (const auto& [name, v] : registry.counters) {
-    if (name.rfind("analysis.", 0) == 0) json.field(name, v);
-  }
-  for (const auto& [name, g] : registry.gauges) {
-    if (name.rfind("analysis.", 0) == 0) json.field(name, g.max);
+  for (const MetricRow& row : registry) {
+    if (row.name.rfind("analysis.", 0) != 0) continue;
+    if (row.kind == Kind::kCounter) json.field(row.name, row.counter);
+    if (row.kind == Kind::kGauge) json.field(row.name, row.gauge);
   }
   json.end_object();
 
@@ -271,10 +269,12 @@ void write_run_report(std::ostream& out) {
 
   // Convenience view for fault triage: the failure counters in one spot.
   json.key("faults").begin_object();
-  for (const auto& [name, v] : registry.counters) {
+  for (const MetricRow& row : registry) {
+    if (row.kind != Kind::kCounter) continue;
+    const std::string& name = row.name;
     if (name.rfind("pfs.fault.", 0) == 0 || name.rfind("senkf.read.", 0) == 0 ||
         name == "senkf.member.dropped" || name == "senkf.straggler.warns") {
-      json.field(name, v);
+      json.field(name, row.counter);
     }
   }
   json.end_object();

@@ -1,8 +1,8 @@
 // Versioned machine-readable run reports (DESIGN.md §11).
 //
 // senkf() populates the process-global RunReport: config, phase
-// breakdown, model drift, skew summary and the run's aggregate
-// (per-rank samples and histograms).  `SENKF_REPORT=<path>`
+// breakdown, model drift, skew summary, per-rank samples and the run's
+// own metric rows.  `SENKF_REPORT=<path>`
 // arms an atexit export of that state as JSON (schema "senkf-run-report",
 // version RunReport::kVersion); the fault path calls flush_exports() so
 // an aborting run still leaves a partial report + trace on disk before
@@ -16,10 +16,28 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/aggregate.hpp"
 #include "telemetry/critical_path.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace senkf::telemetry {
+
+/// One rank's phase totals for a run, surfaced in SenkfStats and the run
+/// report.  Times are seconds of wall clock inside the respective phase
+/// on that rank.
+struct RankSample {
+  std::int32_t rank = -1;
+  std::uint8_t is_io = 0;
+  std::int32_t group = -1;  ///< concurrent group for I/O ranks, else -1
+  double read_s = 0.0;      ///< bar-read time (successful reads only)
+  double obtain_s = 0.0;    ///< full acquisition incl. injected delays/backoff
+  double send_s = 0.0;      ///< block scatter / result send time
+  double wait_s = 0.0;      ///< comp: main-thread stage wait
+  double update_s = 0.0;    ///< comp: summed analysis task time
+  std::uint64_t messages = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t reissued = 0;
+  std::uint64_t backlog_peak = 0;  ///< comp: max stages buffered ahead of use
+};
 
 struct RunReport {
   /// Bumped when the JSON layout changes incompatibly.  v2 added the
@@ -42,9 +60,13 @@ struct RunReport {
   std::map<std::string, double> skew;
   std::uint64_t straggler_warns = 0;
   std::vector<std::uint64_t> dropped_members;
-  /// The run's aggregate: per-rank samples and histograms (S-EnKF reads
-  /// them off its run ledger).
-  MetricsSnapshot aggregate;
+  /// Per-rank samples in rank order (S-EnKF reads them off its run
+  /// ledger).
+  std::vector<RankSample> ranks;
+  /// The run's own metric rows, written as "run.aggregate" in the same
+  /// representation as the registry's (S-EnKF: its per-stage acquisition
+  /// histogram).
+  std::vector<MetricRow> aggregate;
 };
 
 /// Replaces the process-global report (the last run wins).

@@ -6,16 +6,20 @@
 //  * a permanently dead member file shrinks the ensemble to the N−k
 //    survivors, bitwise identical to a fault-free run on that subset;
 //  * a straggling I/O rank's bars are re-issued to its group peer and the
-//    result is again bitwise identical.
+//    result is again bitwise identical, without the straggler reading
+//    them too;
+//  * a failing rank ends the call at once, in L-EnKF as in S-EnKF.
 // Every degradation is observable: pfs.fault.* and senkf.read.* counters
 // move, and SenkfStats reports retries / re-issues / dropped members.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <vector>
 
 #include "enkf/diagnostics.hpp"
 #include "enkf/faulty_store.hpp"
+#include "enkf/lenkf.hpp"
 #include "enkf/senkf.hpp"
 #include "grid/synthetic.hpp"
 #include "obs/perturbed.hpp"
@@ -157,7 +161,7 @@ TEST(FaultSmoke, DeadMemberAbortsWhenDroppingIsDisabled) {
 
 TEST(FaultSmoke, StragglerBarsAreReissuedToTheGroupPeer) {
   const World w(35);
-  SenkfConfig config = senkf_config(2, 2);
+  SenkfConfig config = senkf_config(3, 2);
   const auto clean = senkf(w.store, w.observations, w.ys, config);
 
   // I/O rank ordinal 0 (group 0, row 0) pays 50 ms per read; with a 2 ms
@@ -165,12 +169,41 @@ TEST(FaultSmoke, StragglerBarsAreReissuedToTheGroupPeer) {
   const FaultyEnsembleStore faulty(
       w.store, pfs::parse_fault_plan("straggler=0:0.05"));
   config.fault.straggler_deadline_s = 0.002;
+  const std::uint64_t delay_before =
+      pfs::FaultMetrics::get().straggler_ns.value();
   SenkfStats stats;
   const auto degraded = senkf(faulty, w.observations, w.ys, config, &stats);
 
   EXPECT_DOUBLE_EQ(max_ensemble_difference(clean, degraded), 0.0);
   EXPECT_GT(stats.bars_reissued, 0u);
   EXPECT_TRUE(stats.dropped_members.empty());
+
+  // Re-issue shortens the call: a timed-out read still queued behind the
+  // slow one is dropped, not run, so fewer than the straggler's own
+  // 3 members x 3 stages = 9 bar reads pay the injected delay.
+  const std::uint64_t own_reads = 3 * config.layers;
+  const std::uint64_t delayed =
+      (pfs::FaultMetrics::get().straggler_ns.value() - delay_before) /
+      50'000'000;
+  EXPECT_LT(delayed, own_reads);
+}
+
+TEST(FaultSmoke, LenkfDeadMemberFailsFast) {
+  // L-EnKF's single reader throws on the dead file while every other rank
+  // waits for its scatter.  The runtime cancels the run on that first
+  // error, so the call fails with it at once instead of after the 30 s
+  // mailbox timeout.
+  const World w(38);
+  const FaultyEnsembleStore faulty(w.store, pfs::parse_fault_plan("dead=1"));
+  EnkfRunConfig config;
+  config.n_sdx = 4;
+  config.n_sdy = 2;
+  config.layers = 3;
+  config.analysis.halo = grid::Halo{2, 1};
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(lenkf(faulty, w.observations, w.ys, config),
+               pfs::PermanentReadError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
 TEST(FaultSmoke, StragglerDelayWithoutDeadlineJustSlowsTheRun) {

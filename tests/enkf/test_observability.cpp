@@ -125,13 +125,16 @@ TEST(Observability, AggregatedTotalsEqualSumOfPerRankSamples) {
   EXPECT_GE(stats.read_skew, 1.0);  // balanced in-memory reads, no faults
   EXPECT_EQ(stats.straggler_warns, 0u);
 
-  // Each I/O rank contributed one per-stage acquisition observation.
+  // Each I/O rank contributed one per-stage acquisition observation to
+  // the run's one metric row.
   const telemetry::RunReport report = telemetry::run_report_copy();
   ASSERT_TRUE(report.valid);
   EXPECT_EQ(report.kind, "senkf");
-  const auto hist = report.aggregate.histograms.find("senkf.rank.stage_obtain_us");
-  ASSERT_NE(hist, report.aggregate.histograms.end());
-  EXPECT_EQ(hist->second.count,
+  ASSERT_EQ(report.aggregate.size(), 1u);
+  const telemetry::MetricRow& hist = report.aggregate.front();
+  EXPECT_EQ(hist.name, "senkf.rank.stage_obtain_us");
+  EXPECT_EQ(hist.kind, telemetry::MetricRow::Kind::kHistogram);
+  EXPECT_EQ(hist.count,
             static_cast<std::uint64_t>(config.io_ranks() * config.layers));
 }
 
@@ -247,6 +250,8 @@ TEST(Observability, InjectedStragglerRaisesWarns) {
   const telemetry::RunReport report = telemetry::run_report_copy();
   EXPECT_GE(report.straggler_warns, 1u);
   EXPECT_GT(report.skew.at("stage.worst_ratio"), 2.0);
+  // The straggler's concurrent group (group 0) is the slower one.
+  EXPECT_GT(report.skew.at("group.worst_ratio"), 1.0);
 }
 
 TEST(Observability, BackToBackRunsDoNotInheritTotals) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 
 #include "parcomm/runtime.hpp"
@@ -29,6 +30,22 @@ TEST(Runtime, RethrowsRankException) {
                               }
                             }),
                NumericError);
+}
+
+TEST(Runtime, FailingRankCancelsPeersBlockedInRecv) {
+  // Ranks 1 and 2 wait for a message rank 0 never sends: rank 0's error
+  // cancels the run, the waiting ranks fail at once, and the root cause —
+  // not their ProtocolErrors — is what run() rethrows.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(Runtime::run(3,
+                            [](Communicator& world) {
+                              if (world.rank() == 0) {
+                                throw NumericError("rank 0 exploded");
+                              }
+                              (void)world.recv(0, 5);
+                            }),
+               NumericError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
 TEST(Runtime, InvalidArgs) {

@@ -134,6 +134,33 @@ TEST(Mailbox, PopForWakesOnConcurrentPush) {
   EXPECT_DOUBLE_EQ(Unpacker(envelope->payload).get<double>(), 8.0);
 }
 
+// ---- cancellation (Runtime::run cancels every mailbox once a rank has
+// failed).
+
+TEST(Mailbox, CancelWakesABlockedPopWhichThrows) {
+  Mailbox box;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    box.cancel();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(box.pop(0, 1, std::chrono::seconds(10)), ProtocolError);
+  canceller.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(Mailbox, CancelledMailboxStillDeliversQueuedMatches) {
+  Mailbox box;
+  box.cancel();
+  box.push(make(0, 1, 4.0));  // pushes still enqueue
+  EXPECT_DOUBLE_EQ(
+      Unpacker(box.pop(0, 1, std::chrono::seconds(10)).payload).get<double>(),
+      4.0);
+  // Nothing matching: fails at once instead of waiting out the timeout.
+  EXPECT_FALSE(box.pop_until(0, 1, after(std::chrono::seconds(10))).has_value());
+  EXPECT_THROW(box.pop(0, 1, std::chrono::seconds(10)), ProtocolError);
+}
+
 TEST(Mailbox, PopUntilPastDeadlineStillSweepsQueuedMatch) {
   Mailbox box;
   box.push(make(2, 3, 1.0));
