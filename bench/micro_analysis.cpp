@@ -110,7 +110,8 @@ BENCHMARK(BM_StochasticModifiedCholesky)
 // The patch shape of the end-to-end ocean-stoch workload (e2ebench): a
 // 30×10 layer plus a 3-point halo on every side is a 36×16 expansion
 // (n̄ = 576), N = 16, halo {3,3}, bilinear stations at that workload's
-// density (800 on 180×90).  The stochastic system's band is 111 wide.
+// density (800 on 180×90): L's rows reach η·W+ξ = 111 points back,
+// with p ≈ 20–24 predecessors each, and the patch holds m̄ ≈ 28 stations.
 void BM_StochasticModifiedCholeskyOceanPatch(benchmark::State& state) {
   const Fixture fixture(36, 16, 16, 36 * 16 * 800 / (180 * 90), true);
   run_kernel(state, fixture,

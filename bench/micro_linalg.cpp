@@ -2,10 +2,11 @@
 // analysis (google-benchmark).  The Potrf/Trsm/Innovation pairs run both
 // the dispatched table and the scalar reference so one JSON capture
 // (BENCH_linalg.json) records the SIMD speedup on the host that produced
-// it; PotrfBand/TrsmBand time the banded system of the stochastic
-// analysis on the end-to-end benchmark's patch shape.
+// it; PotrfSolveLanes times the stochastic estimator's batched p×p
+// regressions on the end-to-end benchmark's patch shape.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -216,67 +217,59 @@ BENCHMARK(BM_Trsm)->Args({128, 16})->Args({256, 16})->Args({256, 120})
 BENCHMARK(BM_TrsmScalar)->Args({128, 16})->Args({256, 16})->Args({256, 120})
     ->Args({512, 40});
 
-// Band Cholesky + solves on the ocean-stoch patch shape (e2ebench): a
-// 36-wide expansion with halo {3,3} gives n̄ = 576 and lower bandwidth
-// w = 3·36 + 3 = 111, with N = 16 right-hand sides.
-
-/// Diagonally dominant SPD band in the compact lower-band layout
-/// (row i holds A(i, i−w..i) at offsets 0..w, padded stride).
-std::vector<double> raw_spd_band(Index n, Index w, Index ld,
-                                 std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> out(n * ld, 0.0);
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = i > w ? i - w : 0; j < i; ++j) {
-      out[i * ld + j - i + w] = rng.normal();
+// The modified-Cholesky estimator's regressions on the ocean-stoch patch
+// shape (e2ebench): n̄ = 576 systems at p = 24 predecessors, solved
+// `width` at a time, one per vector lane.  Each batch is copied from one
+// of eight pristine batches into an L1-sized buffer first, as the
+// estimator gathers it, so the copy is part of the timing.
+void bench_potrf_solve_lanes(benchmark::State& state,
+                             const KernelTable& table) {
+  const Index p = static_cast<Index>(state.range(0));
+  const Index systems = static_cast<Index>(state.range(1));
+  const Index w = table.width;
+  constexpr Index kPristine = 8;
+  const Index a_size = p * p * w;
+  const Index b_size = p * w;
+  std::vector<double> a0(kPristine * a_size), b0(kPristine * b_size);
+  Rng rng(13);
+  for (Index batch = 0; batch < kPristine; ++batch) {
+    for (Index l = 0; l < w; ++l) {
+      const Matrix spd = random_spd(p, 20 + batch * w + l);
+      for (Index i = 0; i < p; ++i) {
+        for (Index j = 0; j < p; ++j) {
+          a0[batch * a_size + (i * p + j) * w + l] = spd(i, j);
+        }
+        b0[batch * b_size + i * w + l] = rng.normal();
+      }
     }
-    out[i * ld + w] = 4.0 * static_cast<double>(w + 1);
   }
-  return out;
-}
-
-void BM_PotrfBand(benchmark::State& state) {
-  const KernelTable& table = linalg::kernels::active_kernels();
-  const Index n = static_cast<Index>(state.range(0));
-  const Index w = static_cast<Index>(state.range(1));
-  const Index ld = linalg::kernels::padded_stride(w + 1, table.width);
-  const std::vector<double> pristine = raw_spd_band(n, w, ld, 10);
-  std::vector<double> a = pristine;
+  std::vector<double> a(a_size), b(b_size);
+  const Index batches = (systems + w - 1) / w;
   for (auto _ : state) {
-    a = pristine;
-    benchmark::DoNotOptimize(table.potrf_band(n, w, a.data(), ld));
-  }
-  const double dn = static_cast<double>(n);
-  const double dw = static_cast<double>(w);
-  report_gflops(state, dn * dw * dw);
-  state.SetLabel(table.name);
-}
-BENCHMARK(BM_PotrfBand)->Args({576, 111});
-
-void BM_TrsmBand(benchmark::State& state) {
-  const KernelTable& table = linalg::kernels::active_kernels();
-  const Index n = static_cast<Index>(state.range(0));
-  const Index w = static_cast<Index>(state.range(1));
-  const Index nrhs = static_cast<Index>(state.range(2));
-  const Index ld = linalg::kernels::padded_stride(w + 1, table.width);
-  std::vector<double> l = raw_spd_band(n, w, ld, 11);
-  table.potrf_band(n, w, l.data(), ld);
-  const Index ldb = linalg::kernels::padded_stride(nrhs, table.width);
-  std::vector<double> b(n * ldb, 0.0);
-  Rng rng(12);
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = 0; j < nrhs; ++j) b[i * ldb + j] = rng.normal();
-  }
-  for (auto _ : state) {
-    table.trsm_band_lln(n, w, nrhs, l.data(), ld, b.data(), ldb);
-    table.trsm_band_llt(n, w, nrhs, l.data(), ld, b.data(), ldb);
+    for (Index batch = 0; batch < batches; ++batch) {
+      const Index src = batch % kPristine;
+      std::copy_n(a0.begin() + src * a_size, a_size, a.begin());
+      std::copy_n(b0.begin() + src * b_size, b_size, b.begin());
+      benchmark::DoNotOptimize(
+          table.potrf_solve_lanes(p, a.data(), b.data()));
+    }
     benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
   }
-  const double dn = static_cast<double>(n);
-  report_gflops(state, 4.0 * dn * static_cast<double>(w * nrhs));
+  const double dp = static_cast<double>(p);
+  report_gflops(state, static_cast<double>(batches * w) *
+                           (dp * dp * dp / 3.0 + 2.0 * dp * dp));
   state.SetLabel(table.name);
 }
-BENCHMARK(BM_TrsmBand)->Args({576, 111, 16});
+
+void BM_PotrfSolveLanes(benchmark::State& state) {
+  bench_potrf_solve_lanes(state, linalg::kernels::active_kernels());
+}
+void BM_PotrfSolveLanesScalar(benchmark::State& state) {
+  bench_potrf_solve_lanes(state, linalg::kernels::scalar_kernels());
+}
+BENCHMARK(BM_PotrfSolveLanes)->Args({24, 576});
+BENCHMARK(BM_PotrfSolveLanesScalar)->Args({24, 576});
 
 // R⁻¹(Yˢ − HX̄ᵇ): the fused innovation pass over an observation panel.
 void bench_innovation(benchmark::State& state, const KernelTable& table) {

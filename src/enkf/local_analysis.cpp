@@ -108,24 +108,13 @@ LoadedEnsemble load_ensemble(std::span<const grid::PatchView> background,
   return out;
 }
 
-/// Lower bandwidth of the stochastic system B̂⁻¹ + HᵀR⁻¹H under the
-/// row-major ordering of an expansion W points wide: L's predecessors
-/// reach back at most η·W+ξ points, and a station couples the points of
-/// its support, local.bandwidth() apart at most — wider than L's reach
-/// for footprints spanning more rows than the halo (η = 0, or ξ = 0 with
-/// a bilinear footprint).  Capped at n̄−1 (a dense band).
-Index system_bandwidth(grid::Rect expansion, grid::Halo halo,
-                       const obs::LocalObservations& local) {
-  const Index n_bar = expansion.count();
-  const Index reach = halo.eta * expansion.x.size() + halo.xi;
-  if (n_bar == 0) return 0;
-  return std::min(n_bar - 1, std::max(reach, local.bandwidth()));
-}
-
 /// Stochastic modified-Cholesky update: returns Xᵃ on the expansion
-/// (the inflated background updated in place by δX).  The system
-/// B̂⁻¹ + HᵀR⁻¹H is assembled, factored and solved as a band of width w
-/// (system_bandwidth) in O(n̄·w²); nothing here is n̄×n̄.
+/// (the inflated background updated in place by δX).  With
+/// B̂ = L⁻¹DL⁻ᵀ, eq. (6)'s (B̂⁻¹ + H̄ᵀR⁻¹H̄)⁻¹H̄ᵀR⁻¹ equals B̂H̄ᵀ(R + H̄B̂H̄ᵀ)⁻¹
+/// (Sherman–Morrison–Woodbury), so the update runs in observation space:
+///   δX = G·(R + H̄G)⁻¹(Yˢ − H̄X̄ᵇ),   G = B̂H̄ᵀ (n̄×m̄),
+/// G applied by two sparse sweeps over L's rows, then one m̄×m̄ Cholesky
+/// and one GEMM; nothing here is n̄×n̄ (DESIGN.md §15).
 linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
                                  const obs::LocalObservations& local,
                                  grid::Rect expansion,
@@ -134,6 +123,7 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
                                  LocalAnalysisWorkspace& ws) {
   const Index n_bar = ens.xb.rows();
   const Index n_members = ens.xb.cols();
+  const Index m_bar = local.size();
 
   // B̂⁻¹ = LᵀD⁻¹L from the localized modified Cholesky decomposition,
   // with L's rows written as CSR into the workspace arena.
@@ -143,59 +133,36 @@ linalg::Matrix stochastic_update(LoadedEnsemble&& ens,
   linalg::estimate_inverse_covariance_scratch(ens.anomalies, oracle,
                                               options.ridge, ws.arena(), binv);
 
-  // Band layout: system(i, j) lives at band(i, j − i + w).  The system
-  // is a sum of sparse outer products, each added over its non-zeros
-  // only: B̂⁻¹ = Σ_i d_i⁻¹·l_i·l_iᵀ over the rows of L (unit diagonal
-  // included), and HᵀR⁻¹H = Σ_r r⁻¹·h_r·h_rᵀ over the stations.
-  const Index w = system_bandwidth(expansion, options.halo, local);
-  linalg::Matrix band = ws.matrix(n_bar, w + 1);
-  for (Index i = 0; i < n_bar; ++i) {
-    const auto cols = binv.l.row_columns(i);
-    const auto vals = binv.l.row_values(i);
-    const double dinv = 1.0 / binv.d[i];
-    band(i, w) += dinv;
-    for (Index a = 0; a < cols.size(); ++a) {
-      SENKF_REQUIRE(i - cols[a] <= w,
-                    "stochastic_update: predecessor outside the band");
-      const double scaled = dinv * vals[a];
-      band(i, cols[a] - i + w) += scaled;
-      for (Index b = 0; b <= a; ++b) {
-        const Index hi = std::max(cols[a], cols[b]);
-        const Index lo = std::min(cols[a], cols[b]);
-        band(hi, lo - hi + w) += scaled * vals[b];
-      }
-    }
-  }
-  // Station r couples the ≤ 4 points of its support, whose spread is at
-  // most local.bandwidth() ≤ w, so each coupling lands inside the band.
-  const Index m_bar = local.size();
+  // G = L⁻¹DL⁻ᵀH̄ᵀ: H̄ᵀ scattered column by column (≤ 4 weights per
+  // station), then the backward sweep, D, and the forward sweep.
+  linalg::Matrix g = ws.matrix(n_bar, m_bar);
   for (Index r = 0; r < m_bar; ++r) {
     const auto cols = local.row_columns(r);
     const auto weights = local.row_weights(r);
-    const double rinv = local.r_inverse()[r];
-    for (Index a = 0; a < cols.size(); ++a) {
-      const double scaled = rinv * weights[a];
-      for (Index b = 0; b <= a; ++b) {
-        band(cols[a], cols[b] - cols[a] + w) += scaled * weights[b];
-      }
-    }
+    for (Index a = 0; a < cols.size(); ++a) g(cols[a], r) = weights[a];
   }
+  binv.l.solve_transpose_in_place(g);
+  linalg::row_scale(binv.d, g);
+  binv.l.solve_in_place(g);
 
-  // Weighted innovations R⁻¹(Yˢ − H X̄ᵇ) in one fused pass, then
-  // RHS = Hᵀ R⁻¹ D scattered straight into the solve's in-place buffer.
-  linalg::Matrix local_ys = ws.matrix(m_bar, n_members);
-  local.select_rows_into(perturbed, local_ys);
+  // S = R + H̄G, factored once.
+  linalg::Matrix s = ws.matrix(m_bar, m_bar);
+  local.apply_h_into(g, s);
+  for (Index r = 0; r < m_bar; ++r) s(r, r) += local.r_diagonal()[r];
+  linalg::Matrix s_factor = ws.matrix(m_bar, m_bar);
+  linalg::cholesky_factor_into(s, s_factor);
+
+  // Q = S⁻¹(Yˢ − H̄X̄ᵇ) over the N member columns.
+  linalg::Matrix q = ws.matrix(m_bar, n_members);
+  local.select_rows_into(perturbed, q);
   linalg::Matrix hxb = ws.matrix(m_bar, n_members);
   local.apply_h_into(ens.xb, hxb);
-  linalg::Matrix innovations = ws.matrix(m_bar, n_members);
-  linalg::weighted_residual_into(local_ys, hxb, local.r_inverse(),
-                                 innovations);
-  linalg::Matrix delta = ws.matrix(n_bar, n_members);
-  local.add_ht_into(innovations, delta);
+  linalg::axpy(-1.0, hxb, q);
+  linalg::cholesky_solve_in_place(s_factor, q);
 
-  // δX = (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ · RHS via band Cholesky; Xᵃ = X̄ᵇ + δX.
-  linalg::cholesky_band_factor_in_place(band);
-  linalg::cholesky_band_solve_in_place(band, delta);
+  // δX = G·Q; Xᵃ = X̄ᵇ + δX.
+  linalg::Matrix delta = ws.matrix(n_bar, n_members);
+  linalg::multiply_into(g, q, delta);
   linalg::axpy(1.0, delta, ens.xb);
   return std::move(ens.xb);
 }

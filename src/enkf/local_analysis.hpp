@@ -7,9 +7,8 @@
 //   Xᵃ = P · [ X̄ᵇ + (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ · Hᵀ R⁻¹ · (Yˢ − H X̄ᵇ) ]
 //
 // with B̂⁻¹ estimated by the localized modified Cholesky decomposition
-// (P-EnKF's estimator, refs [23][24]) and the SPD solve done by Cholesky
-// on the band the row-major expansion ordering gives the system
-// (DESIGN.md §15).
+// (P-EnKF's estimator, refs [23][24]) and the solve done in observation
+// space, as B̂H̄ᵀ(R + H̄B̂H̄ᵀ)⁻¹ (DESIGN.md §15).
 // P projects the expansion onto the target rectangle (never materialized,
 // exactly as §2.2 notes).
 //

@@ -55,45 +55,27 @@ void cholesky_solve_in_place(const Matrix& l, Vector& x) {
   table.trsm_llt(l.rows(), 1, l.data(), l.stride(), x.data(), 1);
 }
 
-void cholesky_band_factor_in_place(Matrix& band) {
-  SENKF_REQUIRE(band.cols() >= 1,
-                "cholesky_band_factor_in_place: band needs a diagonal column");
-  const std::ptrdiff_t pivot = kernels::active_kernels().potrf_band(
-      band.rows(), band.cols() - 1, band.data(), band.stride());
-  if (pivot >= 0) {
-    throw NumericError("Cholesky: matrix is not positive definite (pivot " +
-                       std::to_string(pivot) + ")");
-  }
-}
-
-void cholesky_band_solve_in_place(const Matrix& band, Matrix& x) {
-  SENKF_REQUIRE(band.cols() >= 1 && x.rows() == band.rows(),
-                "cholesky_band_solve_in_place: row mismatch");
+void cholesky_solve_in_place(const Matrix& l, Matrix& x) {
+  SENKF_REQUIRE(l.square() && x.rows() == l.rows(),
+                "cholesky_solve_in_place: row mismatch");
   const auto& table = kernels::active_kernels();
-  const Index w = band.cols() - 1;
-  table.trsm_band_lln(band.rows(), w, x.cols(), band.data(), band.stride(),
-                      x.data(), x.stride());
-  table.trsm_band_llt(band.rows(), w, x.cols(), band.data(), band.stride(),
-                      x.data(), x.stride());
+  table.trsm_lln(l.rows(), x.cols(), l.data(), l.stride(), x.data(),
+                 x.stride());
+  table.trsm_llt(l.rows(), x.cols(), l.data(), l.stride(), x.data(),
+                 x.stride());
 }
 
 Vector CholeskyFactor::solve(const Vector& b) const {
   SENKF_REQUIRE(b.size() == dim(), "Cholesky::solve: length mismatch");
   Vector x = b;
-  const auto& table = kernels::active_kernels();
-  table.trsm_lln(dim(), 1, l_.data(), l_.stride(), x.data(), 1);
-  table.trsm_llt(dim(), 1, l_.data(), l_.stride(), x.data(), 1);
+  cholesky_solve_in_place(l_, x);
   return x;
 }
 
 Matrix CholeskyFactor::solve(const Matrix& b) const {
   SENKF_REQUIRE(b.rows() == dim(), "Cholesky::solve: row mismatch");
   Matrix x = b;
-  const auto& table = kernels::active_kernels();
-  table.trsm_lln(dim(), x.cols(), l_.data(), l_.stride(), x.data(),
-                 x.stride());
-  table.trsm_llt(dim(), x.cols(), l_.data(), l_.stride(), x.data(),
-                 x.stride());
+  cholesky_solve_in_place(l_, x);
   return x;
 }
 

@@ -47,18 +47,10 @@ void cholesky_factor_into(const Matrix& a, Matrix& l);
 /// CholeskyFactor::solve on the same factor.
 void cholesky_solve_in_place(const Matrix& l, Vector& x);
 
-/// Banded SPD systems in the kernel table's compact lower-band layout
-/// (kernels.hpp): `band` is n×(w+1) and row i holds A(i, i−w..i) at
-/// columns 0..w, i.e. A(i, j) = band(i, j − i + w); entries standing for
-/// columns left of 0 are ignored.  A band factors with no fill in
-/// O(n·w²).  Overwrites `band` with its lower Cholesky factor in the same
-/// layout; throws NumericError on a non-positive pivot, like
-/// cholesky_factor_into.
-void cholesky_band_factor_in_place(Matrix& band);
-
-/// Overwrites `x` (holding B on entry) with A⁻¹ B against a factor from
-/// cholesky_band_factor_in_place.
-void cholesky_band_solve_in_place(const Matrix& band, Matrix& x);
+/// Column-wise form for a matrix of right-hand sides: overwrites `x`
+/// (holding B on entry) with A⁻¹ B.  Bit-identical to
+/// CholeskyFactor::solve(Matrix) on the same factor.
+void cholesky_solve_in_place(const Matrix& l, Matrix& x);
 
 /// Forward substitution: solves L y = b with lower-triangular L.
 Vector solve_lower(const Matrix& l, const Vector& b);

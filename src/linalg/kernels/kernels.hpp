@@ -73,20 +73,14 @@ struct KernelTable {
   void (*trsm_llt)(Index n, Index nrhs, const double* l, Index ldl,
                    double* b, Index ldb);
 
-  /// Banded SPD Cholesky in the compact lower-band layout: row i holds
-  /// A(i, i−w..i) at offsets 0..w, so A(i, j) sits at a[i·lda + j − i +
-  /// w] (offsets of columns left of 0 are never read).  Overwrites the
-  /// band with L (A = L·Lᵀ; a band factors with no fill).  Returns the
-  /// index of the first non-positive pivot, or -1 on success.
-  std::ptrdiff_t (*potrf_band)(Index n, Index w, double* a, Index lda);
-
-  /// Forward solve L·X = B in place against a potrf_band factor.
-  void (*trsm_band_lln)(Index n, Index w, Index nrhs, const double* l,
-                        Index ldl, double* b, Index ldb);
-
-  /// Backward solve Lᵀ·X = B in place against a potrf_band factor.
-  void (*trsm_band_llt)(Index n, Index w, Index nrhs, const double* l,
-                        Index ldl, double* b, Index ldb);
+  /// W = `width` small SPD systems A·x = b at once, one per vector lane:
+  /// lane l's A(i, j) sits at a[(i·p + j)·W + l] (only the lower
+  /// triangle is read; it is overwritten with the Cholesky factor) and
+  /// its right-hand side at b[i·W + l] (overwritten with x).  Lanes share
+  /// no arithmetic, so a lane's result does not depend on its
+  /// neighbours.  Returns the first column with a non-positive pivot in
+  /// any lane, or -1 on success.
+  std::ptrdiff_t (*potrf_solve_lanes)(Index p, double* a, double* b);
 
   /// y[0..n) += alpha · x[0..n) (contiguous).
   void (*axpy)(Index n, double alpha, const double* x, double* y);

@@ -666,86 +666,54 @@ void trsm_llt(Index n, Index nrhs, const double* l, Index ldl, double* b,
 }
 
 // --------------------------------------------------------------------------
-// Banded Cholesky and solves (compact lower-band layout, kernels.hpp):
-// A(i, j) lives at a[i·lda + j − i + w], so row i's band is contiguous.
+// Batched small SPD solves, one system per vector lane.
 // --------------------------------------------------------------------------
 
-// Row-by-row ("up-looking") band factor: row i of L solves the triangle
-// formed by the ≤ w rows above it, so every entry is A(i, j) minus a dot
-// of two contiguous band segments starting at column k0 = max(0, i − w)
-// — nothing outside the band is read or created.  Columns go four at a
-// time: one dot_span4 of row i's finished prefix against rows j..j+3,
-// then a forward micro-solve of the four entries in registers (pivot
-// reciprocals stay off the dependency chain, as in potrf's group sweep).
+// Right-looking Cholesky of W interleaved p×p systems with the forward
+// substitution fused into each column step, then back substitution.
+// Every operation is lane-wise — no horizontal sum — so each lane runs
+// the same operations in the same order on every ISA, whatever its
+// neighbours hold.  Lane l's A(i, j) sits at a[(i·p + j)·W + l] (lower
+// triangle read, overwritten with L) and its right-hand side at
+// b[i·W + l] (overwritten with the solution).  Pivots are inverted once
+// per column and applied by multiplication.
 template <class V>
-std::ptrdiff_t potrf_band(Index n, Index w, double* a, Index lda) {
-  double d4[4];
-  for (Index i = 0; i < n; ++i) {
-    const Index k0 = i > w ? i - w : 0;
-    // seg(r)[t] = L(r, k0 + t) for every row r in [k0, i].
-    const auto seg = [a, lda, w, k0](Index r) {
-      return a + r * lda + (w + k0 - r);
-    };
-    double* li = seg(i);
-    Index t = 0;  // column j = k0 + t
-    for (; t + 4 <= i - k0; t += 4) {
-      const Index j = k0 + t;
-      const double* r0 = seg(j);
-      const double* r1 = seg(j + 1);
-      const double* r2 = seg(j + 2);
-      const double* r3 = seg(j + 3);
-      const double inv0 = 1.0 / r0[t];
-      const double inv1 = 1.0 / r1[t + 1];
-      const double inv2 = 1.0 / r2[t + 2];
-      const double inv3 = 1.0 / r3[t + 3];
-      dot_span4<V>(t, li, r0, r1, r2, r3, d4);
-      const double v0 = (li[t] - d4[0]) * inv0;
-      const double v1 = (li[t + 1] - d4[1] - v0 * r1[t]) * inv1;
-      const double v2 =
-          (li[t + 2] - d4[2] - v0 * r2[t] - v1 * r2[t + 1]) * inv2;
-      const double v3 = (li[t + 3] - d4[3] - v0 * r3[t] - v1 * r3[t + 1] -
-                         v2 * r3[t + 2]) *
-                        inv3;
-      li[t] = v0;
-      li[t + 1] = v1;
-      li[t + 2] = v2;
-      li[t + 3] = v3;
+std::ptrdiff_t potrf_solve_lanes(Index p, double* a, double* b) {
+  constexpr Index W = V::kWidth;
+  using vd = typename V::vd;
+  const auto at = [a, p](Index i, Index j) { return a + (i * p + j) * W; };
+  const vd one = V::set1(1.0);
+  for (Index k = 0; k < p; ++k) {
+    double* akk = at(k, k);
+    for (Index l = 0; l < W; ++l) {
+      if (!(akk[l] > 0.0)) return static_cast<std::ptrdiff_t>(k);
     }
-    for (; t < i - k0; ++t) {
-      const double* rj = seg(k0 + t);
-      li[t] = (li[t] - dot_span<V>(t, li, rj)) / rj[t];
+    const vd lkk = V::sqrt(V::loadu(akk));
+    V::storeu(akk, lkk);
+    const vd inv = V::div(one, lkk);
+    const vd bk = V::mul(V::loadu(b + k * W), inv);
+    V::storeu(b + k * W, bk);
+    for (Index i = k + 1; i < p; ++i) {
+      const vd lik = V::mul(V::loadu(at(i, k)), inv);
+      V::storeu(at(i, k), lik);
+      V::storeu(b + i * W, V::fnmadd(lik, bk, V::loadu(b + i * W)));
+      double* row = at(i, 0);
+      for (Index j = k + 1; j <= i; ++j) {
+        V::storeu(row + j * W,
+                  V::fnmadd(lik, V::loadu(at(j, k)), V::loadu(row + j * W)));
+      }
     }
-    const double diag = li[t] - dot_span<V>(t, li, li);
-    if (!(diag > 0.0)) return static_cast<std::ptrdiff_t>(i);
-    li[t] = std::sqrt(diag);
+  }
+  for (Index i = p; i-- > 0;) {
+    const vd xi = V::div(V::loadu(b + i * W), V::loadu(at(i, i)));
+    V::storeu(b + i * W, xi);
+    const double* row = at(i, 0);
+    for (Index j = 0; j < i; ++j) {
+      V::storeu(b + j * W,
+                V::fnmadd(V::loadu(row + j * W), xi, V::loadu(b + j * W)));
+    }
   }
   return -1;
-}
-
-// Forward band solve: trsm_lln with row i's k range cut to the band.
-// l_row[k] = L(i, k) for k in [max(0, i − w), i].
-template <class V>
-void trsm_band_lln(Index n, Index w, Index nrhs, const double* l, Index ldl,
-                   double* b, Index ldb) {
-  const Index jv = vec_bound<V>(nrhs, ldb);
-  for (Index i = 0; i < n; ++i) {
-    const double* l_row = l + i * ldl + w - i;
-    trsm_row<V>(nrhs, jv, b + i * ldb, l_row[i], i > w ? i - w : 0, i, l_row,
-                1, [b, ldb](Index k) { return b + k * ldb; });
-  }
-}
-
-// Backward band solve: column ip of L below the diagonal is the band
-// diagonal walked down the rows, L(k, ip) = l[k·(ldl − 1) + ip + w].
-template <class V>
-void trsm_band_llt(Index n, Index w, Index nrhs, const double* l, Index ldl,
-                   double* b, Index ldb) {
-  const Index jv = vec_bound<V>(nrhs, ldb);
-  for (Index ip = n; ip-- > 0;) {
-    trsm_row<V>(nrhs, jv, b + ip * ldb, l[ip * ldl + w], ip + 1,
-                std::min(n, ip + w + 1), l + ip + w, ldl - 1,
-                [b, ldb](Index k) { return b + k * ldb; });
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -822,9 +790,7 @@ KernelTable make_table(const char* name) {
                      &potrf<V>,
                      &trsm_lln<V>,
                      &trsm_llt<V>,
-                     &potrf_band<V>,
-                     &trsm_band_lln<V>,
-                     &trsm_band_llt<V>,
+                     &potrf_solve_lanes<V>,
                      &axpy<V>,
                      &scale<V>,
                      &row_scale<V>,

@@ -29,6 +29,7 @@
 // path instead — same results, slightly more edge code.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 namespace senkf::linalg::kernels {
@@ -64,6 +65,7 @@ constexpr Index padded_stride(Index n, Index width) {
 //   static void storeu(double*, vd);
 //   static vd add/sub/mul(vd, vd);
 //   static vd div(vd, vd);
+//   static vd sqrt(vd);                  // correctly rounded, per lane
 //   static vd fmadd(vd a, vd b, vd c);   //  a*b + c
 //   static vd fnmadd(vd a, vd b, vd c);  // -a*b + c
 //   static double hsum(vd);              // lane sum (lo-to-hi pairing)
@@ -86,6 +88,7 @@ struct ScalarOps {
   static vd sub(vd a, vd b) { return a - b; }
   static vd mul(vd a, vd b) { return a * b; }
   static vd div(vd a, vd b) { return a / b; }
+  static vd sqrt(vd a) { return std::sqrt(a); }
   static vd fmadd(vd a, vd b, vd c) { return a * b + c; }
   static vd fnmadd(vd a, vd b, vd c) { return c - a * b; }
   static double hsum(vd v) { return v; }
@@ -113,6 +116,7 @@ struct Avx2Ops {
   static vd sub(vd a, vd b) { return _mm256_sub_pd(a, b); }
   static vd mul(vd a, vd b) { return _mm256_mul_pd(a, b); }
   static vd div(vd a, vd b) { return _mm256_div_pd(a, b); }
+  static vd sqrt(vd a) { return _mm256_sqrt_pd(a); }
   static vd fmadd(vd a, vd b, vd c) { return _mm256_fmadd_pd(a, b, c); }
   static vd fnmadd(vd a, vd b, vd c) { return _mm256_fnmadd_pd(a, b, c); }
   static double hsum(vd v) {
@@ -149,6 +153,7 @@ struct Avx512Ops {
   static vd sub(vd a, vd b) { return _mm512_sub_pd(a, b); }
   static vd mul(vd a, vd b) { return _mm512_mul_pd(a, b); }
   static vd div(vd a, vd b) { return _mm512_div_pd(a, b); }
+  static vd sqrt(vd a) { return _mm512_sqrt_pd(a); }
   static vd fmadd(vd a, vd b, vd c) { return _mm512_fmadd_pd(a, b, c); }
   static vd fnmadd(vd a, vd b, vd c) { return _mm512_fnmadd_pd(a, b, c); }
   static double hsum(vd v) { return _mm512_reduce_add_pd(v); }
@@ -179,6 +184,7 @@ struct NeonOps {
   static vd sub(vd a, vd b) { return vsubq_f64(a, b); }
   static vd mul(vd a, vd b) { return vmulq_f64(a, b); }
   static vd div(vd a, vd b) { return vdivq_f64(a, b); }
+  static vd sqrt(vd a) { return vsqrtq_f64(a); }
   static vd fmadd(vd a, vd b, vd c) { return vfmaq_f64(c, a, b); }
   static vd fnmadd(vd a, vd b, vd c) { return vfmsq_f64(c, a, b); }
   static double hsum(vd v) {

@@ -33,7 +33,7 @@ struct ModifiedCholesky {
   Index dim() const { return d.size(); }
 
   /// Dense B̂⁻¹ = Lᵀ D⁻¹ L (tests/diagnostics; the analysis never forms
-  /// it — it assembles the band of B̂⁻¹ straight from the rows of L).
+  /// it — it applies B̂ = L⁻¹DL⁻ᵀ by sparse sweeps over the rows of L).
   Matrix inverse_covariance() const;
 
   /// y = B̂⁻¹ x = Lᵀ D⁻¹ L x from the compressed factor, without forming
@@ -76,10 +76,18 @@ class BandedPredecessors final : public PredecessorOracle {
 ///
 /// `out.d` must be pre-shaped to length n and is fully overwritten;
 /// `out.l` becomes a scratch factor whose CSR arrays are allocated from
-/// `arena` ahead of the per-row temporaries (gram, rhs, factor — released
-/// by a mark/rewind bracket), so L lives until the caller rewinds the
-/// arena.  The predecessor sets are queried twice: once to size L, once
-/// to fill it.
+/// `arena` ahead of the temporaries (the cross-product band, the batched
+/// Gram systems — released by mark/rewind brackets), so L lives until the
+/// caller rewinds the arena.  The predecessor sets are queried twice:
+/// once to size L, once to fill it.
+///
+/// The cross products u_j·u_i of rows at most `reach` = max_i(i − min
+/// pred(i)) apart are computed once, as a band, and every regression's
+/// Gram matrix and right-hand side is gathered from it; the regressions
+/// are factored and solved `width` rows at a time by the kernel table's
+/// potrf_solve_lanes, so a row's coefficients do not depend on the rows
+/// batched with it.  Throws NumericError if a regression is not positive
+/// definite.
 void estimate_inverse_covariance_scratch(const Matrix& anomalies,
                                          const PredecessorOracle& predecessors,
                                          double ridge, support::Arena& arena,

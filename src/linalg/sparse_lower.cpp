@@ -123,6 +123,30 @@ Vector SparseUnitLower::multiply_transpose(const Vector& x) const {
   return y;
 }
 
+void SparseUnitLower::solve_in_place(Matrix& x) const {
+  SENKF_REQUIRE(x.rows() == dim(), "SparseUnitLower::solve: row mismatch");
+  const auto& table = kernels::active_kernels();
+  const Index k = x.cols();
+  for (Index i = 0; i < dim(); ++i) {
+    double* xi = x.row(i).data();
+    for (Index s = row_start_[i]; s < row_start_[i + 1]; ++s) {
+      table.axpy(k, -values_[s], x.row(column_[s]).data(), xi);
+    }
+  }
+}
+
+void SparseUnitLower::solve_transpose_in_place(Matrix& x) const {
+  SENKF_REQUIRE(x.rows() == dim(), "SparseUnitLower::solve: row mismatch");
+  const auto& table = kernels::active_kernels();
+  const Index k = x.cols();
+  for (Index i = dim(); i-- > 0;) {
+    const double* xi = x.row(i).data();
+    for (Index s = row_start_[i]; s < row_start_[i + 1]; ++s) {
+      table.axpy(k, -values_[s], xi, x.row(column_[s]).data());
+    }
+  }
+}
+
 Matrix SparseUnitLower::to_dense() const {
   Matrix out = Matrix::identity(dim());
   for (Index i = 0; i < dim(); ++i) {

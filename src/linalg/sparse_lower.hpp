@@ -69,6 +69,15 @@ class SparseUnitLower {
   /// y = Lᵀ x.
   Vector multiply_transpose(const Vector& x) const;
 
+  /// X ← L⁻¹X for a dim()×k X, by a forward sweep over the rows of L:
+  /// row i of X takes −l_ij·row j for each stored (j, l_ij), one axpy of
+  /// length k each.
+  void solve_in_place(Matrix& x) const;
+
+  /// X ← L⁻ᵀX, by the matching backward sweep: for i from dim()−1 down,
+  /// row j of X takes −l_ij·row i for each stored (j, l_ij).
+  void solve_transpose_in_place(Matrix& x) const;
+
   /// Dense reconstruction (tests/diagnostics).
   Matrix to_dense() const;
 

@@ -48,9 +48,6 @@ LocalObservations::LocalObservations(const ObservationSet& observations,
       }
     }
     row_start_.push_back(columns_.size());
-    if (columns_.size() > begin) {
-      bandwidth_ = std::max(bandwidth_, columns_.back() - columns_[begin]);
-    }
     r_diag_[row] = comp.error_std * comp.error_std;
     rinv_[row] = 1.0 / r_diag_[row];
     local_values_[row] = observations.values()[selected_[row]];
@@ -93,23 +90,6 @@ void LocalObservations::apply_h_into(const linalg::Vector& x,
     double sum = 0.0;
     for (Index s = 0; s < cols.size(); ++s) sum += weights[s] * x[cols[s]];
     out[row] = sum;
-  }
-}
-
-void LocalObservations::add_ht_into(const linalg::Matrix& d,
-                                    linalg::Matrix& out) const {
-  SENKF_REQUIRE(d.rows() == size() && out.rows() == rect_.count() &&
-                    out.cols() == d.cols(),
-                "LocalObservations::add_ht_into: shape mismatch");
-  const Index k = d.cols();
-  for (Index row = 0; row < size(); ++row) {
-    const auto cols = row_columns(row);
-    const auto weights = row_weights(row);
-    const double* src = d.row(row).data();
-    for (Index s = 0; s < cols.size(); ++s) {
-      double* dst = out.row(cols[s]).data();
-      for (Index j = 0; j < k; ++j) dst[j] += weights[s] * src[j];
-    }
   }
 }
 

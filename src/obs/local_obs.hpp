@@ -8,11 +8,8 @@
 //     patch-local indexing), a support point listed twice merged into
 //     one entry holding the summed weight.  A station has at most 4
 //     non-zeros (bilinear), so H̄ is never formed: the analysis applies
-//     it by sparse gather (H̄X), sparse scatter (H̄ᵀD) and adds each
-//     station's r⁻¹·h_r·h_rᵀ straight into its banded system,
+//     it by sparse gather (H̄X) and reads its rows to scatter H̄ᵀ,
 //   * the diagonal of R_{[i,j]} and its reciprocals,
-//   * the widest support spread of a selected row (the bandwidth H̄ᵀR⁻¹H̄
-//     adds to the analysis' banded system),
 //   * the corresponding rows of the global Yˢ.
 //
 // h(), rinv_h() and ht_rinv_h() densify on demand — O(m̄·n̄) and O(n̄²)
@@ -58,11 +55,6 @@ class LocalObservations {
   /// precomputed so the analysis never re-derives it per patch.
   const linalg::Vector& r_inverse() const { return rinv_; }
 
-  /// Widest patch-local index spread (last − first support point) of any
-  /// selected row — the lower bandwidth of H̄ᵀR⁻¹H̄ under the row-major
-  /// ordering.  0 when empty.
-  Index bandwidth() const { return bandwidth_; }
-
   /// The measured values of the selected components (length size()).
   const linalg::Vector& local_values() const { return local_values_; }
 
@@ -76,10 +68,6 @@ class LocalObservations {
 
   /// out = H̄·x into a length-size() `out`.
   void apply_h_into(const linalg::Vector& x, linalg::Vector& out) const;
-
-  /// out += H̄ᵀ·D for a size()×k D and an n̄×k `out`: station r scatters
-  /// its row of D, weighted, into the rows of its support points.
-  void add_ht_into(const linalg::Matrix& d, linalg::Matrix& out) const;
 
   /// H̄ · patch for the patch covering exactly rect().
   linalg::Vector apply_h(const grid::Patch& patch) const;
@@ -112,7 +100,6 @@ class LocalObservations {
   linalg::Vector r_diag_;
   linalg::Vector rinv_;
   linalg::Vector local_values_;
-  Index bandwidth_ = 0;
 };
 
 }  // namespace senkf::obs

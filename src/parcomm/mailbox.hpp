@@ -43,8 +43,7 @@ struct SpanContext {
 /// same sealed buffer to every destination, and moving an envelope out
 /// of the queue moves a pointer.  Receivers that unpack by view must
 /// keep the handle (or an Unpacker built from it) alive while the views
-/// are in use.  `ctx` is last so the pre-existing three-member aggregate
-/// initializers keep compiling (it default-initializes to "untraced").
+/// are in use.  `ctx` default-initializes to "untraced".
 struct Envelope {
   int source = 0;
   int tag = 0;

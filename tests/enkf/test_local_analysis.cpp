@@ -271,10 +271,10 @@ TEST(LocalAnalysis, RejectsDeflationWithoutObservations) {
 }
 
 // ---------------------------------------------------------------------------
-// Band guard: B̂⁻¹ + HᵀR⁻¹H is factored as a band of width
-// max(η·W+ξ, widest station footprint).  A bilinear station couples
-// points W+1 apart, which is wider than L's reach η·W+ξ when η = 0 or
-// when η = 1 and ξ = 0.
+// Footprints wider than the halo: a bilinear station couples points W+1
+// apart, which is wider than L's reach η·W+ξ when η = 0 or when η = 1
+// and ξ = 0.  The observation-space update must still reproduce the
+// dense solve of B̂⁻¹ + HᵀR⁻¹H.
 // ---------------------------------------------------------------------------
 
 struct DenseSystem {
@@ -317,23 +317,7 @@ double normwise_error(const linalg::Matrix& got, const linalg::Matrix& want) {
   return diff / scale;
 }
 
-/// Xᵃ from the dense system truncated to a band of lower width w.
-linalg::Matrix band_solution(const DenseSystem& dense, Index w) {
-  const Index n = dense.system.rows();
-  linalg::Matrix band(n, w + 1);
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = i > w ? i - w : 0; j <= i; ++j) {
-      band(i, j - i + w) = dense.system(i, j);
-    }
-  }
-  linalg::Matrix xa = dense.rhs;
-  linalg::cholesky_band_factor_in_place(band);
-  linalg::cholesky_band_solve_in_place(band, xa);
-  linalg::axpy(1.0, dense.xb, xa);
-  return xa;
-}
-
-TEST(LocalAnalysis, BandCoversBilinearFootprintsWiderThanTheHalo) {
+TEST(LocalAnalysis, BilinearFootprintsWiderThanTheHaloMatchTheDenseSolve) {
   const Scenario sc(7, 8, 40, /*bilinear=*/true);
   const grid::Rect rect = sc.g.bounds();
   const Index width = rect.x.size();
@@ -341,6 +325,8 @@ TEST(LocalAnalysis, BandCoversBilinearFootprintsWiderThanTheHalo) {
        {grid::Halo{0, 0}, grid::Halo{0, 1}, grid::Halo{1, 0}}) {
     SCOPED_TRACE("halo {" + std::to_string(halo.xi) + "," +
                  std::to_string(halo.eta) + "}");
+    // A bilinear footprint (W+1 apart) reaches past L's η·W+ξ.
+    ASSERT_LT(halo.eta * width + halo.xi, width + 1);
     AnalysisOptions opt = default_options();
     opt.halo = halo;
     const DenseSystem dense = dense_system(sc, rect, opt);
@@ -356,20 +342,6 @@ TEST(LocalAnalysis, BandCoversBilinearFootprintsWiderThanTheHalo) {
       }
     }
     EXPECT_LE(normwise_error(got, want), 1e-9);
-
-    // The footprint is what needs the guard: L's reach alone drops the
-    // station couplings and gives a wrong (or indefinite) system.
-    const Index reach = halo.eta * width + halo.xi;
-    ASSERT_LT(reach, width + 1);
-    bool reach_alone_matches = false;
-    try {
-      reach_alone_matches =
-          normwise_error(band_solution(dense, reach), want) <= 1e-9;
-    } catch (const NumericError&) {
-    }
-    EXPECT_FALSE(reach_alone_matches);
-    // …while a band of exactly the guarded width reproduces the oracle.
-    EXPECT_LE(normwise_error(band_solution(dense, width + 1), want), 1e-9);
   }
 }
 

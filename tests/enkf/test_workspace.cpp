@@ -10,12 +10,12 @@
 //     copy of the pre-workspace implementation (allocating linalg API,
 //     per-call LocalObservations, owning temporaries, a dense H̄ and a
 //     dense n̄×n̄ stochastic system).  Production applies H̄ as sparse
-//     rows and factors B̂⁻¹ + HᵀR⁻¹H as a band, so both kinds must match
-//     it normwise: max|Xᵃ − Xᵃ_dense| ≤ 1e-9·max|Xᵃ_dense| over the
-//     patch, with point and with bilinear stations.  The skip path, and
-//     the deterministic transform with point stations of unit weight
-//     (each sparse gather is then an exact copy), still match it
-//     bit-for-bit.
+//     rows and solves the stochastic update in observation space, as
+//     B̂H̄ᵀ(R + H̄B̂H̄ᵀ)⁻¹, so both kinds must match it normwise:
+//     max|Xᵃ − Xᵃ_dense| ≤ 1e-9·max|Xᵃ_dense| over the patch, with
+//     point and with bilinear stations.  The skip path, and the
+//     deterministic transform with point stations of unit weight (each
+//     sparse gather is then an exact copy), still match it bit-for-bit.
 // Both hold across analysis kinds, inflation settings, arena modes,
 // threads and the wire framing.
 #include "enkf/local_analysis.hpp"

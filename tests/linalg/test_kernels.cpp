@@ -1,7 +1,7 @@
 // Kernel-equivalence suite: every KernelTable entry of every ISA table
 // available on the host must agree with the scalar table (and the GEMM
-// family additionally with a naive reference, the band Cholesky at full
-// width with the dense potrf/trsm) to 1e-12 relative
+// family additionally with a naive reference, the batched lane solves
+// with potrf + trsm on the same table) to 1e-12 relative
 // tolerance, over adversarial shapes — zero dimensions, single elements,
 // extents straddling the vector width (width−1 / width / width+1 for
 // every supported width), the kPotrfBlock boundary and the cache-block
@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -283,139 +284,138 @@ TEST(Kernels, PotrfReportsFirstBadPivotOnEveryTable) {
 }
 
 // --------------------------------------------------------------------- //
-// Band Cholesky + band solves (compact lower-band layout: row i holds
-// A(i, i−w..i) at offsets 0..w) vs the scalar table, and at w = n−1 vs
-// the dense potrf/trsm.
+// Batched small SPD solves, one system per vector lane, vs the scalar
+// table and vs potrf + trsm on the same table.
 // --------------------------------------------------------------------- //
 
-/// SPD band in the compact layout with leading dim `ld` (offsets that
-/// stand for columns left of 0 hold a poison value the kernels must
-/// never read).
-Buf make_spd_band(Index n, Index w, Index ld, std::uint64_t seed) {
-  Rng rng(seed);
-  Buf a(n, w + 1, ld);
-  for (Index i = 0; i < n; ++i) {
-    for (Index t = 0; t < w; ++t) {
-      a.v[i * ld + t] = t + i >= w ? rng.normal() : 1e300;
-    }
-    a.v[i * ld + w] = 2.0 * static_cast<double>(w + 1);
-  }
-  return a;
-}
+/// `width` interleaved p×p systems: lane l's A(i, j) at
+/// a[(i·p + j)·width + l], its right-hand side at b[i·width + l].  The
+/// upper triangles hold NaN, which the kernel must never read.
+struct Lanes {
+  Index p, width;
+  std::vector<double> a, b;
 
-/// Copies the band's lower triangle into a dense n×n Buf.
-Buf band_to_dense(const Buf& band, Index w) {
-  const Index n = band.rows;
-  Buf dense(n, n, std::max<Index>(n, 1));
-  for (Index i = 0; i < n; ++i) {
-    for (Index j = i > w ? i - w : 0; j <= i; ++j) {
-      dense.v[i * dense.ld + j] = band.at(i, j + w - i);
-    }
-  }
-  return dense;
-}
+  Lanes(Index size, Index lanes)
+      : p(size),
+        width(lanes),
+        a(size * size * lanes, std::numeric_limits<double>::quiet_NaN()),
+        b(size * lanes, 0.0) {}
 
-void expect_band_close(const Buf& got, const Buf& want, Index w,
-                       const char* what) {
-  for (Index i = 0; i < got.rows; ++i) {
-    for (Index t = i >= w ? 0 : w - i; t <= w; ++t) {
-      const double g = got.at(i, t);
-      const double v = want.at(i, t);
-      const double scale = std::max({1.0, std::abs(g), std::abs(v)});
-      EXPECT_NEAR(g, v, kRelTol * scale)
-          << what << " mismatch at row " << i << ", band offset " << t;
+  double& at(Index l, Index i, Index j) { return a[(i * p + j) * width + l]; }
+  double& rhs(Index l, Index i) { return b[i * width + l]; }
+};
+
+/// Puts make_spd(p_l, ·, seed) and a random right-hand side into lane l,
+/// padded to the batch's p with identity rows and a zero right-hand side.
+void set_lane(Lanes& lanes, Index l, Index p_l, std::uint64_t seed) {
+  const Buf sys = make_spd(p_l, std::max<Index>(p_l, 1), seed);
+  Rng rng(seed + 1000);
+  for (Index i = 0; i < lanes.p; ++i) {
+    for (Index j = 0; j <= i; ++j) {
+      lanes.at(l, i, j) = i < p_l ? sys.at(i, j) : (i == j ? 1.0 : 0.0);
     }
+    lanes.rhs(l, i) = i < p_l ? rng.normal() : 0.0;
   }
 }
 
-void check_band(const KernelTable& table, bool padded) {
+const std::vector<Index> kLaneSizes = {0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 24, 33};
+
+TEST(Kernels, PotrfSolveLanesAgreesWithScalarOnEveryTable) {
   const KernelTable& scalar = scalar_kernels();
-  const Index vw = table.width;
-  for (const Index n : {Index{0}, Index{1}, Index{7}, Index{257}}) {
-    std::vector<Index> widths{0, 1, 3};
-    if (n > 0) widths.push_back(n - 1);
-    for (const Index w : widths) {
-      SCOPED_TRACE("n=" + std::to_string(n) + " w=" + std::to_string(w));
-      const Index ld = padded ? padded_stride(w + 1, vw) : w + 1;
-      Buf a = make_spd_band(n, w, ld, 400 + n + w);
-      Buf a_ref = make_spd_band(n, w, w + 1, 400 + n + w);
-      ASSERT_EQ(table.potrf_band(n, w, a.data(), a.ld), -1);
-      ASSERT_EQ(scalar.potrf_band(n, w, a_ref.data(), a_ref.ld), -1);
-      expect_band_close(a, a_ref, w, "potrf_band");
-
-      // A full band is a dense lower triangle: the dense kernels must
-      // produce the same factor and the same solves.
-      const bool full = n > 0 && w == n - 1;
-      Buf dense(0, 0, 1);
-      if (full) {
-        dense = band_to_dense(make_spd_band(n, w, w + 1, 400 + n + w), w);
-        ASSERT_EQ(scalar.potrf(n, dense.data(), dense.ld), -1);
-        const Buf factor = band_to_dense(a, w);
-        for (Index i = 0; i < n; ++i) {
+  for (const KernelTable* table : available_tables()) {
+    SCOPED_TRACE(table->name);
+    for (const Index p : kLaneSizes) {
+      Lanes lanes(p, table->width);
+      for (Index l = 0; l < table->width; ++l) {
+        set_lane(lanes, l, p, 500 + 16 * p + l);
+      }
+      ASSERT_EQ(table->potrf_solve_lanes(p, lanes.a.data(), lanes.b.data()),
+                -1);
+      for (Index l = 0; l < table->width; ++l) {
+        Lanes one(p, 1);
+        set_lane(one, 0, p, 500 + 16 * p + l);
+        ASSERT_EQ(scalar.potrf_solve_lanes(p, one.a.data(), one.b.data()), -1);
+        for (Index i = 0; i < p; ++i) {
+          expect_scalar_close(lanes.rhs(l, i), one.rhs(0, i), "solution", p);
           for (Index j = 0; j <= i; ++j) {
-            const double g = factor.at(i, j);
-            const double v = dense.at(i, j);
-            EXPECT_NEAR(g, v, kRelTol * std::max({1.0, std::abs(g),
-                                                  std::abs(v)}))
-                << "potrf_band vs potrf at (" << i << "," << j << ")";
+            expect_scalar_close(lanes.at(l, i, j), one.at(0, i, j), "factor",
+                                p);
           }
-        }
-      }
-
-      for (const Index nrhs : {Index{1}, vw - 1, vw, vw + 1, Index{16}}) {
-        Rng rng(900 + n + w + nrhs);
-        const Index ldb = std::max<Index>(padded ? padded_stride(nrhs, vw)
-                                                 : nrhs, 1);
-        Buf b(n, nrhs, ldb, &rng);
-        Buf b_ref(n, nrhs, std::max<Index>(nrhs, 1));
-        for (Index i = 0; i < n; ++i) {
-          for (Index j = 0; j < nrhs; ++j) {
-            b_ref.v[i * b_ref.ld + j] = b.at(i, j);
-          }
-        }
-        Buf b_dense = b_ref;
-        table.trsm_band_lln(n, w, nrhs, a.data(), a.ld, b.data(), b.ld);
-        scalar.trsm_band_lln(n, w, nrhs, a_ref.data(), a_ref.ld,
-                             b_ref.data(), b_ref.ld);
-        expect_close(b, b_ref, "trsm_band_lln");
-        table.trsm_band_llt(n, w, nrhs, a.data(), a.ld, b.data(), b.ld);
-        scalar.trsm_band_llt(n, w, nrhs, a_ref.data(), a_ref.ld,
-                             b_ref.data(), b_ref.ld);
-        expect_close(b, b_ref, "trsm_band_llt");
-        if (full) {
-          scalar.trsm_lln(n, nrhs, dense.data(), dense.ld, b_dense.data(),
-                          b_dense.ld);
-          scalar.trsm_llt(n, nrhs, dense.data(), dense.ld, b_dense.data(),
-                          b_dense.ld);
-          expect_close(b, b_dense, "band solves vs dense trsm");
-        }
-      }
-      // The padded layout keeps its pad entries zero.
-      for (Index i = 0; i < n; ++i) {
-        for (Index t = w + 1; t < a.ld; ++t) {
-          EXPECT_EQ(a.v[i * a.ld + t], 0.0) << "pad at row " << i;
         }
       }
     }
   }
 }
 
-TEST(Kernels, BandCholeskyAgreesWithScalarAndDenseOnEveryTable) {
+TEST(Kernels, PotrfSolveLanesMatchesPotrfAndTrsmOnEveryTable) {
   for (const KernelTable* table : available_tables()) {
     SCOPED_TRACE(table->name);
-    check_band(*table, /*padded=*/false);
-    check_band(*table, /*padded=*/true);
+    for (const Index p : kLaneSizes) {
+      Lanes lanes(p, table->width);
+      for (Index l = 0; l < table->width; ++l) {
+        set_lane(lanes, l, p, 700 + 16 * p + l);
+      }
+      ASSERT_EQ(table->potrf_solve_lanes(p, lanes.a.data(), lanes.b.data()),
+                -1);
+      for (Index l = 0; l < table->width; ++l) {
+        const Index ld = std::max<Index>(p, 1);
+        Buf sys = make_spd(p, ld, 700 + 16 * p + l);
+        Buf x(p, 1, 1);
+        Rng rng(700 + 16 * p + l + 1000);
+        for (Index i = 0; i < p; ++i) x.v[i] = rng.normal();
+        ASSERT_EQ(table->potrf(p, sys.data(), ld), -1);
+        table->trsm_lln(p, 1, sys.data(), ld, x.data(), 1);
+        table->trsm_llt(p, 1, sys.data(), ld, x.data(), 1);
+        for (Index i = 0; i < p; ++i) {
+          expect_scalar_close(lanes.rhs(l, i), x.v[i], "vs potrf+trsm", p);
+        }
+      }
+    }
   }
 }
 
-TEST(Kernels, PotrfBandReportsFirstBadPivotOnEveryTable) {
+TEST(Kernels, PotrfSolveLanesPaddedLaneIsBitIdenticalToItsOwnSize) {
+  constexpr Index kBatch = 24;
   for (const KernelTable* table : available_tables()) {
     SCOPED_TRACE(table->name);
-    for (const Index w : {Index{0}, Index{3}, Index{8}}) {
-      Buf a = make_spd_band(9, w, w + 1, 17);
-      a.v[5 * (w + 1) + w] = -1e6;  // poison pivot 5
-      EXPECT_EQ(table->potrf_band(9, w, a.data(), a.ld), 5) << "w=" << w;
+    const Index width = table->width;
+    // Lane l holds a system of size kBatch − 3(l + 1), so every table —
+    // the scalar one included — pads at least one lane.
+    Lanes padded(kBatch, width);
+    for (Index l = 0; l < width; ++l) {
+      set_lane(padded, l, kBatch - 3 * (l + 1), 900 + l);
     }
+    ASSERT_EQ(table->potrf_solve_lanes(kBatch, padded.a.data(),
+                                       padded.b.data()),
+              -1);
+    for (Index l = 0; l < width; ++l) {
+      const Index p_l = kBatch - 3 * (l + 1);
+      SCOPED_TRACE("lane " + std::to_string(l) + ", p " + std::to_string(p_l));
+      Lanes alone(p_l, width);
+      for (Index other = 0; other < width; ++other) {
+        set_lane(alone, other, p_l, other == l ? 900 + l : 950 + other);
+      }
+      ASSERT_EQ(table->potrf_solve_lanes(p_l, alone.a.data(), alone.b.data()),
+                -1);
+      for (Index i = 0; i < p_l; ++i) {
+        EXPECT_EQ(padded.rhs(l, i), alone.rhs(l, i)) << "solution row " << i;
+        for (Index j = 0; j <= i; ++j) {
+          EXPECT_EQ(padded.at(l, i, j), alone.at(l, i, j))
+              << "factor (" << i << "," << j << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, PotrfSolveLanesReportsFirstBadPivotOnEveryTable) {
+  for (const KernelTable* table : available_tables()) {
+    SCOPED_TRACE(table->name);
+    Lanes lanes(9, table->width);
+    for (Index l = 0; l < table->width; ++l) set_lane(lanes, l, 9, 17 + l);
+    lanes.at(table->width - 1, 4, 4) = -1e6;  // poison pivot 4, last lane
+    lanes.at(0, 6, 6) = -1e6;                 // a later one in lane 0
+    EXPECT_EQ(table->potrf_solve_lanes(9, lanes.a.data(), lanes.b.data()), 4);
   }
 }
 

@@ -38,6 +38,27 @@ TEST(SparseUnitLower, MultiplyMatchesDense) {
             1e-13);
 }
 
+TEST(SparseUnitLower, SweepsSolveAgainstTheDenseFactor) {
+  // L⁻¹X and L⁻ᵀX by the row sweeps: multiplying back by the dense L
+  // (resp. Lᵀ) must return X, for k = 1 and for widths around a vector.
+  Rng rng(4);
+  const Matrix l = banded_unit_lower(40, 6, rng);
+  const auto sparse = SparseUnitLower::from_dense(l);
+  for (const Index k : {Index{1}, Index{7}, Index{8}, Index{9}, Index{28}}) {
+    Matrix x(40, k);
+    for (Index i = 0; i < 40; ++i) {
+      for (Index j = 0; j < k; ++j) x(i, j) = rng.normal();
+    }
+    Matrix forward = x;
+    sparse.solve_in_place(forward);
+    EXPECT_LT(max_abs_diff(multiply(l, forward), x), 1e-10) << "k=" << k;
+    Matrix backward = x;
+    sparse.solve_transpose_in_place(backward);
+    EXPECT_LT(max_abs_diff(multiply_at_b(l, backward), x), 1e-10)
+        << "k=" << k;
+  }
+}
+
 TEST(SparseUnitLower, NonzeroCountMatchesBand) {
   Rng rng(3);
   const Index n = 30, band = 2;
