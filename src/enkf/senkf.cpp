@@ -787,20 +787,21 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
     }
   } join_guard{helper};
 
-  // Analysis pool (§4.2 extended): each completed stage is submitted as
-  // an independent task, so while the helper thread drains stage l+1 and
-  // the main thread blocks on take_stage, up to `analysis_threads` layer
-  // analyses run concurrently.  Every task writes only its own slot of
-  // `locals` / `stage_data`, and the results are packed in layer order
-  // below — bit-identical output for any pool width.
-  ThreadPool pool(
-      ThreadPool::resolve_thread_count(config.analysis_threads));
   std::vector<StageBuffers::Stage> stage_data(config.layers);
   // Each task packs its layer's results straight off the analysis
   // projection ([u64 member][patch block] per member, exact-reserved), so
   // the main thread concatenates payload bytes instead of re-packing
   // owning patches.
   std::vector<parcomm::Packer> layer_packs(config.layers);
+  // Analysis pool (§4.2 extended): each completed stage is submitted as
+  // an independent task, so while the helper thread drains stage l+1 and
+  // the main thread blocks on take_stage, up to `analysis_threads` layer
+  // analyses run concurrently.  Every task writes only its own slot of
+  // `stage_data` / `layer_packs`, and the results are packed in layer
+  // order below — bit-identical output for any pool width.
+  // Declared after that data: on a throw, ~ThreadPool drains its queue first.
+  ThreadPool pool(
+      ThreadPool::resolve_thread_count(config.analysis_threads));
 
   // Phase accounting is measured where each phase happens: comp_wait is
   // the main thread blocked in take_stage, comp_update the summed

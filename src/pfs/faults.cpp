@@ -67,11 +67,6 @@ std::pair<std::string_view, std::string_view> split_pair(
 
 }  // namespace
 
-bool FaultPlan::enabled() const {
-  return transient_p > 0.0 || !dead_members.empty() || !slow_osts.empty() ||
-         latency_factor != 1.0 || !stragglers.empty();
-}
-
 FaultPlan parse_fault_plan(std::string_view spec) {
   FaultPlan plan;
   std::size_t pos = 0;
@@ -99,16 +94,6 @@ FaultPlan parse_fault_plan(std::string_view spec) {
       plan.max_burst = static_cast<int>(burst);
     } else if (key == "dead") {
       plan.dead_members.push_back(parse_u64(entry, value));
-    } else if (key == "slow_ost") {
-      const auto [index, factor] = split_pair(entry, value);
-      FaultPlan::SlowOst slow;
-      slow.ost = static_cast<int>(parse_u64(entry, index));
-      slow.factor = parse_double(entry, factor);
-      if (slow.factor <= 1.0) bad_spec(entry, "factor must be > 1");
-      plan.slow_osts.push_back(slow);
-    } else if (key == "latency") {
-      plan.latency_factor = parse_double(entry, value);
-      if (plan.latency_factor < 1.0) bad_spec(entry, "factor must be >= 1");
     } else if (key == "straggler") {
       const auto [rank, delay] = split_pair(entry, value);
       FaultPlan::Straggler straggler;
@@ -125,8 +110,6 @@ FaultPlan parse_fault_plan(std::string_view spec) {
   plan.dead_members.erase(
       std::unique(plan.dead_members.begin(), plan.dead_members.end()),
       plan.dead_members.end());
-  std::sort(plan.slow_osts.begin(), plan.slow_osts.end(),
-            [](const auto& a, const auto& b) { return a.ost < b.ost; });
   std::sort(plan.stragglers.begin(), plan.stragglers.end(),
             [](const auto& a, const auto& b) { return a.io_rank < b.io_rank; });
   return plan;
@@ -140,10 +123,6 @@ std::string to_spec(const FaultPlan& plan) {
   for (const std::uint64_t member : plan.dead_members) {
     os << ",dead=" << member;
   }
-  for (const auto& slow : plan.slow_osts) {
-    os << ",slow_ost=" << slow.ost << ':' << slow.factor;
-  }
-  if (plan.latency_factor != 1.0) os << ",latency=" << plan.latency_factor;
   for (const auto& straggler : plan.stragglers) {
     os << ",straggler=" << straggler.io_rank << ':' << straggler.delay_s;
   }
@@ -197,7 +176,6 @@ FaultMetrics& FaultMetrics::get() {
       registry.counter("pfs.fault.transient"),
       registry.counter("pfs.fault.dead_reads"),
       registry.counter("pfs.fault.straggler_delay_ns"),
-      registry.counter("pfs.fault.slowed_reads"),
   };
   return metrics;
 }
@@ -206,8 +184,6 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
   SENKF_REQUIRE(plan_.transient_p >= 0.0 && plan_.transient_p < 1.0,
                 "FaultInjector: transient_p must be in [0, 1)");
   SENKF_REQUIRE(plan_.max_burst >= 1, "FaultInjector: max_burst must be >= 1");
-  SENKF_REQUIRE(plan_.latency_factor >= 1.0,
-                "FaultInjector: latency_factor must be >= 1");
 }
 
 bool FaultInjector::is_dead(std::uint64_t member) const {
@@ -245,14 +221,6 @@ bool FaultInjector::next_read_fails(std::uint64_t member,
   metrics.injected.add(1);
   metrics.transient.add(1);
   return true;
-}
-
-double FaultInjector::latency_factor(int ost) const {
-  double factor = plan_.latency_factor;
-  for (const auto& slow : plan_.slow_osts) {
-    if (slow.ost == ost) factor *= slow.factor;
-  }
-  return factor;
 }
 
 std::chrono::nanoseconds FaultInjector::straggler_delay(int io_rank) const {

@@ -1,14 +1,12 @@
-// Deterministic fault injection for the PFS planes (DESIGN.md §9).
+// Deterministic fault injection for the numeric plane (DESIGN.md §9).
 //
-// A `FaultPlan` describes how the file system misbehaves: per-OST latency
-// inflation, transient EIO-style read failures (probability + bounded
-// burst), permanently dead member files, and slow-straggler I/O ranks.
-// One plan drives both planes:
-//  * the DES model (pfs.cpp) charges inflated service times and re-issued
-//    reads in *simulated* time;
-//  * the numeric plane (enkf::FaultyEnsembleStore) turns the same
-//    decisions into thrown TransientReadError / PermanentReadError and
-//    real injected delays, which the S-EnKF read path must survive.
+// A `FaultPlan` describes how the file system misbehaves: transient
+// EIO-style read failures (probability + bounded burst), permanently dead
+// member files, and slow-straggler I/O ranks.  enkf::FaultyEnsembleStore
+// turns its read decisions into thrown TransientReadError /
+// PermanentReadError, and S-EnKF's I/O ranks sleep out its straggler
+// delays; the S-EnKF read path must survive both.  The DES plane models a
+// healthy file system, as the paper does.
 //
 // Every decision is a pure hash of (plan seed, member, op key, draw
 // index) — never a shared RNG stream — so outcomes are identical across
@@ -67,21 +65,8 @@ struct FaultPlan {
   int max_burst = 3;
 
   /// Member files that are permanently unreadable (every read throws
-  /// PermanentReadError; the DES plane charges max_burst re-issues and
-  /// gives up).
+  /// PermanentReadError).
   std::vector<std::uint64_t> dead_members;
-
-  /// Per-OST service-time inflation: reads hitting `ost` run `factor`×
-  /// slower (factor > 1).
-  struct SlowOst {
-    int ost = 0;
-    double factor = 1.0;
-    friend bool operator==(const SlowOst&, const SlowOst&) = default;
-  };
-  std::vector<SlowOst> slow_osts;
-
-  /// Service-time inflation applied to every OST (1.0 = none).
-  double latency_factor = 1.0;
 
   /// Straggler I/O ranks: rank `io_rank` (0-based ordinal among the I/O
   /// ranks) pays `delay_s` extra wall-clock per bar read — the knob the
@@ -93,9 +78,6 @@ struct FaultPlan {
   };
   std::vector<Straggler> stragglers;
 
-  /// True when the plan injects anything at all.
-  bool enabled() const;
-
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
 
@@ -104,8 +86,6 @@ struct FaultPlan {
 ///   transient=P  per-read transient failure probability, [0, 1)
 ///   burst=N      max consecutive failures per op (1 ≤ N)
 ///   dead=K       member K permanently unreadable (repeatable)
-///   slow_ost=I:F OST I serves F× slower (repeatable, F > 1)
-///   latency=F    every OST serves F× slower (F ≥ 1)
 ///   straggler=R:S  I/O rank ordinal R pays S seconds extra per read
 ///                  (repeatable)
 /// Malformed specs throw InvalidArgument naming the offending entry.
@@ -155,7 +135,6 @@ struct FaultMetrics {
   telemetry::Counter& transient;       ///< pfs.fault.transient
   telemetry::Counter& dead_reads;      ///< pfs.fault.dead_reads
   telemetry::Counter& straggler_ns;    ///< pfs.fault.straggler_delay_ns
-  telemetry::Counter& slowed_reads;    ///< pfs.fault.slowed_reads
   static FaultMetrics& get();
 };
 
@@ -167,9 +146,6 @@ class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
 
-  const FaultPlan& plan() const { return plan_; }
-  bool enabled() const { return plan_.enabled(); }
-
   /// Permanently unreadable member file?
   bool is_dead(std::uint64_t member) const;
 
@@ -180,9 +156,6 @@ class FaultInjector {
   /// Stateful draw for the numeric plane: true while the op's burst is
   /// unconsumed (each call consumes one failure).  Counts the event.
   bool next_read_fails(std::uint64_t member, std::uint64_t key) const;
-
-  /// Combined service-time factor for reads hitting `ost` (≥ 1).
-  double latency_factor(int ost) const;
 
   /// Extra delay injected per read for I/O rank ordinal `io_rank`
   /// (zero when the rank is not a straggler).

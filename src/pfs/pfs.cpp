@@ -1,5 +1,6 @@
 #include "pfs/pfs.hpp"
 
+#include "support/error.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace senkf::pfs {
@@ -60,20 +61,9 @@ Pfs::Pfs(sim::Simulation& sim, const PfsConfig& config)
   SENKF_REQUIRE(config.stripe_count >= 1 &&
                     config.stripe_count <= config.ost_count,
                 "Pfs: stripe_count must be in [1, ost_count]");
-  if (config.faults.enabled()) {
-    injector_ = std::make_unique<FaultInjector>(config.faults);
-  }
   osts_.reserve(config.ost_count);
   for (int i = 0; i < config.ost_count; ++i) {
-    // Latency inflation is a property of the disk, so it is baked into
-    // the OST's service constants rather than patched per read.
-    OstConfig ost_config = config.ost;
-    if (injector_ != nullptr) {
-      const double factor = injector_->latency_factor(i);
-      ost_config.segment_overhead_s *= factor;
-      ost_config.stream_bandwidth /= factor;
-    }
-    osts_.push_back(std::make_unique<Ost>(sim, ost_config));
+    osts_.push_back(std::make_unique<Ost>(sim, config.ost));
   }
 }
 
@@ -103,45 +93,10 @@ std::vector<int> Pfs::osts_of_file(std::uint64_t file_index) const {
 
 sim::Task Pfs::read(std::uint64_t file_index, std::uint64_t segments,
                     double bytes) {
-  if (injector_ != nullptr) {
-    return read_faulty(file_index, segments, bytes);
-  }
-  return issue(file_index, segments, bytes);
-}
-
-sim::Task Pfs::issue(std::uint64_t file_index, std::uint64_t segments,
-                     double bytes) {
   if (config_.stripe_count == 1) {
     return ost(ost_of_file(file_index)).read(segments, bytes);
   }
   return read_striped(file_index, segments, bytes);
-}
-
-sim::Task Pfs::read_faulty(std::uint64_t file_index, std::uint64_t segments,
-                           double bytes) {
-  FaultMetrics& metrics = FaultMetrics::get();
-  const std::uint64_t key = op_key(file_index, ops_issued_++);
-  if (injector_->latency_factor(ost_of_file(file_index)) > 1.0) {
-    metrics.slowed_reads.add(1);
-    metrics.injected.add(1);
-  }
-  if (injector_->is_dead(file_index)) {
-    // A reader re-issues until its retry budget (≥ the burst cap) runs
-    // out, then gives up; the timing plane charges those wasted rounds.
-    for (int i = 0; i < injector_->plan().max_burst; ++i) {
-      co_await issue(file_index, segments, bytes);
-    }
-    metrics.dead_reads.add(1);
-    metrics.injected.add(1);
-    co_return;
-  }
-  const int failures = injector_->transient_burst(file_index, key);
-  for (int i = 0; i < failures; ++i) {
-    metrics.transient.add(1);
-    metrics.injected.add(1);
-    co_await issue(file_index, segments, bytes);
-  }
-  co_await issue(file_index, segments, bytes);
 }
 
 sim::Task Pfs::read_striped(std::uint64_t file_index, std::uint64_t segments,

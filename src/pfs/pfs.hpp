@@ -22,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "pfs/faults.hpp"
 #include "sim/primitives.hpp"
 
 namespace senkf::pfs {
@@ -46,11 +45,6 @@ struct PfsConfig {
   /// sub-requests (more addressing, more queue slots); the
   /// abl_striping bench quantifies the trade.
   int stripe_count = 1;
-  /// What misbehaves (DESIGN.md §9).  Latency inflation slows the
-  /// affected OSTs' service times; transient faults charge re-issued
-  /// reads; dead member files burn max_burst re-issues and return no
-  /// data.  Default: a perfect disk.
-  FaultPlan faults;
 };
 
 /// One object storage target: a counted stream resource plus accounting.
@@ -103,13 +97,8 @@ class Pfs {
   /// fans out into one concurrent sub-request per stripe OST, each
   /// carrying its share of the bytes and at least one addressing
   /// operation, and the read completes when the slowest stripe does.
-  /// Under a FaultPlan, transient faults charge re-issued requests and a
-  /// dead file burns max_burst re-issues before the reader gives up.
   sim::Task read(std::uint64_t file_index, std::uint64_t segments,
                  double bytes);
-
-  /// The plan's injector, or nullptr when no faults are configured.
-  const FaultInjector* injector() const { return injector_.get(); }
 
   /// Aggregate peak bandwidth (every OST saturated), bytes/second.
   double aggregate_bandwidth() const;
@@ -120,19 +109,10 @@ class Pfs {
  private:
   sim::Task read_striped(std::uint64_t file_index, std::uint64_t segments,
                          double bytes);
-  sim::Task read_faulty(std::uint64_t file_index, std::uint64_t segments,
-                        double bytes);
-  /// Fault-free dispatch shared by the healthy and degraded paths.
-  sim::Task issue(std::uint64_t file_index, std::uint64_t segments,
-                  double bytes);
 
   sim::Simulation& sim_;
   PfsConfig config_;
   std::vector<std::unique_ptr<Ost>> osts_;
-  std::unique_ptr<FaultInjector> injector_;
-  /// Deterministic per-read ordinal feeding the injector's op keys (the
-  /// DES runs single-threaded, so issue order is reproducible).
-  std::uint64_t ops_issued_ = 0;
 };
 
 }  // namespace senkf::pfs

@@ -24,8 +24,6 @@ CostModelParams params_from(const vcluster::MachineConfig& machine,
   params.a = machine.net.alpha;
   params.b = machine.net.beta;
   params.c = machine.update_cost_per_point_s;
-  params.analysis_speedup = machine.analysis_speedup;
-  params.transient_read_p = machine.pfs.faults.transient_p;
   params.theta = 1.0 / machine.pfs.ost.stream_bandwidth;
   params.h = workload.point_bytes();
   params.xi = workload.halo_xi;
@@ -39,10 +37,6 @@ CostModel::CostModel(const CostModelParams& params) : params_(params) {
   SENKF_REQUIRE(params.a >= 0 && params.b >= 0 && params.c > 0 &&
                     params.theta > 0 && params.h > 0,
                 "CostModel: cost constants must be positive");
-  SENKF_REQUIRE(params.analysis_speedup > 0,
-                "CostModel: analysis_speedup must be positive");
-  SENKF_REQUIRE(params.transient_read_p >= 0.0 && params.transient_read_p < 1.0,
-                "CostModel: transient_read_p must be in [0, 1)");
 }
 
 double CostModel::stage_rows(const vcluster::SenkfParams& p) const {
@@ -66,12 +60,8 @@ double CostModel::t_read(const vcluster::SenkfParams& p) const {
   SENKF_REQUIRE(feasible(p), "CostModel::t_read: infeasible parameters");
   const double files_per_group = static_cast<double>(params_.members) /
                                  static_cast<double>(p.n_cg);
-  // Expected attempts per read under transient faults: geometric with
-  // success probability 1−p (see CostModelParams::transient_read_p).
-  const double retry_inflation = 1.0 / (1.0 - params_.transient_read_p);
   return stage_rows(p) * static_cast<double>(params_.nx) * params_.h *
-         files_per_group * params_.theta * retry_inflation *
-         log_factor(p.n_cg * p.n_sdy);
+         files_per_group * params_.theta * log_factor(p.n_cg * p.n_sdy);
 }
 
 double CostModel::t_comm(const vcluster::SenkfParams& p) const {
@@ -89,7 +79,7 @@ double CostModel::t_comm(const vcluster::SenkfParams& p) const {
 
 double CostModel::t_comp(const vcluster::SenkfParams& p) const {
   SENKF_REQUIRE(feasible(p), "CostModel::t_comp: infeasible parameters");
-  return params_.c / params_.analysis_speedup *
+  return params_.c *
          (static_cast<double>(params_.ny) /
           (static_cast<double>(p.n_sdy) * static_cast<double>(p.layers))) *
          (static_cast<double>(params_.nx) / static_cast<double>(p.n_sdx));

@@ -29,22 +29,7 @@ struct CostModelParams {
   std::uint64_t ny = 1800;      ///< grid points along latitude
   double a = 2e-6;              ///< startup time per message (s)
   double b = 1e-10;             ///< transfer time per byte (s)
-  double c = 1.0e-3;            ///< computation cost per grid point (s),
-                                ///< calibrated on the scalar kernels
-  /// SIMD + analysis-pool speedup dividing T_comp (eq. (9)): the faster
-  /// the compute phase, the earlier the pipeline leaves the
-  /// compute-bound regime where reads and communication hide for free —
-  /// which shifts the auto-tuner toward more I/O ranks.  1.0 = the
-  /// scalar baseline `c` was calibrated on.
-  double analysis_speedup = 1.0;
-  /// Probability a bar read draws a transient fault and must be retried
-  /// (pfs::FaultPlan::transient_p).  Each read costs 1/(1−p) expected
-  /// attempts (geometric retries), so T_read (eq. (7)) is scaled by that
-  /// factor — a degraded file system shifts the tuner toward more I/O
-  /// ranks exactly as a slower disk would.  0 = the paper's fault-free
-  /// machine; backoff sleeps are not modelled (they are microseconds
-  /// against millisecond reads).
-  double transient_read_p = 0.0;
+  double c = 1.0e-3;            ///< computation cost per grid point (s)
   double theta = 2.5e-9;        ///< disk-to-memory transfer time per byte (s)
   double h = 8.0;               ///< bytes per grid point
   std::uint64_t xi = 4;         ///< ξ

@@ -21,28 +21,14 @@ std::int64_t to_milli(double rel) {
 
 }  // namespace
 
-PhaseDrift model_drift(const CostModel& model, const vcluster::SenkfParams& p,
-                       double measured_read_s, double measured_comm_s,
-                       double measured_comp_s) {
-  PhaseDrift drift;
-  drift.measured_read_s = measured_read_s;
-  drift.measured_comm_s = measured_comm_s;
-  drift.measured_comp_s = measured_comp_s;
-  drift.predicted_read_s = model.t_read(p);
-  drift.predicted_comm_s = model.t_comm(p);
-  drift.predicted_comp_s = model.t_comp(p);
-  drift.read = rel_drift(measured_read_s, drift.predicted_read_s);
-  drift.comm = rel_drift(measured_comm_s, drift.predicted_comm_s);
-  drift.comp = rel_drift(measured_comp_s, drift.predicted_comp_s);
-  return drift;
-}
-
 PhaseDrift record_model_drift(const CostModel& model,
                               const vcluster::SenkfParams& p,
                               double measured_read_s, double measured_comm_s,
                               double measured_comp_s) {
-  const PhaseDrift drift = model_drift(model, p, measured_read_s,
-                                       measured_comm_s, measured_comp_s);
+  PhaseDrift drift;
+  drift.read = rel_drift(measured_read_s, model.t_read(p));
+  drift.comm = rel_drift(measured_comm_s, model.t_comm(p));
+  drift.comp = rel_drift(measured_comp_s, model.t_comp(p));
   auto& registry = telemetry::Registry::global();
   registry.gauge("model.drift.read").set(to_milli(drift.read));
   registry.gauge("model.drift.comm").set(to_milli(drift.comm));

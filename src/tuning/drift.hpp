@@ -9,30 +9,20 @@
 
 namespace senkf::tuning {
 
+/// (measured − predicted) / predicted per phase; 0 when the model
+/// predicts 0.  Positive = reality slower than the model.
 struct PhaseDrift {
-  // Per I/O rank (read/comm) or computation rank (comp), per stage,
-  // seconds — the model's native normalization (see fig09).
-  double measured_read_s = 0.0;
-  double measured_comm_s = 0.0;
-  double measured_comp_s = 0.0;
-  double predicted_read_s = 0.0;
-  double predicted_comm_s = 0.0;
-  double predicted_comp_s = 0.0;
-  /// (measured − predicted) / predicted; 0 when the model predicts 0.
-  /// Positive = reality slower than the model.
   double read = 0.0;
   double comm = 0.0;
   double comp = 0.0;
 };
 
-/// Pure computation: evaluates the model at `p` and fills the drift.
-PhaseDrift model_drift(const CostModel& model, const vcluster::SenkfParams& p,
-                       double measured_read_s, double measured_comm_s,
-                       double measured_comp_s);
-
-/// model_drift + publishes `model.drift.{read,comm,comp}` gauges into the
-/// global registry, in milli-units (gauge 250 = +25% drift, clamped to
-/// ±10^9 so a cold model can't overflow the int64).
+/// Evaluates the model at `p` against the measured per-rank per-stage
+/// seconds (read/comm per I/O rank, comp per computation rank — the
+/// model's native normalization, see fig09) and publishes the drift as
+/// `model.drift.{read,comm,comp}` gauges into the global registry, in
+/// milli-units (gauge 250 = +25% drift, clamped to ±10^9 so a cold model
+/// can't overflow the int64).
 PhaseDrift record_model_drift(const CostModel& model,
                               const vcluster::SenkfParams& p,
                               double measured_read_s, double measured_comm_s,

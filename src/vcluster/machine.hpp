@@ -25,19 +25,10 @@ struct MachineConfig {
                      /*stream_bandwidth=*/400e6,
                      /*max_streams=*/10},
       /*stripe_count=*/1,
-      /*faults=*/{},
   };
   net::NetConfig net{/*alpha=*/2e-6, /*beta=*/1e-10};
   /// "c" in Table 1: local-analysis cost per grid point (seconds).
-  /// Calibrated against the *scalar* kernels; see analysis_speedup.
   double update_cost_per_point_s = 1.0e-3;
-  /// Measured speedup of the local analysis from the blocked SIMD kernels
-  /// and the per-rank analysis pool (linalg/kernels/, support/thread_pool)
-  /// relative to the scalar single-threaded baseline `c` was calibrated
-  /// on.  Divides T_comp in the cost model; 1.0 models the baseline
-  /// compute plane (the paper's configuration, and the default so the
-  /// calibrated figure reproductions are unchanged).
-  double analysis_speedup = 1.0;
 };
 
 struct SimWorkload {

@@ -198,29 +198,63 @@ INSTANTIATE_TEST_SUITE_P(
                       DecompCase{12, 6, 2, 3}, DecompCase{24, 12, 1, 1},
                       DecompCase{4, 6, 1, 6}, DecompCase{2, 2, 3, 2}));
 
-TEST(FailureInjection, SingularCovarianceSurfacesAsNumericError) {
-  // Duplicate members + zero ridge make the regression Gram matrix
-  // singular inside a computation rank mid-pipeline; the error must
-  // propagate to the caller (not hang, not std::terminate via the helper
-  // thread).
-  const grid::LatLonGrid g{24, 12};
-  senkf::Rng rng(55);
-  auto scenario = grid::synthetic_ensemble(g, 4, rng, 0.5);
-  scenario.members[1] = scenario.members[0];
-  scenario.members[2] = scenario.members[0];
-  scenario.members[3] = scenario.members[0];
-  const MemoryEnsembleStore store(g, scenario.members);
-  senkf::Rng obs_rng(56);
-  obs::NetworkOptions opt;
-  opt.station_count = 50;
-  const auto observations =
-      obs::random_network(g, scenario.truth, obs_rng, opt);
-  const auto ys =
-      obs::perturbed_observations(observations, 4, senkf::Rng(57));
+// Duplicate members + zero ridge make the regression Gram matrix singular
+// inside every computation rank mid-pipeline.
+struct SingularWorld {
+  grid::LatLonGrid g{24, 12};
+  grid::SyntheticEnsemble scenario;
+  obs::ObservationSet observations;
+  linalg::Matrix ys;
+  MemoryEnsembleStore store;
 
+  SingularWorld()
+      : scenario(duplicated_members(g)),
+        observations(make_obs(g, scenario.truth)),
+        ys(obs::perturbed_observations(observations, 4, senkf::Rng(57))),
+        store(g, scenario.members) {}
+
+  static grid::SyntheticEnsemble duplicated_members(const grid::LatLonGrid& g) {
+    senkf::Rng rng(55);
+    auto scenario = grid::synthetic_ensemble(g, 4, rng, 0.5);
+    scenario.members[1] = scenario.members[0];
+    scenario.members[2] = scenario.members[0];
+    scenario.members[3] = scenario.members[0];
+    return scenario;
+  }
+  static obs::ObservationSet make_obs(const grid::LatLonGrid& g,
+                                      const grid::Field& truth) {
+    senkf::Rng obs_rng(56);
+    obs::NetworkOptions opt;
+    opt.station_count = 50;
+    return obs::random_network(g, truth, obs_rng, opt);
+  }
+};
+
+TEST(FailureInjection, SingularCovarianceSurfacesAsNumericError) {
+  // The error must propagate to the caller (not hang, not std::terminate
+  // via the helper thread).
+  const SingularWorld w;
   SenkfConfig config = senkf_config(2, 2);
   config.analysis.ridge = 0.0;
-  EXPECT_THROW(senkf(store, observations, ys, config), senkf::NumericError);
+  EXPECT_THROW(senkf(w.store, w.observations, w.ys, config),
+               senkf::NumericError);
+}
+
+TEST(FailureInjection, CancelledRankDrainsItsAnalysisPoolBeforeItsStages) {
+  // A peer's NumericError cancels the run while a computation rank still
+  // has layer analyses queued or running on its pool; unwinding that rank
+  // must drain the pool before it frees the stage data the tasks read.
+  // Four pool threads give every host queued work; the race is narrow,
+  // so it takes many calls to hit it.
+  const SingularWorld w;
+  SenkfConfig config = senkf_config(2, 2);
+  config.analysis.ridge = 0.0;
+  config.analysis_threads = 4;
+  for (int call = 0; call < 300; ++call) {
+    ASSERT_THROW(senkf(w.store, w.observations, w.ys, config),
+                 senkf::NumericError)
+        << "call " << call;
+  }
 }
 
 TEST(Agreement, AllImplementationsImproveSkillEqually) {

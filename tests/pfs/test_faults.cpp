@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "pfs/pfs.hpp"
-
 namespace senkf::pfs {
 namespace {
 
@@ -16,9 +14,7 @@ FaultPlan rich_plan() {
   plan.transient_p = 0.125;
   plan.max_burst = 2;
   plan.dead_members = {3, 7};
-  plan.slow_osts = {{1, 2.5}, {4, 3.0}};
-  plan.latency_factor = 1.5;
-  plan.stragglers = {{0, 0.25}};
+  plan.stragglers = {{0, 0.25}, {2, 1.5}};
   return plan;
 }
 
@@ -27,17 +23,15 @@ TEST(FaultPlanSpec, RoundTrips) {
   EXPECT_EQ(parse_fault_plan(to_spec(plan)), plan);
 }
 
-TEST(FaultPlanSpec, DefaultPlanRoundTripsAndIsDisabled) {
+TEST(FaultPlanSpec, DefaultPlanRoundTrips) {
   const FaultPlan plan;
-  EXPECT_FALSE(plan.enabled());
   EXPECT_EQ(parse_fault_plan(to_spec(plan)), plan);
-  EXPECT_TRUE(rich_plan().enabled());
 }
 
 TEST(FaultPlanSpec, ParsesEntriesInAnyOrder) {
   const FaultPlan plan = parse_fault_plan(
-      "dead=7,transient=0.125,slow_ost=4:3,seed=42,burst=2,dead=3,"
-      "latency=1.5,straggler=0:0.25,slow_ost=1:2.5");
+      "dead=7,straggler=2:1.5,transient=0.125,seed=42,burst=2,dead=3,"
+      "straggler=0:0.25");
   EXPECT_EQ(plan, rich_plan());
 }
 
@@ -60,11 +54,12 @@ TEST(FaultPlanSpec, MalformedSpecsNameTheOffendingEntry) {
   expect_bad("transient=1.5", "transient=1.5");        // out of range
   expect_bad("transient=abc", "transient=abc");        // not a number
   expect_bad("burst=0", "burst=0");                    // below 1
-  expect_bad("slow_ost=2", "slow_ost=2");              // missing :factor
-  expect_bad("slow_ost=2:0.5", "slow_ost=2:0.5");      // factor <= 1
+  expect_bad("straggler=1", "straggler=1");            // missing :delay
   expect_bad("straggler=1:0", "straggler=1:0");        // zero delay
-  expect_bad("latency=0.9", "latency=0.9");            // below 1
   expect_bad("bogus=1", "bogus=1");                    // unknown key
+  // Rejected, not silently ignored: nothing would inject them.
+  expect_bad("slow_ost=1:2.5", "'slow_ost=1:2.5': unknown key 'slow_ost'");
+  expect_bad("latency=1.5", "'latency=1.5': unknown key 'latency'");
   expect_bad("seed", "seed");                          // no '='
   expect_bad("dead=1:2", "dead=1:2");                  // not an integer
 }
@@ -132,13 +127,10 @@ TEST(FaultInjector, NextReadFailsConsumesTheBurstThenSucceedsForever) {
   FAIL() << "no faulty op in 256 draws at p=0.4";
 }
 
-TEST(FaultInjector, DeadMembersAndLatencyFactors) {
-  const FaultInjector injector(
-      parse_fault_plan("dead=2,slow_ost=1:2,latency=1.5"));
+TEST(FaultInjector, DeadMembersAndStragglers) {
+  const FaultInjector injector(parse_fault_plan("dead=2"));
   EXPECT_TRUE(injector.is_dead(2));
   EXPECT_FALSE(injector.is_dead(1));
-  EXPECT_DOUBLE_EQ(injector.latency_factor(0), 1.5);
-  EXPECT_DOUBLE_EQ(injector.latency_factor(1), 3.0);  // global × per-OST
   EXPECT_EQ(injector.straggler_delay(0), std::chrono::nanoseconds::zero());
   const FaultInjector straggly(parse_fault_plan("straggler=1:0.5"));
   EXPECT_EQ(straggly.straggler_delay(1), std::chrono::nanoseconds(500'000'000));
@@ -215,106 +207,6 @@ TEST(WithRetry, PermanentErrorsPassThroughUntouched) {
                             throw PermanentReadError("dead");
                           }),
                PermanentReadError);
-}
-
-// ---- DES plane: the same plan changes *simulated* time.
-
-OstConfig simple_ost() {
-  OstConfig c;
-  c.segment_overhead_s = 0.001;
-  c.stream_bandwidth = 1000.0;
-  c.max_streams = 2;
-  return c;
-}
-
-TEST(PfsFaults, LatencyInflationSlowsReads) {
-  PfsConfig clean;
-  clean.ost_count = 2;
-  clean.ost = simple_ost();
-  sim::Simulation sim_clean;
-  Pfs fs_clean(sim_clean, clean);
-  sim_clean.spawn(fs_clean.read(0, 1, 999.0));
-  sim_clean.run();
-
-  PfsConfig slow = clean;
-  slow.faults = parse_fault_plan("latency=2");
-  sim::Simulation sim_slow;
-  Pfs fs_slow(sim_slow, slow);
-  sim_slow.spawn(fs_slow.read(0, 1, 999.0));
-  sim_slow.run();
-
-  EXPECT_DOUBLE_EQ(sim_clean.now(), 1.0);
-  EXPECT_DOUBLE_EQ(sim_slow.now(), 2.0);
-}
-
-TEST(PfsFaults, SlowOstOnlyAffectsItsFiles) {
-  PfsConfig config;
-  config.ost_count = 2;
-  config.ost = simple_ost();
-  config.faults = parse_fault_plan("slow_ost=0:4");
-  sim::Simulation sim;
-  Pfs fs(sim, config);
-  sim.spawn(fs.read(1, 1, 999.0));  // file 1 → OST 1, unaffected
-  sim.run();
-  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
-
-  sim::Simulation sim2;
-  Pfs fs2(sim2, config);
-  sim2.spawn(fs2.read(0, 1, 999.0));  // file 0 → OST 0, 4× slower
-  sim2.run();
-  EXPECT_DOUBLE_EQ(sim2.now(), 4.0);
-}
-
-TEST(PfsFaults, TransientFaultsChargeReissuedReads) {
-  PfsConfig config;
-  config.ost_count = 1;
-  config.ost = simple_ost();
-  config.faults = parse_fault_plan("seed=5,transient=0.9,burst=2");
-  sim::Simulation sim;
-  Pfs fs(sim, config);
-  for (int i = 0; i < 8; ++i) sim.spawn(fs.read(0, 1, 0.0));
-  sim.run();
-
-  PfsConfig clean = config;
-  clean.faults = FaultPlan{};
-  sim::Simulation sim_clean;
-  Pfs fs_clean(sim_clean, clean);
-  for (int i = 0; i < 8; ++i) sim_clean.spawn(fs_clean.read(0, 1, 0.0));
-  sim_clean.run();
-
-  // At p=0.9 some of the 8 ops re-issue, so the faulty run takes longer.
-  EXPECT_GT(fs.total_bytes_read() + sim.now(),
-            fs_clean.total_bytes_read() + sim_clean.now());
-}
-
-TEST(PfsFaults, DeadFileChargesBurstAndCounts) {
-  PfsConfig config;
-  config.ost_count = 1;
-  config.ost = simple_ost();
-  config.faults = parse_fault_plan("dead=0,burst=3");
-  const std::uint64_t dead_before = FaultMetrics::get().dead_reads.value();
-  sim::Simulation sim;
-  Pfs fs(sim, config);
-  sim.spawn(fs.read(0, 1, 999.0));
-  sim.run();
-  // Three wasted 1-second rounds, then the reader gives up.
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
-  EXPECT_EQ(FaultMetrics::get().dead_reads.value(), dead_before + 1);
-}
-
-TEST(PfsFaults, IdenticalPlansGiveIdenticalSimulatedTime) {
-  const auto run_once = [] {
-    PfsConfig config;
-    config.ost_count = 3;
-    config.ost = simple_ost();
-    config.faults = parse_fault_plan("seed=21,transient=0.5,burst=3,latency=1.25");
-    sim::Simulation sim;
-    Pfs fs(sim, config);
-    for (std::uint64_t f = 0; f < 6; ++f) sim.spawn(fs.read(f, 2, 500.0));
-    sim.run();
-    return sim.now();
-  };
-  EXPECT_DOUBLE_EQ(run_once(), run_once());
 }
 
 }  // namespace

@@ -58,20 +58,6 @@ TEST(CostModel, CompFormulaVerbatim) {
   EXPECT_NEAR(model.t_comp(sp), 1e-4 * 6.0 * 30.0, 1e-15);
 }
 
-TEST(CostModel, AnalysisSpeedupDividesComputeOnly) {
-  CostModelParams p = simple_params();
-  const CostModel baseline(p);
-  p.analysis_speedup = 4.0;  // e.g. blocked SIMD kernels + analysis pool
-  const CostModel faster(p);
-  const auto sp = simple_point();
-  EXPECT_NEAR(faster.t_comp(sp), baseline.t_comp(sp) / 4.0, 1e-15);
-  EXPECT_NEAR(faster.t_read(sp), baseline.t_read(sp), 1e-15);
-  EXPECT_NEAR(faster.t_comm(sp), baseline.t_comm(sp), 1e-15);
-
-  p.analysis_speedup = 0.0;
-  EXPECT_THROW(CostModel{p}, senkf::InvalidArgument);
-}
-
 TEST(CostModel, TotalCombinesPhases) {
   const CostModel model(simple_params());
   const auto sp = simple_point();
@@ -140,26 +126,6 @@ TEST(CostModel, MoreLayersCostMoreHaloRead) {
   EXPECT_GT(total_read_15, total_read_1);
 }
 
-TEST(CostModel, TransientFaultsInflateReadsByExpectedAttempts) {
-  // Geometric retries: each read costs 1/(1−p) expected attempts, read
-  // time only — communication and compute are untouched.
-  const CostModel clean(simple_params());
-  CostModelParams faulty_params = simple_params();
-  faulty_params.transient_read_p = 0.2;
-  const CostModel faulty(faulty_params);
-  const auto sp = simple_point();
-  EXPECT_NEAR(faulty.t_read(sp), clean.t_read(sp) / 0.8, 1e-12);
-  EXPECT_DOUBLE_EQ(faulty.t_comm(sp), clean.t_comm(sp));
-  EXPECT_DOUBLE_EQ(faulty.t_comp(sp), clean.t_comp(sp));
-}
-
-TEST(CostModel, ParamsFromMachineReadsFaultPlan) {
-  vcluster::MachineConfig machine;
-  machine.pfs.faults = pfs::parse_fault_plan("seed=1,transient=0.1");
-  const CostModelParams p = params_from(machine, vcluster::SimWorkload{});
-  EXPECT_DOUBLE_EQ(p.transient_read_p, 0.1);
-}
-
 TEST(CostModel, ParamsFromMachineMatchesConfiguration) {
   const vcluster::MachineConfig machine;
   const vcluster::SimWorkload workload;
@@ -169,7 +135,6 @@ TEST(CostModel, ParamsFromMachineMatchesConfiguration) {
   EXPECT_DOUBLE_EQ(p.a, machine.net.alpha);
   EXPECT_DOUBLE_EQ(p.b, machine.net.beta);
   EXPECT_DOUBLE_EQ(p.c, machine.update_cost_per_point_s);
-  EXPECT_DOUBLE_EQ(p.analysis_speedup, machine.analysis_speedup);
   EXPECT_DOUBLE_EQ(p.theta, 1.0 / machine.pfs.ost.stream_bandwidth);
   EXPECT_EQ(p.xi, workload.halo_xi);
   EXPECT_EQ(p.eta, workload.halo_eta);
@@ -181,9 +146,6 @@ TEST(CostModel, InvalidParamsThrow) {
   EXPECT_THROW(CostModel{p}, senkf::InvalidArgument);
   p = simple_params();
   p.members = 0;
-  EXPECT_THROW(CostModel{p}, senkf::InvalidArgument);
-  p = simple_params();
-  p.transient_read_p = 1.0;  // expected attempts would diverge
   EXPECT_THROW(CostModel{p}, senkf::InvalidArgument);
 }
 
