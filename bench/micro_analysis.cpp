@@ -3,7 +3,8 @@
 // deterministic ensemble transform, across expansion sizes and ensemble
 // sizes, plus the patch shape of the end-to-end ocean-stoch workload, a
 // cold observation localization and the per-cycle innovation χ² at both
-// end-to-end workloads' networks.
+// end-to-end workloads' networks, and the model forecast a cycle runs
+// before its analysis.
 // These are the per-stage compute costs the "c" constant of the cost
 // model abstracts.
 // Each entry also reports patches/sec (items_per_second) and a
@@ -15,6 +16,7 @@
 #include "enkf/local_analysis.hpp"
 #include "enkf/verification.hpp"
 #include "grid/synthetic.hpp"
+#include "model/advection.hpp"
 #include "obs/local_obs.hpp"
 #include "obs/perturbed.hpp"
 #include "telemetry/metrics.hpp"
@@ -174,6 +176,38 @@ void BM_LocalizeObservations(benchmark::State& state) {
 BENCHMARK(BM_LocalizeObservations)
     ->Args({3000, 66, 26})
     ->Args({800, 36, 16});
+
+// The forecast of one cycle of the end-to-end workloads (e2ebench): 4
+// steps of the advection–diffusion model at their flow (u, v, κ) =
+// (0.8, 0.1, 0.02) for the truth, N members and N control members — 33
+// fields on ocean-stoch's 180×90 mesh, 65 on ocean-det-files' 360×180.
+// items_per_second counts grid points advanced one step.
+void BM_ModelForecast(benchmark::State& state) {
+  const auto nx = static_cast<grid::Index>(state.range(0));
+  const auto fields = static_cast<grid::Index>(state.range(1));
+  constexpr grid::Index kSteps = 4;
+  const grid::LatLonGrid mesh(nx, nx / 2);
+  const model::AdvectionDiffusion dynamics(mesh, {0.8, 0.1, 0.02});
+  Rng rng(4);
+  std::vector<grid::Field> forecast =
+      grid::synthetic_ensemble(mesh, fields, rng, 0.5).members;
+  for (auto _ : state) {
+    for (grid::Field& field : forecast) {
+      field = dynamics.advance(std::move(field), kSteps);
+    }
+    benchmark::DoNotOptimize(forecast.front().data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fields * kSteps) *
+                          static_cast<std::int64_t>(mesh.size()));
+  state.SetLabel(std::to_string(fields) + " fields " + std::to_string(nx) +
+                 "x" + std::to_string(nx / 2));
+}
+BENCHMARK(BM_ModelForecast)
+    ->Args({180, 33})
+    ->Args({360, 65})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

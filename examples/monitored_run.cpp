@@ -11,6 +11,7 @@
 //   SENKF_FAULTS="straggler=0:0.03" ./monitored_run   # pick the delay
 //   SENKF_TRACE=trace.json   ./monitored_run   # flow-event trace export
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <optional>
 
@@ -22,7 +23,9 @@
 #include "telemetry/report.hpp"
 #include "telemetry/trace.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace senkf;
 
   const grid::LatLonGrid g{48, 24};
@@ -115,4 +118,17 @@ int main() {
                  "as versioned JSON.\n";
   }
   return 0;
+}
+
+}  // namespace
+
+// A malformed SENKF_FAULTS spec, or a read the plan makes unrecoverable,
+// ends the run with the error's message and exit status 1.
+int main() {
+  try {
+    return run();
+  } catch (const std::exception& error) {
+    std::cerr << error.what() << "\n";
+    return 1;
+  }
 }

@@ -10,6 +10,7 @@
 // (e.g. "seed=1,transient=0.05,burst=2" or "dead=3") and the run goes
 // through a fault-injecting store — retries, re-issues and drops show up
 // in the trace and under pfs.fault.* / senkf.read.* in the snapshot.
+#include <exception>
 #include <iostream>
 #include <optional>
 
@@ -20,7 +21,9 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace senkf;
 
   const grid::LatLonGrid g{48, 24};
@@ -87,4 +90,17 @@ int main() {
   std::cout << "Metrics registry snapshot:\n"
             << telemetry::Registry::global().snapshot();
   return 0;
+}
+
+}  // namespace
+
+// A malformed SENKF_FAULTS spec, or a read the plan makes unrecoverable,
+// ends the run with the error's message and exit status 1.
+int main() {
+  try {
+    return run();
+  } catch (const std::exception& error) {
+    std::cerr << error.what() << "\n";
+    return 1;
+  }
 }

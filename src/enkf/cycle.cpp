@@ -58,8 +58,8 @@ CycleResult run_cycled_assimilation(const model::AdvectionDiffusion& dynamics,
     record.inflation_used = assimilation.analysis.inflation;
 
     // Analysis: S-EnKF over the in-memory store of this cycle's
-    // background.
-    const MemoryEnsembleStore store(dynamics.mesh(), ensemble);
+    // background, which the analysis then replaces.
+    const MemoryEnsembleStore store(dynamics.mesh(), std::move(ensemble));
     ensemble = senkf(store, observations, ys, assimilation);
 
     record.analysis_rmse = mean_field_rmse(ensemble, truth);

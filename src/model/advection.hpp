@@ -9,6 +9,8 @@
 // grid::Field.
 #pragma once
 
+#include <vector>
+
 #include "grid/field.hpp"
 
 namespace senkf::model {
@@ -44,12 +46,27 @@ class AdvectionDiffusion {
                         Index steps) const;
 
  private:
-  /// Field value at fractional coordinates with periodic-x/reflective-y
-  /// boundary treatment and bilinear interpolation.
-  double sample(const grid::Field& state, double x, double y) const;
+  /// Where one arrival column (or row) departs from along x (or y): the
+  /// two grid indices bracketing its departure point and their bilinear
+  /// weights 1 − f and f.
+  struct Departure {
+    Index lo = 0;
+    Index hi = 0;
+    double w_lo = 0.0;
+    double w_hi = 0.0;
+  };
+
+  /// One step of `state` in place: advects it into `scratch`, then
+  /// diffuses `scratch` back into it.  Both fields span the mesh.
+  void step_in_place(grid::Field& state, grid::Field& scratch) const;
 
   grid::LatLonGrid mesh_;
   AdvectionDiffusionConfig config_;
+  /// The flow is constant, so column x always departs from x − u
+  /// (periodic) and row y from y − v (reflective): one entry per column
+  /// and one per row, built by the constructor.
+  std::vector<Departure> departure_x_;
+  std::vector<Departure> departure_y_;
 };
 
 }  // namespace senkf::model

@@ -89,8 +89,14 @@ FaultPlan parse_fault_plan(std::string_view spec) {
         bad_spec(entry, "probability must be in [0, 1)");
       }
     } else if (key == "burst") {
+      // A burst that lasts as long as the retry budget turns a transient
+      // fault into a permanent one.
       const std::uint64_t burst = parse_u64(entry, value);
-      if (burst < 1 || burst > 1000) bad_spec(entry, "burst must be in [1, 1000]");
+      const int budget = RetryPolicy{}.max_attempts;
+      if (burst < 1 || burst >= static_cast<std::uint64_t>(budget)) {
+        const std::string range = "[1, " + std::to_string(budget - 1) + "]";
+        bad_spec(entry, "burst must be in " + range + " to stay retryable");
+      }
       plan.max_burst = static_cast<int>(burst);
     } else if (key == "dead") {
       plan.dead_members.push_back(parse_u64(entry, value));

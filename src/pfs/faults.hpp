@@ -61,7 +61,8 @@ struct FaultPlan {
   /// Upper bound on consecutive transient failures of one operation: a
   /// faulty op fails between 1 and max_burst attempts, then succeeds.
   /// Keep below the retry policy's max_attempts so transient faults stay
-  /// survivable (validated by parse_fault_plan).
+  /// survivable (parse_fault_plan rejects a burst that reaches the
+  /// default policy's).
   int max_burst = 3;
 
   /// Member files that are permanently unreadable (every read throws
@@ -84,7 +85,8 @@ struct FaultPlan {
 /// Parses a `SENKF_FAULTS` spec: comma-separated key=value entries
 ///   seed=U       fault seed
 ///   transient=P  per-read transient failure probability, [0, 1)
-///   burst=N      max consecutive failures per op (1 ≤ N)
+///   burst=N      max consecutive failures per op, 1 ≤ N <
+///                RetryPolicy{}.max_attempts (6)
 ///   dead=K       member K permanently unreadable (repeatable)
 ///   straggler=R:S  I/O rank ordinal R pays S seconds extra per read
 ///                  (repeatable)

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "grid/synthetic.hpp"
 
@@ -156,6 +161,165 @@ TEST(Advection, EnsembleAdvanceMatchesMemberwise) {
     const grid::Field individual = dyn.advance(scenario.members[k], 3);
     EXPECT_EQ(ensemble[k].data(), individual.data());
   }
+}
+
+// The per-point model the departure tables replaced, kept verbatim as the
+// oracle: every point recomputes its departure point's wrap, reflection
+// and bilinear weights, and the diffusion pass wraps with `%`.
+struct ReferenceModel {
+  double sample(const grid::Field& state, double x, double y) const;
+  grid::Field step(const grid::Field& state) const;
+
+  grid::LatLonGrid mesh_;
+  AdvectionDiffusionConfig config_;
+};
+
+double ReferenceModel::sample(const grid::Field& state, double x,
+                              double y) const {
+  const double nx = static_cast<double>(mesh_.nx());
+  const double ny = static_cast<double>(mesh_.ny());
+  // Periodic along longitude.
+  x = std::fmod(x, nx);
+  if (x < 0.0) x += nx;
+  // Reflective along latitude.
+  if (y < 0.0) y = -y;
+  const double y_max = ny - 1.0;
+  if (y > y_max) y = 2.0 * y_max - y;
+  y = std::clamp(y, 0.0, y_max);
+
+  const Index x0 = static_cast<Index>(x) % mesh_.nx();
+  const Index x1 = (x0 + 1) % mesh_.nx();
+  const Index y0 = static_cast<Index>(y);
+  const Index y1 = std::min(y0 + 1, mesh_.ny() - 1);
+  const double fx = x - std::floor(x);
+  const double fy = y - static_cast<double>(y0);
+
+  return (1.0 - fx) * (1.0 - fy) * state.at(x0, y0) +
+         fx * (1.0 - fy) * state.at(x1, y0) +
+         (1.0 - fx) * fy * state.at(x0, y1) +
+         fx * fy * state.at(x1, y1);
+}
+
+grid::Field ReferenceModel::step(const grid::Field& state) const {
+  SENKF_REQUIRE(state.size() == mesh_.size(),
+                "AdvectionDiffusion: field/mesh mismatch");
+  // Semi-Lagrangian advection: trace each arrival point back along the
+  // (constant) flow and interpolate there.
+  grid::Field advected(mesh_);
+  for (Index y = 0; y < mesh_.ny(); ++y) {
+    for (Index x = 0; x < mesh_.nx(); ++x) {
+      advected.at(x, y) = sample(state,
+                                 static_cast<double>(x) - config_.u,
+                                 static_cast<double>(y) - config_.v);
+    }
+  }
+  if (config_.diffusion == 0.0) return advected;
+
+  // Explicit 5-point diffusion with the same boundary treatment.
+  grid::Field out(mesh_);
+  const double kappa = config_.diffusion;
+  for (Index y = 0; y < mesh_.ny(); ++y) {
+    const Index y_up = y + 1 < mesh_.ny() ? y + 1 : y - 1;   // reflect
+    const Index y_dn = y > 0 ? y - 1 : y + 1;                // reflect
+    for (Index x = 0; x < mesh_.nx(); ++x) {
+      const Index x_e = (x + 1) % mesh_.nx();
+      const Index x_w = (x + mesh_.nx() - 1) % mesh_.nx();
+      const double center = advected.at(x, y);
+      const double laplacian = advected.at(x_e, y) + advected.at(x_w, y) +
+                               advected.at(x, y_up) + advected.at(x, y_dn) -
+                               4.0 * center;
+      out.at(x, y) = center + kappa * laplacian;
+    }
+  }
+  return out;
+}
+
+testing::AssertionResult bitwise_equal(const grid::Field& got,
+                                       const grid::Field& want) {
+  if (got.size() != want.size()) {
+    return testing::AssertionFailure() << "sizes differ";
+  }
+  if (std::memcmp(got.data().data(), want.data().data(),
+                  got.size() * sizeof(double)) == 0) {
+    return testing::AssertionSuccess();
+  }
+  Index i = 0;
+  while (std::memcmp(&got.data()[i], &want.data()[i], sizeof(double)) == 0) {
+    ++i;
+  }
+  return testing::AssertionFailure() << "first difference at flat index " << i;
+}
+
+struct ReferenceCase {
+  Index nx;
+  Index ny;
+  AdvectionDiffusionConfig config;
+};
+
+std::string describe(const ReferenceCase& c) {
+  std::ostringstream os;
+  os << c.nx << "x" << c.ny << " u=" << c.config.u << " v=" << c.config.v
+     << " diffusion=" << c.config.diffusion;
+  return os.str();
+}
+
+TEST(Advection, StepMatchesVerbatimReference) {
+  // Column 0 departs from 0 − 1e-17, which fmod keeps negative and the
+  // wrap then rounds to exactly nx: x0 = nx % nx = 0 with zero weight.
+  constexpr double kRoundsToNx = 1e-17;
+  ASSERT_EQ(std::fmod(0.0 - kRoundsToNx, 20.0) + 20.0, 20.0);
+  const std::vector<ReferenceCase> cases = {
+      {360, 180, {0.8, 0.1, 0.02}},  // e2ebench's flow, ocean-det-files
+      {180, 90, {0.8, 0.1, 0.02}},   // and ocean-stoch
+      {32, 16, {5.7, 2.3, 0.1}},     // beyond one cell per step
+      {16, 8, {3.0, 0.0, 0.0}},      // integer u, no diffusion
+      {24, 12, {-0.45, -0.3, 0.1}},  // negative u and v
+      {20, 12, {-21.3, 0.4, 0.05}},  // wraps more than once
+      {24, 10, {0.3, 9.7, 0.05}},    // reflects off the far wall
+      {24, 10, {0.3, -9.7, 0.05}},   // reflects, then clamps at row 0
+      {2, 2, {0.6, 0.4, 0.2}},       // smallest mesh
+      {20, 12, {kRoundsToNx, 0.25, 0.05}},
+  };
+  for (const ReferenceCase& c : cases) {
+    SCOPED_TRACE(describe(c));
+    const grid::LatLonGrid mesh(c.nx, c.ny);
+    const AdvectionDiffusion dyn(mesh, c.config);
+    const ReferenceModel reference_model{mesh, c.config};
+    senkf::Rng rng(17);
+    const auto scenario = grid::synthetic_ensemble(mesh, 3, rng, 0.5);
+    const grid::Field& state = scenario.truth;
+
+    std::vector<grid::Field> reference{state};
+    for (Index s = 0; s < 20; ++s) {
+      reference.push_back(reference_model.step(reference.back()));
+    }
+    EXPECT_TRUE(bitwise_equal(dyn.step(state), reference[1]));
+    for (const Index steps : {Index{1}, Index{4}, Index{20}}) {
+      SCOPED_TRACE("advance " + std::to_string(steps));
+      EXPECT_TRUE(bitwise_equal(dyn.advance(state, steps), reference[steps]));
+    }
+
+    std::vector<grid::Field> ensemble = scenario.members;
+    dyn.advance_ensemble(ensemble, 4);
+    for (std::size_t k = 0; k < ensemble.size(); ++k) {
+      SCOPED_TRACE("member " + std::to_string(k));
+      grid::Field want = scenario.members[k];
+      for (Index s = 0; s < 4; ++s) want = reference_model.step(want);
+      EXPECT_TRUE(bitwise_equal(ensemble[k], want));
+    }
+  }
+}
+
+TEST(Advection, ZeroStepsAndMismatchedFields) {
+  const grid::LatLonGrid mesh(16, 8);
+  const AdvectionDiffusion dyn(mesh, {0.4, 0.2, 0.05});
+  senkf::Rng rng(13);
+  const grid::Field state = grid::synthetic_field(mesh, rng);
+  EXPECT_TRUE(bitwise_equal(dyn.advance(state, 0), state));
+
+  const grid::Field wrong(grid::LatLonGrid(17, 8), 1.0);
+  EXPECT_THROW(dyn.step(wrong), senkf::InvalidArgument);
+  EXPECT_THROW(dyn.advance(wrong, 1), senkf::InvalidArgument);
 }
 
 }  // namespace

@@ -35,6 +35,13 @@ TEST(FaultPlanSpec, ParsesEntriesInAnyOrder) {
   EXPECT_EQ(plan, rich_plan());
 }
 
+TEST(FaultPlanSpec, BurstStaysBelowTheRetryBudget) {
+  const int attempts = RetryPolicy{}.max_attempts;
+  ASSERT_EQ(attempts, 6);
+  EXPECT_EQ(parse_fault_plan("burst=5").max_burst, attempts - 1);
+  EXPECT_THROW(parse_fault_plan("burst=6"), InvalidArgument);
+}
+
 TEST(FaultPlanSpec, DeduplicatesAndSortsRepeatables) {
   const FaultPlan plan = parse_fault_plan("dead=9,dead=2,dead=9,dead=5");
   EXPECT_EQ(plan.dead_members, (std::vector<std::uint64_t>{2, 5, 9}));
@@ -54,6 +61,8 @@ TEST(FaultPlanSpec, MalformedSpecsNameTheOffendingEntry) {
   expect_bad("transient=1.5", "transient=1.5");        // out of range
   expect_bad("transient=abc", "transient=abc");        // not a number
   expect_bad("burst=0", "burst=0");                    // below 1
+  // A burst as long as the retry budget would exhaust it.
+  expect_bad("burst=6", "'burst=6': burst must be in [1, 5]");
   expect_bad("straggler=1", "straggler=1");            // missing :delay
   expect_bad("straggler=1:0", "straggler=1:0");        // zero delay
   expect_bad("bogus=1", "bogus=1");                    // unknown key
