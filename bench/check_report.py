@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema checker for senkf-run-report JSON (schema v6, DESIGN.md §11-§16).
+"""Schema checker for senkf-run-report JSON (schema v7, DESIGN.md §11-§16).
 
 Usage: check_report.py REPORT.json [--kind senkf] [--require-warns]
                        [--require-critical-path]
@@ -28,7 +28,6 @@ RANK_FIELDS = {
     "update_s": (int, float),
     "messages": (int,),
     "retries": (int,),
-    "reissued": (int,),
     "backlog_peak": (int,),
 }
 
@@ -182,7 +181,7 @@ def main():
 
     check(doc.get("schema") == "senkf-run-report",
           f"schema: got {doc.get('schema')!r}")
-    check(doc.get("version") == 6, f"version: got {doc.get('version')!r}")
+    check(doc.get("version") == 7, f"version: got {doc.get('version')!r}")
     require(doc, "partial", (bool,), "$")
 
     run = require(doc, "run", (dict,), "$") or {}

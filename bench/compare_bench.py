@@ -4,8 +4,12 @@
 Usage: compare_bench.py BASELINE.json CURRENT.json [--threshold 0.15]
                         [--hard]
 
-Matches benchmarks by name, compares real_time (normalized to ns), and
-prints a delta table.  Regressions beyond --threshold emit warnings
+Matches benchmarks by name, compares the median real_time (normalized
+to ns) of each benchmark's repetitions, and prints a delta table.  Only
+iteration rows count: run with --benchmark_repetitions=N and each side
+is the median of its N runs, so one noisy repetition cannot flag a
+benchmark (the _mean/_median/_stddev aggregate rows are skipped).
+Regressions beyond --threshold emit warnings
 (GitHub-annotation format under CI) but exit 0 unless --hard — the gate
 is advisory while the bench trajectory seeds.  A benchmark present in
 the current run but absent from the baseline is NOT a regression: it is
@@ -20,6 +24,7 @@ mismatch demotes every timing regression to a notice.  Stdlib only.
 """
 import argparse
 import json
+import statistics
 import sys
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -33,7 +38,8 @@ def load_doc(path):
 
 
 def benchmarks_of(doc):
-    out = {}
+    """Benchmark name -> median real_time (ns) over its repetitions."""
+    runs = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
@@ -41,8 +47,9 @@ def benchmarks_of(doc):
         time = bench.get("real_time")
         if name is None or time is None:
             continue
-        out[name] = time * UNIT_NS.get(bench.get("time_unit", "ns"), 1.0)
-    return out
+        runs.setdefault(name, []).append(
+            time * UNIT_NS.get(bench.get("time_unit", "ns"), 1.0))
+    return {name: statistics.median(times) for name, times in runs.items()}
 
 
 def context_mismatches(base_doc, cur_doc):

@@ -8,7 +8,7 @@
 //
 // Fault injection rides the same zero-code-change rail: set SENKF_FAULTS
 // (e.g. "seed=1,transient=0.05,burst=2" or "dead=3") and the run goes
-// through a fault-injecting store — retries, re-issues and drops show up
+// through a fault-injecting store — retries, stragglers and drops show up
 // in the trace and under pfs.fault.* / senkf.read.* in the snapshot.
 #include <exception>
 #include <iostream>
@@ -84,7 +84,6 @@ int run() {
             << "  comp_update " << stats.comp_update_seconds << " s\n"
             << "  messages    " << stats.messages << "\n"
             << "  retries     " << stats.read_retries << "\n"
-            << "  re-issued   " << stats.bars_reissued << "\n"
             << "  dropped     " << stats.dropped_members.size() << "\n\n";
 
   std::cout << "Metrics registry snapshot:\n"

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <exception>
-#include <map>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -33,9 +31,6 @@ namespace {
 
 constexpr int kBlockTag = 1;
 constexpr int kResultTag = 2;
-/// I/O-group control channel (straggler re-issue protocol); never touches
-/// computation ranks, so wildcards on it cannot steal result messages.
-constexpr int kIoCtrlTag = 3;
 
 /// Payload discriminators on kBlockTag (first u64 of every message).
 /// A kKindBlock message is a framed multi-block batch:
@@ -46,13 +41,9 @@ constexpr int kIoCtrlTag = 3;
 constexpr std::uint64_t kKindBlock = 0;
 constexpr std::uint64_t kKindDead = 1;
 
-/// Payload discriminators on kIoCtrlTag.
-constexpr std::uint64_t kCtrlReissue = 0;
-constexpr std::uint64_t kCtrlDone = 1;
-
 /// One (rank, stage) cell of the run ledger.  Atomic counters because
-/// the rank's helper, pool and reader threads feed them; each phase
-/// interval is one CountedSpan into one of them.
+/// the rank's helper and pool threads feed them; each phase interval is
+/// one CountedSpan into one of them.
 struct StageCell {
   telemetry::Counter read_ns;    ///< bar-read spans (successful reads only)
   telemetry::Counter obtain_ns;  ///< full acquisition incl. injected delays
@@ -65,8 +56,6 @@ struct StageCell {
 struct RankCounts {
   telemetry::Counter messages;
   telemetry::Counter retries;
-  telemetry::Counter reissued;
-  telemetry::Counter duplicates;  ///< blocks StageBuffers dropped as repeats
   std::uint64_t backlog_peak = 0;  ///< written by the rank's main thread
 };
 
@@ -125,14 +114,13 @@ T sum_over_ranks(const std::vector<telemetry::RankSample>& ranks,
 /// accounting: a member is *accounted* for a stage once its block arrived
 /// or the member was declared dead, and a stage completes when every
 /// member is accounted — so a dead file shrinks the ensemble instead of
-/// deadlocking the pipeline.  Duplicate blocks (a straggler whose bar was
-/// re-issued can race its replacement) are counted and dropped, never an
-/// error.
+/// deadlocking the pipeline.  Every (stage, member) block and every death
+/// has exactly one sender, the member's group reader of this rank's row,
+/// so a repeat is a ProtocolError.
 class StageBuffers {
  public:
-  StageBuffers(Index layers, Index members, telemetry::Counter& duplicates)
-      : duplicates_(duplicates),
-        layers_(layers),
+  StageBuffers(Index layers, Index members)
+      : layers_(layers),
         members_(members),
         patches_(layers * members),
         accounted_(layers, 0),
@@ -151,8 +139,9 @@ class StageBuffers {
     std::lock_guard<std::mutex> lock(mutex_);
     auto& slot = patches_[stage * members_ + member];
     if (slot.has_value() || dead_[member] != 0) {
-      duplicates_.add(1);
-      return;
+      throw ProtocolError("senkf: repeated block for member " +
+                          std::to_string(member) + " in stage " +
+                          std::to_string(stage));
     }
     slot = patch;
     if (++accounted_[stage] == members_) {
@@ -169,11 +158,13 @@ class StageBuffers {
   }
 
   /// Helper thread: member k's file is permanently unreadable — account
-  /// it as missing in every stage.  Idempotent (several I/O readers can
-  /// discover the same dead file).
+  /// it as missing in every stage.
   void mark_dead(Index member, const parcomm::SpanContext& ctx) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (dead_[member] != 0) return;
+    if (dead_[member] != 0) {
+      throw ProtocolError("senkf: member " + std::to_string(member) +
+                          " declared dead twice");
+    }
     dead_[member] = 1;
     for (Index stage = 0; stage < layers_; ++stage) {
       if (!patches_[stage * members_ + member].has_value()) {
@@ -185,24 +176,23 @@ class StageBuffers {
     }
   }
 
-  /// True once every stage has every member accounted (or the run was
-  /// aborted) — the helper thread's termination condition.
+  /// True once every stage has every member accounted — the helper
+  /// thread's termination condition.
   bool complete() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (aborted_) return true;
     for (Index stage = 0; stage < layers_; ++stage) {
       if (accounted_[stage] != members_) return false;
     }
     return true;
   }
 
-  /// Wakes everyone and makes take_stage throw: called when the helper
-  /// thread dies (its recv throws once Runtime::run cancels a failed
-  /// run), so the main thread never blocks on stage data that can no
-  /// longer arrive.
-  void abort() {
+  /// Wakes everyone and makes take_stage rethrow `error`: called when the
+  /// helper thread dies (a repeated block, or its recv throwing once
+  /// Runtime::run cancels a failed run), so the main thread never blocks
+  /// on stage data that can no longer arrive and fails with the cause.
+  void abort(std::exception_ptr error) {
     std::lock_guard<std::mutex> lock(mutex_);
-    aborted_ = true;
+    error_ = std::move(error);
     cv_.notify_all();
   }
 
@@ -221,10 +211,8 @@ class StageBuffers {
   /// then hands over the surviving blocks.
   Stage take_stage(Index stage) {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return aborted_ || accounted_[stage] == members_; });
-    if (aborted_) {
-      throw ProtocolError("senkf: run aborted before stage data completed");
-    }
+    cv_.wait(lock, [&] { return error_ || accounted_[stage] == members_; });
+    if (error_) std::rethrow_exception(error_);
     Stage out;
     out.cause = cause_[stage];
     out.patches.reserve(members_);
@@ -262,7 +250,6 @@ class StageBuffers {
   }
 
  private:
-  telemetry::Counter& duplicates_;
   Index layers_;
   Index members_;
   std::vector<std::optional<grid::PatchView>> patches_;
@@ -270,7 +257,8 @@ class StageBuffers {
   std::vector<Index> accounted_;
   std::vector<parcomm::SpanContext> cause_;  ///< per stage, see deposit()
   std::vector<std::uint8_t> dead_;
-  bool aborted_ = false;
+  /// The helper thread's error once it died (see abort()).
+  std::exception_ptr error_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
 };
@@ -293,10 +281,6 @@ struct RankLayout {
   Index io_slot(int rank) const {
     return (static_cast<Index>(rank) - config_.computation_ranks()) %
            config_.n_sdy;
-  }
-  int io_rank(Index group, Index slot) const {
-    return static_cast<int>(config_.computation_ranks() + group * config_.n_sdy +
-                            slot);
   }
 
   const SenkfConfig& config_;
@@ -369,19 +353,6 @@ class BlockBatch {
   Index members_added_ = 0;
 };
 
-/// Cuts `bar` (the stage-l expanded bar of `member` for latitude row
-/// `slot`) into per-sub-domain blocks and sends them to the row's
-/// computation ranks — a single-member batch (the straggler re-issue
-/// path; the main schedule coalesces whole layers).
-void scatter_bar(parcomm::Communicator& world, const RankLayout& layout,
-                 const grid::Decomposition& decomposition,
-                 const SenkfConfig& config, Index l, Index member, Index slot,
-                 const grid::Patch& bar, telemetry::Counter& stage_send_ns) {
-  BlockBatch batch(layout, decomposition, config, l, slot, 1);
-  batch.add(member, bar);
-  batch.flush(world, stage_send_ns);
-}
-
 /// Tells every computation rank of latitude row `slot` that `member` is
 /// permanently unreadable (accounted as missing in every stage).
 void announce_dead(parcomm::Communicator& world, const RankLayout& layout,
@@ -395,116 +366,6 @@ void announce_dead(parcomm::Communicator& world, const RankLayout& layout,
     world.send(layout.comp_rank(i, slot), kBlockTag, packer.take());
   }
 }
-
-/// One bar read executed off the I/O rank's main thread, so the main
-/// thread can give up after the straggler deadline and re-issue the bar
-/// to a group peer.  A timed-out request the worker has not started is
-/// dropped from the queue; the one in flight keeps grinding in the
-/// background and its result is discarded on completion (the re-issued
-/// copy is the one that reaches the computation ranks), so duplicates can
-/// only arise from protocol races — which StageBuffers tolerates anyway.
-class BarReader {
- public:
-  enum class Status { kOk, kTimeout, kDead };
-  struct Outcome {
-    Status status = Status::kOk;
-    grid::Patch bar;
-  };
-
-  using ReadFn = std::function<grid::Patch(Index, grid::IndexRange, Index)>;
-
-  BarReader(ReadFn read_fn, int world_rank)
-      : read_fn_(std::move(read_fn)), worker_([this, world_rank] {
-          telemetry::set_thread_rank(world_rank);
-          loop();
-        }) {}
-
-  ~BarReader() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
-
-  /// Blocks up to `deadline` for the read; kTimeout drops the request if
-  /// it is still queued and abandons it (its eventual result is dropped)
-  /// if it is in flight.
-  Outcome read(Index member, grid::IndexRange rows, Index stage,
-               std::chrono::nanoseconds deadline) {
-    std::uint64_t id = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      id = next_id_++;
-      queue_.push_back(Request{member, rows, stage, id});
-    }
-    cv_.notify_all();
-    std::unique_lock<std::mutex> lock(mutex_);
-    const bool done = cv_.wait_for(lock, deadline, [&] {
-      return results_.find(id) != results_.end();
-    });
-    if (!done) {
-      const auto queued =
-          std::find_if(queue_.begin(), queue_.end(),
-                       [id](const Request& r) { return r.id == id; });
-      if (queued != queue_.end()) {
-        queue_.erase(queued);
-      } else {
-        abandoned_.insert(id);
-      }
-      return Outcome{Status::kTimeout, {}};
-    }
-    Outcome outcome = std::move(results_[id]);
-    results_.erase(id);
-    return outcome;
-  }
-
- private:
-  struct Request {
-    Index member;
-    grid::IndexRange rows;
-    Index stage;
-    std::uint64_t id;
-  };
-
-  void loop() {
-    for (;;) {
-      Request request;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stop_ and drained
-        request = queue_.front();
-        queue_.pop_front();
-      }
-      Outcome outcome;
-      try {
-        outcome.bar = read_fn_(request.member, request.rows, request.stage);
-        outcome.status = Status::kOk;
-      } catch (const pfs::PermanentReadError&) {
-        outcome.status = Status::kDead;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (abandoned_.erase(request.id) == 0) {
-          results_[request.id] = std::move(outcome);
-        }
-      }
-      cv_.notify_all();
-    }
-  }
-
-  ReadFn read_fn_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Request> queue_;
-  std::map<std::uint64_t, Outcome> results_;
-  std::set<std::uint64_t> abandoned_;
-  std::uint64_t next_id_ = 0;
-  bool stop_ = false;
-  std::thread worker_;
-};
 
 void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
                  const grid::Decomposition& decomposition,
@@ -521,28 +382,13 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
   const std::chrono::nanoseconds straggle =
       injector != nullptr ? injector->straggler_delay(io_ordinal)
                           : std::chrono::nanoseconds::zero();
-  const bool reissue_enabled =
-      config.fault.straggler_deadline_s > 0.0 && config.n_sdy > 1;
-  const auto deadline = std::chrono::nanoseconds(static_cast<std::int64_t>(
-      config.fault.straggler_deadline_s * 1e9));
   const pfs::Sleeper sleeper = pfs::real_sleeper();
-
-  /// Rows of the stage-l expanded bar for latitude row `for_slot`
-  /// (identical across i; geometry shared with the timing plane).
-  const auto bar_rows = [&](Index for_slot, Index l) {
-    return decomposition
-        .layer_expansion(grid::SubdomainId{0, for_slot}, l, config.layers)
-        .y;
-  };
 
   // The complete degraded read of one bar: injected straggler delay, then
   // the store read under the retry policy (TransientReadError → capped
   // exponential backoff with deterministic jitter → retry; exhaustion →
-  // PermanentReadError).  Runs on the main thread, or on the BarReader
-  // worker when straggler re-issue is armed.  Its time lands in this
-  // rank's ledger cell of stage l, even when the main thread has moved on
-  // (an abandoned read finishes late) or l is a peer's stage (a served
-  // re-issue).
+  // PermanentReadError).  Its time lands in this rank's ledger cell of
+  // stage l.
   const auto perform_read = [&](Index member, grid::IndexRange rows,
                                 Index l) -> grid::Patch {
     StageCell& cell = ctx.cell(my_rank, l);
@@ -579,131 +425,37 @@ void run_io_rank(parcomm::Communicator& world, const RankLayout& layout,
   };
 
   std::set<Index> dead;
-  const auto handle_permanent = [&](Index member, Index for_slot) {
-    if (!config.fault.drop_unreadable_members) {
-      // Runtime::run cancels the run on this error: every rank blocked on
-      // data that will never arrive wakes and unwinds.
-      throw pfs::PermanentReadError(
-          "senkf: member " + std::to_string(member) +
-          " unreadable and drop_unreadable_members is off");
-    }
-    dead.insert(member);
-    announce_dead(world, layout, config, member, for_slot);
-  };
-
-  std::optional<BarReader> reader;
-  if (reissue_enabled) reader.emplace(perform_read, world.rank());
-
-  // ---- straggler re-issue protocol (kIoCtrlTag, I/O peers of one group).
-  // reissue{l, member, slot}: "read this bar for me and scatter it to my
-  // row" — served between own reads and while waiting for dones.
-  // done: the sender finished its own schedule.  A rank exits once every
-  // peer sent done; per-(source, tag) ordering puts each request ahead of
-  // its sender's done, so every request is served before its server
-  // exits, and the requester needs no reply.
-  Index peers_done = 0;
-  const Index n_peers = config.n_sdy - 1;
-
-  const auto serve_reissue = [&](Index l, Index member, Index req_slot) {
-    if (dead.count(member) != 0) {
-      announce_dead(world, layout, config, member, req_slot);
-    } else {
-      try {
-        const grid::Patch bar = perform_read(member, bar_rows(req_slot, l), l);
-        scatter_bar(world, layout, decomposition, config, l, member, req_slot,
-                    bar, ctx.cell(my_rank, l).send_ns);
-      } catch (const pfs::PermanentReadError&) {
-        handle_permanent(member, req_slot);
-      }
-    }
-  };
-
-  const auto handle_ctrl = [&](const parcomm::Envelope& envelope) {
-    parcomm::Unpacker unpacker(envelope.payload);
-    const auto kind = unpacker.get<std::uint64_t>();
-    if (kind == kCtrlReissue) {
-      const auto l = unpacker.get<std::uint64_t>();
-      const auto member = unpacker.get<std::uint64_t>();
-      const auto req_slot = unpacker.get<std::uint64_t>();
-      serve_reissue(l, member, req_slot);
-    } else {
-      SENKF_REQUIRE(kind == kCtrlDone, "senkf: unknown I/O control kind");
-      ++peers_done;
-    }
-  };
-
-  const auto drain_ctrl = [&] {
-    while (world.iprobe(parcomm::kAnySource, kIoCtrlTag)) {
-      handle_ctrl(world.recv(parcomm::kAnySource, kIoCtrlTag));
-    }
-  };
-
   const Index members_per_group =
       (n_members + config.n_cg - 1) / config.n_cg;
   for (Index l = 0; l < config.layers; ++l) {
-    const grid::IndexRange rows = bar_rows(slot, l);
+    // This rank's stage-l expanded bar spans these rows (identical
+    // across i; geometry shared with the timing plane).
+    const grid::Rect expansion = decomposition.layer_expansion(
+        grid::SubdomainId{0, slot}, l, config.layers);
     // One coalesced batch per (destination, layer): every member's block
-    // rides in the same message (re-issued stragglers arrive separately
-    // from the serving peer).
+    // rides in the same message.
     BlockBatch batch(layout, decomposition, config, l, slot,
                      members_per_group);
     for (Index member = group; member < n_members; member += config.n_cg) {
       if (dead.count(member) != 0) continue;
-      if (!reissue_enabled) {
-        grid::Patch bar;
-        try {
-          bar = perform_read(member, rows, l);
-        } catch (const pfs::PermanentReadError&) {
-          handle_permanent(member, slot);
-          continue;
+      grid::Patch bar;
+      try {
+        bar = perform_read(member, expansion.y, l);
+      } catch (const pfs::PermanentReadError&) {
+        if (!config.fault.drop_unreadable_members) {
+          // Runtime::run cancels the run on this error: every rank blocked
+          // on data that will never arrive wakes and unwinds.
+          throw pfs::PermanentReadError(
+              "senkf: member " + std::to_string(member) +
+              " unreadable and drop_unreadable_members is off");
         }
-        batch.add(member, bar);
+        dead.insert(member);
+        announce_dead(world, layout, config, member, slot);
         continue;
       }
-
-      drain_ctrl();  // serve peers between own reads, not just at the end
-      const BarReader::Outcome outcome = reader->read(member, rows, l, deadline);
-      switch (outcome.status) {
-        case BarReader::Status::kOk:
-          batch.add(member, outcome.bar);
-          break;
-        case BarReader::Status::kDead:
-          handle_permanent(member, slot);
-          break;
-        case BarReader::Status::kTimeout: {
-          // Deadline blown: hand the bar to the next reader of the group
-          // and move on — the stage pipeline keeps flowing while this
-          // rank's slow read finishes (and is then discarded).
-          const Index peer_slot = (slot + 1) % config.n_sdy;
-          parcomm::Packer request;
-          request.put<std::uint64_t>(kCtrlReissue);
-          request.put<std::uint64_t>(l);
-          request.put<std::uint64_t>(member);
-          request.put<std::uint64_t>(slot);
-          world.send(layout.io_rank(group, peer_slot), kIoCtrlTag,
-                     request.take());
-          counts.reissued.add(1);
-          SENKF_LOG_WARN("senkf: io rank ", world.rank(),
-                         " re-issued bar (stage ", l, ", member ", member,
-                         ") past the straggler deadline");
-          break;
-        }
-      }
+      batch.add(member, bar);
     }
     batch.flush(world, ctx.cell(my_rank, l).send_ns);
-  }
-
-  if (reissue_enabled) {
-    for (Index s = 0; s < config.n_sdy; ++s) {
-      if (s == slot) continue;
-      parcomm::Packer done;
-      done.put<std::uint64_t>(kCtrlDone);
-      world.send(layout.io_rank(group, s), kIoCtrlTag, done.take());
-    }
-    while (peers_done < n_peers) {
-      handle_ctrl(world.recv(parcomm::kAnySource, kIoCtrlTag));
-    }
-    // ~BarReader waits for any abandoned slow read still in flight.
   }
 }
 
@@ -733,7 +485,7 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   const Index n_members = store.members();
   const int my_rank = world.rank();
   RankCounts& counts = ctx.counts[static_cast<Index>(my_rank)];
-  StageBuffers buffers(config.layers, n_members, counts.duplicates);
+  StageBuffers buffers(config.layers, n_members);
 
   // Helper thread (§4.2): drains block and dead-member messages for this
   // rank into the stage buffers until every (stage, member) pair is
@@ -777,7 +529,7 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
       }
     } catch (...) {
       helper_error = std::current_exception();
-      buffers.abort();  // never leave the main thread blocked on us
+      buffers.abort(helper_error);  // never leave the main thread blocked
     }
   });
   struct JoinGuard {
@@ -958,7 +710,6 @@ std::vector<telemetry::RankSample> read_ledger(ObservabilityContext& ctx,
     const RankCounts& counts = ctx.counts[r];
     sample.messages = counts.messages.value();
     sample.retries = counts.retries.value();
-    sample.reissued = counts.reissued.value();
     sample.backlog_peak = counts.backlog_peak;
   }
   return ranks;
@@ -1002,8 +753,6 @@ void publish_ledger(const ObservabilityContext& ctx, std::size_t dropped) {
   publish("senkf.comp_update_ns", ctx.cells, &StageCell::update_ns);
   publish("senkf.messages", ctx.counts, &RankCounts::messages);
   publish("senkf.read.retries", ctx.counts, &RankCounts::retries);
-  publish("senkf.read.reissued", ctx.counts, &RankCounts::reissued);
-  publish("senkf.read.duplicate_blocks", ctx.counts, &RankCounts::duplicates);
   registry.counter("senkf.member.dropped").add(dropped);
 }
 
@@ -1033,8 +782,6 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   SENKF_REQUIRE(config.fault.retry.jitter >= 0.0 &&
                     config.fault.retry.jitter < 1.0,
                 "senkf: retry.jitter must be in [0, 1)");
-  SENKF_REQUIRE(config.fault.straggler_deadline_s >= 0.0,
-                "senkf: straggler_deadline_s must be >= 0");
 
   const RankLayout layout(config);
   std::vector<grid::Field> result;
@@ -1192,7 +939,6 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     stats->comp_update_seconds = comp_update_s;
     stats->messages = sum_over_ranks(ranks, &RankSample::messages);
     stats->read_retries = sum_over_ranks(ranks, &RankSample::retries);
-    stats->bars_reissued = sum_over_ranks(ranks, &RankSample::reissued);
     stats->dropped_members = dropped;
     stats->straggler_warns = straggler_warns;
     stats->read_skew = run_skew.ratio;

@@ -30,19 +30,12 @@
 namespace senkf::enkf {
 
 /// How the read path behaves when the file system misbehaves
-/// (DESIGN.md §9).  Defaults survive transient faults out of the box;
-/// straggler re-issue is opt-in because it spawns a reader thread per
-/// I/O rank.
+/// (DESIGN.md §9).  Defaults survive transient faults out of the box.
 struct FaultToleranceOptions {
   /// Bar-read retry schedule: capped exponential backoff with
   /// deterministic jitter; exhausting it converts the failure into a
   /// permanent one.
   pfs::RetryPolicy retry;
-  /// Wall-clock budget (seconds) one bar read may take before the bar is
-  /// re-assigned to an idle I/O processor of the same concurrent group.
-  /// 0 disables re-issue (reads wait indefinitely); requires n_sdy ≥ 2
-  /// to have a peer to re-issue to.
-  double straggler_deadline_s = 0.0;
   /// Drop an ensemble member whose file is permanently unreadable and
   /// continue the analysis on the surviving N−k members (ensemble
   /// weights renormalize automatically: every moment is computed over
@@ -96,7 +89,6 @@ struct SenkfStats {
   double comp_update_seconds = 0.0;  ///< summed analysis-task time
   std::uint64_t messages = 0;      ///< block messages delivered
   std::uint64_t read_retries = 0;  ///< bar-read attempts beyond the first
-  std::uint64_t bars_reissued = 0; ///< bars re-assigned past a straggler
   /// Members dropped because their files were permanently unreadable
   /// (sorted); the returned ensemble holds the surviving members in
   /// member order.

@@ -80,8 +80,4 @@ std::vector<double> Communicator::recv_doubles(int source, int tag) {
   return unpacker.get_vector<double>();
 }
 
-bool Communicator::iprobe(int source, int tag) {
-  return my_mailbox().probe(source, tag);
-}
-
 }  // namespace senkf::parcomm

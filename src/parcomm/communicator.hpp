@@ -3,10 +3,9 @@
 // The library's stand-in for the MPI subset the paper's pipeline uses
 // (see DESIGN.md §2): data moves only point to point — I/O ranks send
 // layer blocks to computation ranks, L-EnKF's reader scatters by plain
-// sends — so a Communicator offers buffered send, blocking receive and a
-// non-blocking probe over one world of ranks.  Rank groups (S-EnKF's I/O
-// and computation sets) are index arithmetic on world ranks, not
-// sub-communicators.
+// sends — so a Communicator offers buffered send and blocking receive
+// over one world of ranks.  Rank groups (S-EnKF's I/O and computation
+// sets) are index arithmetic on world ranks, not sub-communicators.
 //
 // Semantics: sends are buffered (they never block), receives match on
 // (source, tag) with wildcards and are non-overtaking per (source, tag)
@@ -47,10 +46,6 @@ class Communicator {
   /// Convenience: unpacks a vector of doubles (payload must be one).
   std::vector<double> recv_doubles(int source = kAnySource,
                                    int tag = kAnyTag);
-
-  /// Non-blocking probe: true if a matching message is queued.  Removes
-  /// nothing, so the order of queued messages is left as it was.
-  bool iprobe(int source = kAnySource, int tag = kAnyTag);
 
  private:
   Mailbox& my_mailbox();

@@ -104,14 +104,6 @@ void Mailbox::cancel() {
   cv_.notify_all();
 }
 
-bool Mailbox::probe(int source, int tag) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Envelope& envelope : queue_) {
-    if (matches(envelope, source, tag)) return true;
-  }
-  return false;
-}
-
 std::size_t Mailbox::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size();

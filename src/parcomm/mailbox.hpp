@@ -75,10 +75,6 @@ class Mailbox {
   /// mailbox once a rank has failed.  Pushes still enqueue.
   void cancel();
 
-  /// True if an envelope matching (source, tag) is queued now.  Removes
-  /// nothing, so the queue's order is left as it was.
-  bool probe(int source, int tag) const;
-
   /// Number of queued envelopes (diagnostic).
   std::size_t size() const;
 

@@ -71,7 +71,7 @@ struct FaultPlan {
 
   /// Straggler I/O ranks: rank `io_rank` (0-based ordinal among the I/O
   /// ranks) pays `delay_s` extra wall-clock per bar read — the knob the
-  /// straggler re-issue path is tested against.
+  /// run-end straggler WARN and the stall watchdog are tested against.
   struct Straggler {
     int io_rank = 0;
     double delay_s = 0.0;

@@ -62,7 +62,7 @@ const bool g_env_applied = (env_init(), true);
 using Kind = MetricRow::Kind;
 
 /// Writes `rows` as {counters, gauges, histograms}.  A gauge row holds
-/// one value; v6 writes it as a distribution with count 1.
+/// one value, written as a distribution with count 1.
 void write_rows(JsonWriter& json, const std::vector<MetricRow>& rows) {
   json.begin_object();
   json.key("counters").begin_object();
@@ -117,7 +117,6 @@ void write_rank_sample(JsonWriter& json, const RankSample& r) {
       .field("update_s", r.update_s)
       .field("messages", r.messages)
       .field("retries", r.retries)
-      .field("reissued", r.reissued)
       .field("backlog_peak", r.backlog_peak)
       .end_object();
 }

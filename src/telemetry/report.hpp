@@ -35,7 +35,6 @@ struct RankSample {
   double update_s = 0.0;    ///< comp: summed analysis task time
   std::uint64_t messages = 0;
   std::uint64_t retries = 0;
-  std::uint64_t reissued = 0;
   std::uint64_t backlog_peak = 0;  ///< comp: max stages buffered ahead of use
 };
 
@@ -44,8 +43,9 @@ struct RunReport {
   /// per-cycle critical paths and latency quantiles (DESIGN.md §13), v4
   /// the liveops "watchdog" section (DESIGN.md §16; {"enabled": false}
   /// when the watchdog never armed).  v5 dropped the job section v3 had
-  /// added, and v6 the "timeseries" and "profile" sections of v2 and v4.
-  static constexpr int kVersion = 6;
+  /// added, v6 the "timeseries" and "profile" sections of v2 and v4, and
+  /// v7 the per-rank "reissued" count.
+  static constexpr int kVersion = 7;
 
   std::string kind;     ///< "senkf"
   bool valid = false;   ///< a run populated this report

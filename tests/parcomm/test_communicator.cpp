@@ -101,39 +101,6 @@ TEST(Communicator, WildcardRecvGetsFromAnySender) {
   });
 }
 
-TEST(Communicator, IprobeSeesQueuedMessage) {
-  Runtime::run(2, [](Communicator& world) {
-    if (world.rank() == 0) {
-      world.send_doubles(1, 3, {5.0});
-      world.send_doubles(1, 9, {0.0});
-    } else {
-      // Rank 0 sent the tag-3 message before the marker, so once the
-      // marker is received the tag-3 message is queued.
-      world.recv_doubles(0, 9);
-      EXPECT_TRUE(world.iprobe(0, 3));
-      EXPECT_FALSE(world.iprobe(0, 4));
-      EXPECT_EQ(world.recv_doubles(0, 3), (std::vector<double>{5.0}));
-    }
-  });
-}
-
-TEST(Communicator, IprobeKeepsPerSourceTagOrder) {
-  // A probe must not reorder the queue: two queued messages with the same
-  // (source, tag) are still received in the order they were sent.
-  Runtime::run(2, [](Communicator& world) {
-    if (world.rank() == 0) {
-      world.send_doubles(1, 3, {1.0});
-      world.send_doubles(1, 3, {2.0});
-      world.send_doubles(1, 9, {0.0});
-    } else {
-      world.recv_doubles(0, 9);
-      EXPECT_TRUE(world.iprobe(0, 3));
-      EXPECT_EQ(world.recv_doubles(0, 3), (std::vector<double>{1.0}));
-      EXPECT_EQ(world.recv_doubles(0, 3), (std::vector<double>{2.0}));
-    }
-  });
-}
-
 TEST(Communicator, SendValidatesArguments) {
   Runtime::run(2, [](Communicator& world) {
     if (world.rank() == 0) {

@@ -65,15 +65,6 @@ TEST(Mailbox, SkipsNonMatching) {
   EXPECT_EQ(box.size(), 1u);  // tag-1 message still queued
 }
 
-TEST(Mailbox, ProbeLeavesTheQueueAlone) {
-  Mailbox box;
-  EXPECT_FALSE(box.probe(kAnySource, kAnyTag));
-  box.push(make(0, 1));
-  EXPECT_TRUE(box.probe(0, 1));
-  EXPECT_FALSE(box.probe(0, 2));
-  EXPECT_EQ(box.size(), 1u);
-}
-
 TEST(Mailbox, BlocksUntilPushFromAnotherThread) {
   Mailbox box;
   std::thread producer([&] {

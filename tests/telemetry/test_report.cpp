@@ -78,7 +78,6 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
   r.send_s = 0.125;
   r.messages = 9;
   r.retries = 1;
-  r.reissued = 2;
   r.backlog_peak = 4;
   report.ranks.push_back(r);
   report.aggregate = run_metrics.rows();
@@ -88,7 +87,7 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
   write_run_report(out);
   const testjson::Value doc = testjson::parse(out.str());
   EXPECT_EQ(doc.at("schema").as_string(), "senkf-run-report");
-  EXPECT_DOUBLE_EQ(doc.at("version").as_number(), 6.0);
+  EXPECT_DOUBLE_EQ(doc.at("version").as_number(), 7.0);
   EXPECT_FALSE(doc.at("partial").as_bool());
   const testjson::Value& run = doc.at("run");
   EXPECT_EQ(run.at("kind").as_string(), "senkf");
@@ -99,6 +98,8 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
   EXPECT_DOUBLE_EQ(run.at("straggler_warns").as_number(), 2.0);
   ASSERT_EQ(run.at("ranks").as_array().size(), 1u);
   EXPECT_DOUBLE_EQ(run.at("ranks").as_array()[0].at("rank").as_number(), 7.0);
+  // v7 dropped the per-rank re-issue count.
+  EXPECT_FALSE(run.at("ranks").as_array()[0].has("reissued"));
   const testjson::Value& agg = run.at("aggregate");
   EXPECT_DOUBLE_EQ(agg.at("counters").at("messages").as_number(), 42.0);
   EXPECT_DOUBLE_EQ(agg.at("gauges").at("backlog").at("max").as_number(), 3.0);
@@ -110,8 +111,8 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
   // The run's own "*_us" histograms get latency quantiles too.
   EXPECT_DOUBLE_EQ(doc.at("latency").at("lat_us").at("count").as_number(),
                    2.0);
-  // A registry gauge row is one value, written in v6's distribution
-  // shape with count 1.
+  // A registry gauge row is one value, written in the distribution shape
+  // with count 1.
   const testjson::Value& level =
       doc.at("metrics").at("gauges").at("report_test.level");
   EXPECT_DOUBLE_EQ(level.at("min").as_number(), -2.0);
@@ -120,8 +121,9 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
   EXPECT_DOUBLE_EQ(level.at("sumsq").as_number(), 4.0);
   EXPECT_DOUBLE_EQ(level.at("count").as_number(), 1.0);
   EXPECT_TRUE(doc.has("faults"));
-  // v6 carries the watchdog section but no time series and no profile:
-  // per-stage and per-phase times are the ledger's and the trace's.
+  // The report carries the watchdog section but no time series and no
+  // profile (dropped in v6): per-stage and per-phase times are the
+  // ledger's and the trace's.
   EXPECT_TRUE(doc.has("watchdog"));
   EXPECT_FALSE(doc.has("timeseries"));
   EXPECT_FALSE(doc.has("profile"));
