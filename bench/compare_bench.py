@@ -20,7 +20,11 @@ benchmark missing from the current run still counts as a regression
 
 Cross-run deltas are only meaningful on comparable machines, so the two
 files' `context` blocks are diffed first: a num_cpus or cpu frequency
-mismatch demotes every timing regression to a notice.  Stdlib only.
+mismatch demotes every timing regression to a notice.  Even on one host
+a whole recording can run faster or slower than another, so the median
+delta over all matched benchmarks is printed as the `recording drift`,
+and each benchmark's delta net of it, (1 + delta) / (1 + drift) - 1,
+next to its raw delta.  The flag rule reads the raw delta.  Stdlib only.
 """
 import argparse
 import json
@@ -90,21 +94,31 @@ def main():
               "nothing to compare")
         return 0
 
+    deltas = {}
+    for name, base_ns in baseline.items():
+        if name in current:
+            deltas[name] = ((current[name] - base_ns) / base_ns
+                            if base_ns > 0 else 0.0)
+    drift = statistics.median(deltas.values()) if deltas else 0.0
+    print(f"recording drift: {drift:+.1%} (median delta over {len(deltas)} "
+          "matched benchmarks)")
+
     regressions = []
     width = max(len("benchmark"),
                 *(len(name) for name in set(baseline) | set(current)))
-    print(f"{'benchmark':<{width}}  {'base_ns':>12}  {'cur_ns':>12}  delta")
+    print(f"{'benchmark':<{width}}  {'base_ns':>12}  {'cur_ns':>12}  "
+          f"{'delta':>7}  {'net':>7}")
     for name in sorted(baseline):
         base_ns = baseline[name]
-        cur_ns = current.get(name)
-        if cur_ns is None:
+        if name not in deltas:
             print(f"{name:<{width}}  {base_ns:>12.1f}  {'missing':>12}  -")
             regressions.append((name, None))
             continue
-        delta = (cur_ns - base_ns) / base_ns if base_ns > 0 else 0.0
+        delta = deltas[name]
+        net = (1.0 + delta) / (1.0 + drift) - 1.0
         flag = " <-- regression" if delta > args.threshold else ""
-        print(f"{name:<{width}}  {base_ns:>12.1f}  {cur_ns:>12.1f}  "
-              f"{delta:+7.1%}{flag}")
+        print(f"{name:<{width}}  {base_ns:>12.1f}  {current[name]:>12.1f}  "
+              f"{delta:+7.1%}  {net:+7.1%}{flag}")
         if delta > args.threshold:
             regressions.append((name, delta))
     new_metrics = sorted(set(current) - set(baseline))

@@ -271,68 +271,6 @@ void BM_PotrfSolveLanesScalar(benchmark::State& state) {
 BENCHMARK(BM_PotrfSolveLanes)->Args({24, 576});
 BENCHMARK(BM_PotrfSolveLanesScalar)->Args({24, 576});
 
-// R⁻¹(Yˢ − HX̄ᵇ): the fused innovation pass over an observation panel.
-void bench_innovation(benchmark::State& state, const KernelTable& table) {
-  const Index m = static_cast<Index>(state.range(0));
-  const Index n = static_cast<Index>(state.range(1));
-  const Index ld = linalg::kernels::padded_stride(n, table.width);
-  Rng rng(8);
-  std::vector<double> ys(m * ld, 0.0), hx(m * ld, 0.0), out(m * ld, 0.0);
-  std::vector<double> rinv(m);
-  for (Index i = 0; i < m; ++i) {
-    rinv[i] = 1.0 + std::abs(rng.normal());
-    for (Index j = 0; j < n; ++j) {
-      ys[i * ld + j] = rng.normal();
-      hx[i * ld + j] = rng.normal();
-    }
-  }
-  for (auto _ : state) {
-    table.innovation(m, n, ys.data(), ld, hx.data(), ld, rinv.data(),
-                     out.data(), ld);
-    benchmark::DoNotOptimize(out.data());
-  }
-  report_gflops(state, 2.0 * static_cast<double>(m * n));
-  state.SetLabel(table.name);
-}
-
-void BM_Innovation(benchmark::State& state) {
-  bench_innovation(state, linalg::kernels::active_kernels());
-}
-void BM_InnovationScalar(benchmark::State& state) {
-  bench_innovation(state, linalg::kernels::scalar_kernels());
-}
-BENCHMARK(BM_Innovation)->Args({512, 40})->Args({2048, 120});
-BENCHMARK(BM_InnovationScalar)->Args({512, 40})->Args({2048, 120});
-
-// Sparse-lower column sweep of the modified-Cholesky estimator.
-void bench_gather_dot(benchmark::State& state, const KernelTable& table) {
-  const Index nnz = static_cast<Index>(state.range(0));
-  const Index xlen = 4 * nnz + 1;
-  Rng rng(9);
-  std::vector<double> values(nnz), x(xlen);
-  std::vector<Index> cols(nnz);
-  for (auto& v : values) v = rng.normal();
-  for (auto& v : x) v = rng.normal();
-  for (Index i = 0; i < nnz; ++i) {
-    cols[i] = static_cast<Index>(std::abs(rng.normal()) * 1e6) % xlen;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        table.gather_dot(nnz, values.data(), cols.data(), x.data()));
-  }
-  report_gflops(state, 2.0 * static_cast<double>(nnz));
-  state.SetLabel(table.name);
-}
-
-void BM_GatherDot(benchmark::State& state) {
-  bench_gather_dot(state, linalg::kernels::active_kernels());
-}
-void BM_GatherDotScalar(benchmark::State& state) {
-  bench_gather_dot(state, linalg::kernels::scalar_kernels());
-}
-BENCHMARK(BM_GatherDot)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_GatherDotScalar)->Arg(1024)->Arg(16384);
-
 // The estimator as the analysis runs it: L written as CSR rows into an
 // arena that is reset per call.
 void BM_ModifiedCholesky(benchmark::State& state) {

@@ -109,7 +109,7 @@ int run() {
 
   std::cout << "\nStraggler gauges:\n  senkf.skew.stage_read = "
             << telemetry::Registry::global().gauge_value("senkf.skew.stage_read")
-            << " (milli-ratio)\n  senkf.straggler.last_rank = "
+            << " (slowest / mean)\n  senkf.straggler.last_rank = "
             << telemetry::Registry::global().gauge_value(
                    "senkf.straggler.last_rank")
             << "\n";

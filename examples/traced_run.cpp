@@ -1,6 +1,7 @@
 // Observability walkthrough: run a small S-EnKF assimilation with tracing
 // armed, export the span record as Chrome trace JSON (load it in Perfetto
-// or chrome://tracing), and dump the metrics registry snapshot.
+// or chrome://tracing), and print the metrics registry in its /metrics
+// text form.
 //
 // The same effect without code changes, on any senkf binary:
 //   SENKF_TRACE=my_trace.json ./quickstart     # export at process exit
@@ -9,7 +10,7 @@
 // Fault injection rides the same zero-code-change rail: set SENKF_FAULTS
 // (e.g. "seed=1,transient=0.05,burst=2" or "dead=3") and the run goes
 // through a fault-injecting store — retries, stragglers and drops show up
-// in the trace and under pfs.fault.* / senkf.read.* in the snapshot.
+// in the trace and under pfs_fault_* / senkf_read_* in the registry dump.
 #include <exception>
 #include <iostream>
 #include <optional>
@@ -18,7 +19,7 @@
 #include "enkf/senkf.hpp"
 #include "grid/synthetic.hpp"
 #include "obs/perturbed.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/liveops/exposition.hpp"
 #include "telemetry/trace.hpp"
 
 namespace {
@@ -86,8 +87,8 @@ int run() {
             << "  retries     " << stats.read_retries << "\n"
             << "  dropped     " << stats.dropped_members.size() << "\n\n";
 
-  std::cout << "Metrics registry snapshot:\n"
-            << telemetry::Registry::global().snapshot();
+  std::cout << "Metrics registry (/metrics exposition):\n"
+            << telemetry::liveops::render_prometheus();
   return 0;
 }
 

@@ -12,7 +12,7 @@ namespace senkf::enkf {
 
 namespace {
 
-void max_update(telemetry::Gauge& gauge, std::int64_t candidate) {
+void max_update(telemetry::Gauge& gauge, double candidate) {
   // Benign race: concurrent max-updates may momentarily publish the
   // smaller value; the next reset() republishes the true maximum.
   if (candidate > gauge.value()) gauge.set(candidate);
@@ -108,8 +108,8 @@ void LocalAnalysisWorkspace::reset() {
   alloc_events.add(stats.chunk_allocs - published_allocs_);
   published_allocs_ = stats.chunk_allocs;
   resets.add(1);
-  max_update(high_water, static_cast<std::int64_t>(stats.high_water_bytes));
-  max_update(capacity, static_cast<std::int64_t>(stats.capacity_bytes));
+  max_update(high_water, static_cast<double>(stats.high_water_bytes));
+  max_update(capacity, static_cast<double>(stats.capacity_bytes));
 }
 
 LocalAnalysisWorkspace& LocalAnalysisWorkspace::for_this_thread() {

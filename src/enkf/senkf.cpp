@@ -91,10 +91,6 @@ const std::vector<double>& stage_obtain_bounds() {
   return bounds;
 }
 
-std::int64_t ratio_milli(double ratio) {
-  return static_cast<std::int64_t>(ratio * 1e3);
-}
-
 /// A stage WARNs as a read straggler when its slowest bar acquisition is
 /// at least kStragglerRatio × the stage mean and at least kStragglerFloorS
 /// long — μs-scale in-memory reads jitter past any pure ratio.
@@ -871,9 +867,8 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
   }
   const Skew run_skew = skew_of(run_obtain_s);
   auto& registry = telemetry::Registry::global();
-  registry.gauge("senkf.skew.read").set(ratio_milli(run_skew.ratio));
-  registry.gauge("senkf.backlog.peak")
-      .set(static_cast<std::int64_t>(backlog_peak));
+  registry.gauge("senkf.skew.read").set(run_skew.ratio);
+  registry.gauge("senkf.backlog.peak").set(static_cast<double>(backlog_peak));
 
   // Straggler check (DESIGN.md §11): one pass per stage over the I/O
   // ranks' ledger cells of that stage gives the stage's read skew across
@@ -901,15 +896,16 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
         std::max(worst_group_ratio, skew_of(group_obtain_s).ratio);
     if (skew.ratio < kStragglerRatio || skew.max_s < kStragglerFloorS) continue;
     ++straggler_warns;
-    const auto straggler = static_cast<std::int64_t>(first_io + skew.slowest);
-    registry.gauge("senkf.straggler.last_rank").set(straggler);
+    const Index straggler = first_io + skew.slowest;
+    registry.gauge("senkf.straggler.last_rank")
+        .set(static_cast<double>(straggler));
     SENKF_LOG_WARN("senkf: stage ", l, " read straggler: rank ", straggler,
                    " took ", skew.max_s, " s vs stage mean ", skew.mean_s,
                    " s (x", skew.ratio, ", threshold x", kStragglerRatio, ")");
   }
   registry.counter("senkf.straggler.warns").add(straggler_warns);
-  registry.gauge("senkf.skew.stage_read").set(ratio_milli(worst_stage_ratio));
-  registry.gauge("senkf.skew.group_read").set(ratio_milli(worst_group_ratio));
+  registry.gauge("senkf.skew.stage_read").set(worst_stage_ratio);
+  registry.gauge("senkf.skew.group_read").set(worst_group_ratio);
 
   // Measured vs model (eqs. (7)–(9)) in the model's native
   // normalization: read/comm per I/O rank per stage, comp per

@@ -19,7 +19,7 @@ namespace {
 void note_dispatch(const KernelTable& table) {
   auto& registry = telemetry::Registry::global();
   registry.counter(std::string("kernels.dispatch.") + table.name).add(1);
-  registry.gauge("kernels.active").set(static_cast<std::int64_t>(table.width));
+  registry.gauge("kernels.active").set(static_cast<double>(table.width));
 }
 
 // A requested ISA that this binary/CPU can't run degrades to scalar (not

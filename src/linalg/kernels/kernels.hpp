@@ -91,19 +91,8 @@ struct KernelTable {
   /// Row r of A(m×n, lda) *= d[r] — the R⁻¹ weighting sweep.
   void (*row_scale)(Index m, Index n, const double* d, double* a, Index lda);
 
-  /// Fused observation-space innovation: out[r][j] = (ys[r][j] −
-  /// hx[r][j]) · rinv[r], i.e. D = R⁻¹(Yˢ − H X̄ᵇ) in one pass.
-  void (*innovation)(Index m, Index n, const double* ys, Index ldy,
-                     const double* hx, Index ldh, const double* rinv,
-                     double* out, Index ldo);
-
   /// Σ x[i]·y[i] over contiguous spans (ascending-i lane-split sum).
   double (*dot)(Index n, const double* x, const double* y);
-
-  /// Σ values[s] · x[cols[s]] — the sparse-lower column sweep of the
-  /// modified-Cholesky estimator (indexed gather dot product).
-  double (*gather_dot)(Index nnz, const double* values, const Index* cols,
-                       const double* x);
 };
 
 /// Cache-block sizes shared by every implementation.  The j/k blocking

@@ -166,7 +166,7 @@ void gemm_tn(Index m, Index n, Index k, const double* a, Index lda,
 }
 
 // --------------------------------------------------------------------------
-// Dot-shaped family (nt products, gemv, dot, gather_dot).
+// Dot-shaped family (nt products, gemv, dot).
 // --------------------------------------------------------------------------
 
 /// Σ x[i]·y[i] with four striped vector accumulators (FMA latency is
@@ -289,20 +289,6 @@ void gemv_t(Index m, Index n, const double* a, Index lda, const double* x,
 template <class V>
 double dot(Index n, const double* x, const double* y) {
   return dot_span<V>(n, x, y);
-}
-
-template <class V>
-double gather_dot(Index nnz, const double* values, const Index* cols,
-                  const double* x) {
-  constexpr Index W = V::kWidth;
-  typename V::vd acc = V::zero();
-  Index s = 0;
-  for (; s + W <= nnz; s += W) {
-    acc = V::fmadd(V::loadu(values + s), V::gather(x, cols + s), acc);
-  }
-  double sum = V::hsum(acc);
-  for (; s < nnz; ++s) sum += values[s] * x[cols[s]];
-  return sum;
 }
 
 // --------------------------------------------------------------------------
@@ -757,26 +743,6 @@ void row_scale(Index m, Index n, const double* d, double* a, Index lda) {
   }
 }
 
-template <class V>
-void innovation(Index m, Index n, const double* ys, Index ldy,
-                const double* hx, Index ldh, const double* rinv, double* out,
-                Index ldo) {
-  constexpr Index W = V::kWidth;
-  const Index jv = vec_bound<V>(n, std::min(ldo, std::min(ldy, ldh)));
-  for (Index r = 0; r < m; ++r) {
-    const double* ysr = ys + r * ldy;
-    const double* hxr = hx + r * ldh;
-    double* outr = out + r * ldo;
-    const typename V::vd rv = V::set1(rinv[r]);
-    Index j = 0;
-    for (; j + W <= jv; j += W) {
-      V::storeu(outr + j,
-                V::mul(rv, V::sub(V::loadu(ysr + j), V::loadu(hxr + j))));
-    }
-    for (; j < n; ++j) outr[j] = rinv[r] * (ysr[j] - hxr[j]);
-  }
-}
-
 /// Fills a KernelTable with this policy's instantiations.
 template <class V>
 KernelTable make_table(const char* name) {
@@ -794,9 +760,7 @@ KernelTable make_table(const char* name) {
                      &axpy<V>,
                      &scale<V>,
                      &row_scale<V>,
-                     &innovation<V>,
-                     &dot<V>,
-                     &gather_dot<V>};
+                     &dot<V>};
 }
 
 }  // namespace senkf::linalg::kernels::impl

@@ -63,13 +63,12 @@ constexpr Index padded_stride(Index n, Index width) {
 //   static vd set1(double);
 //   static vd loadu(const double*);
 //   static void storeu(double*, vd);
-//   static vd add/sub/mul(vd, vd);
+//   static vd add/mul(vd, vd);
 //   static vd div(vd, vd);
 //   static vd sqrt(vd);                  // correctly rounded, per lane
 //   static vd fmadd(vd a, vd b, vd c);   //  a*b + c
 //   static vd fnmadd(vd a, vd b, vd c);  // -a*b + c
 //   static double hsum(vd);              // lane sum (lo-to-hi pairing)
-//   static vd gather(const double* base, const Index* idx);
 // ---------------------------------------------------------------------------
 
 namespace senkf::linalg::kernels {
@@ -85,16 +84,12 @@ struct ScalarOps {
   static vd loadu(const double* p) { return *p; }
   static void storeu(double* p, vd v) { *p = v; }
   static vd add(vd a, vd b) { return a + b; }
-  static vd sub(vd a, vd b) { return a - b; }
   static vd mul(vd a, vd b) { return a * b; }
   static vd div(vd a, vd b) { return a / b; }
   static vd sqrt(vd a) { return std::sqrt(a); }
   static vd fmadd(vd a, vd b, vd c) { return a * b + c; }
   static vd fnmadd(vd a, vd b, vd c) { return c - a * b; }
   static double hsum(vd v) { return v; }
-  static vd gather(const double* base, const Index* idx) {
-    return base[idx[0]];
-  }
 };
 
 }  // namespace senkf::linalg::kernels
@@ -113,7 +108,6 @@ struct Avx2Ops {
   static vd loadu(const double* p) { return _mm256_loadu_pd(p); }
   static void storeu(double* p, vd v) { _mm256_storeu_pd(p, v); }
   static vd add(vd a, vd b) { return _mm256_add_pd(a, b); }
-  static vd sub(vd a, vd b) { return _mm256_sub_pd(a, b); }
   static vd mul(vd a, vd b) { return _mm256_mul_pd(a, b); }
   static vd div(vd a, vd b) { return _mm256_div_pd(a, b); }
   static vd sqrt(vd a) { return _mm256_sqrt_pd(a); }
@@ -124,11 +118,6 @@ struct Avx2Ops {
     const __m128d hi = _mm256_extractf128_pd(v, 1);
     lo = _mm_add_pd(lo, hi);
     return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
-  }
-  static vd gather(const double* base, const Index* idx) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return _mm256_i64gather_pd(base, vi, 8);
   }
 };
 
@@ -150,17 +139,12 @@ struct Avx512Ops {
   static vd loadu(const double* p) { return _mm512_loadu_pd(p); }
   static void storeu(double* p, vd v) { _mm512_storeu_pd(p, v); }
   static vd add(vd a, vd b) { return _mm512_add_pd(a, b); }
-  static vd sub(vd a, vd b) { return _mm512_sub_pd(a, b); }
   static vd mul(vd a, vd b) { return _mm512_mul_pd(a, b); }
   static vd div(vd a, vd b) { return _mm512_div_pd(a, b); }
   static vd sqrt(vd a) { return _mm512_sqrt_pd(a); }
   static vd fmadd(vd a, vd b, vd c) { return _mm512_fmadd_pd(a, b, c); }
   static vd fnmadd(vd a, vd b, vd c) { return _mm512_fnmadd_pd(a, b, c); }
   static double hsum(vd v) { return _mm512_reduce_add_pd(v); }
-  static vd gather(const double* base, const Index* idx) {
-    const __m512i vi = _mm512_loadu_si512(idx);
-    return _mm512_i64gather_pd(vi, base, 8);
-  }
 };
 
 }  // namespace senkf::linalg::kernels
@@ -181,7 +165,6 @@ struct NeonOps {
   static vd loadu(const double* p) { return vld1q_f64(p); }
   static void storeu(double* p, vd v) { vst1q_f64(p, v); }
   static vd add(vd a, vd b) { return vaddq_f64(a, b); }
-  static vd sub(vd a, vd b) { return vsubq_f64(a, b); }
   static vd mul(vd a, vd b) { return vmulq_f64(a, b); }
   static vd div(vd a, vd b) { return vdivq_f64(a, b); }
   static vd sqrt(vd a) { return vsqrtq_f64(a); }
@@ -189,10 +172,6 @@ struct NeonOps {
   static vd fnmadd(vd a, vd b, vd c) { return vfmsq_f64(c, a, b); }
   static double hsum(vd v) {
     return vgetq_lane_f64(v, 0) + vgetq_lane_f64(v, 1);
-  }
-  static vd gather(const double* base, const Index* idx) {
-    vd v = vdupq_n_f64(base[idx[0]]);
-    return vsetq_lane_f64(base[idx[1]], v, 1);
   }
 };
 

@@ -155,30 +155,6 @@ void row_scale(const Vector& d, Matrix& a) {
                                       a.stride());
 }
 
-void weighted_residual_into(const Matrix& ys, const Matrix& hx,
-                            const Vector& rinv, Matrix& out) {
-  require_same_shape(ys, hx, "weighted_residual");
-  if (rinv.size() != ys.rows()) {
-    throw ShapeError("weighted_residual: weight length mismatch");
-  }
-  SENKF_REQUIRE(out.rows() == ys.rows() && out.cols() == ys.cols(),
-                "weighted_residual_into: output shape mismatch");
-  kernels::active_kernels().innovation(ys.rows(), ys.cols(), ys.data(),
-                                       ys.stride(), hx.data(), hx.stride(),
-                                       rinv.data(), out.data(), out.stride());
-}
-
-Matrix weighted_residual(const Matrix& ys, const Matrix& hx,
-                         const Vector& rinv) {
-  require_same_shape(ys, hx, "weighted_residual");
-  if (rinv.size() != ys.rows()) {
-    throw ShapeError("weighted_residual: weight length mismatch");
-  }
-  Matrix out(ys.rows(), ys.cols());
-  weighted_residual_into(ys, hx, rinv, out);
-  return out;
-}
-
 Matrix subtract(const Matrix& a, const Matrix& b) {
   require_same_shape(a, b, "subtract");
   Matrix c = a;

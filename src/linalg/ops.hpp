@@ -57,16 +57,6 @@ void scale(Vector& a, double alpha);
 /// matrices (d holding the reciprocal observation variances).
 void row_scale(const Vector& d, Matrix& a);
 
-/// Fused innovation weighting: out(i,j) = (ys(i,j) − hx(i,j)) · rinv[i],
-/// i.e. R⁻¹(Yˢ − H X̄ᵇ) in one pass instead of scale + axpy + row_scale.
-Matrix weighted_residual(const Matrix& ys, const Matrix& hx,
-                         const Vector& rinv);
-
-/// Allocation-free weighted_residual (same contract as the *_into
-/// products above).
-void weighted_residual_into(const Matrix& ys, const Matrix& hx,
-                            const Vector& rinv, Matrix& out);
-
 /// Returns a - b.
 Matrix subtract(const Matrix& a, const Matrix& b);
 Vector subtract(const Vector& a, const Vector& b);

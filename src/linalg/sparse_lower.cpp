@@ -98,14 +98,10 @@ std::size_t SparseUnitLower::memory_bytes() const {
 Vector SparseUnitLower::multiply(const Vector& x) const {
   SENKF_REQUIRE(x.size() == dim(), "SparseUnitLower: length mismatch");
   Vector y = x;  // implicit unit diagonal
-  // Each row is a sparse dot against x: the gather_dot kernel vectorizes
-  // the value loads and gathers the x entries by column index.
-  const auto& table = kernels::active_kernels();
   for (Index i = 0; i < dim(); ++i) {
-    const Index begin = row_start_[i];
-    const Index nnz = row_start_[i + 1] - begin;
-    y[i] += table.gather_dot(nnz, values_.data() + begin,
-                             column_.data() + begin, x.data());
+    for (Index s = row_start_[i]; s < row_start_[i + 1]; ++s) {
+      y[i] += values_[s] * x[column_[s]];
+    }
   }
   return y;
 }

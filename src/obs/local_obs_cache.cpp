@@ -109,8 +109,8 @@ std::shared_ptr<const LocalObservations> localized(
     std::advance(cut, c.entries.size() - Cache::kMaxEntries);
     erase_entries(c, c.entries.begin(), cut);
   }
-  entries_gauge().set(static_cast<std::int64_t>(c.entries.size()));
-  bytes_gauge().set(static_cast<std::int64_t>(c.bytes));
+  entries_gauge().set(static_cast<double>(c.entries.size()));
+  bytes_gauge().set(static_cast<double>(c.bytes));
   return built;
 }
 

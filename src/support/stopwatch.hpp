@@ -22,34 +22,4 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
-/// Accumulates time across multiple start/stop intervals (phase timers).
-class PhaseTimer {
- public:
-  void start() {
-    running_ = true;
-    watch_.reset();
-  }
-
-  void stop() {
-    if (running_) {
-      total_ += watch_.elapsed_seconds();
-      running_ = false;
-    }
-  }
-
-  double total_seconds() const {
-    return running_ ? total_ + watch_.elapsed_seconds() : total_;
-  }
-
-  void reset() {
-    total_ = 0.0;
-    running_ = false;
-  }
-
- private:
-  Stopwatch watch_;
-  double total_ = 0.0;
-  bool running_ = false;
-};
-
 }  // namespace senkf

@@ -1,5 +1,6 @@
 #include "telemetry/json_writer.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -95,10 +96,7 @@ JsonWriter& JsonWriter::value(std::string_view v) {
 
 JsonWriter& JsonWriter::value(double v) {
   separate();
-  if (!std::isfinite(v)) v = 0.0;
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  out_ << buffer;
+  write_number(out_, std::isfinite(v) ? v : 0.0);
   return *this;
 }
 
@@ -120,10 +118,11 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::raw_value(std::string_view json) {
-  separate();
-  out_ << json;
-  return *this;
+void write_number(std::ostream& out, double v) {
+  char buffer[32];
+  const std::to_chars_result end =
+      std::to_chars(buffer, buffer + sizeof(buffer), v);
+  out.write(buffer, end.ptr - buffer);
 }
 
 }  // namespace senkf::telemetry

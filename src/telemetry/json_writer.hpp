@@ -2,6 +2,8 @@
 // the run-report writer (DESIGN.md §11).  Emits compact one-pass output
 // with automatic comma placement; strings are escaped per RFC 8259 and
 // non-finite doubles are clamped to 0 so the output always parses.
+// write_number() is the one double formatter of every text export: the
+// JSON writer and the /metrics exposition.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +36,6 @@ class JsonWriter {
   JsonWriter& value(std::int32_t v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(bool v);
 
-  /// Emits `json` verbatim as the next value — for pre-rendered section
-  /// bodies (the report's watchdog section).  The caller guarantees
-  /// `json` is one well-formed JSON value.
-  JsonWriter& raw_value(std::string_view json);
-
   /// key() + value() in one call.
   template <typename T>
   JsonWriter& field(std::string_view name, const T& v) {
@@ -57,5 +54,9 @@ class JsonWriter {
   std::vector<bool> has_value_;
   bool pending_key_ = false;
 };
+
+/// Writes `v` as the shortest decimal text that reads back as the same
+/// double ("0.1", "1234567.891", "9007199254740992").
+void write_number(std::ostream& out, double v);
 
 }  // namespace senkf::telemetry

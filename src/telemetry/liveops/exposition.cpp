@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "telemetry/json_writer.hpp"
+
 namespace senkf::telemetry::liveops {
 
 namespace {
@@ -44,7 +46,9 @@ std::string render_prometheus(const std::vector<MetricRow>& rows) {
         break;
       case MetricRow::Kind::kGauge:
         out << "# TYPE " << name << " gauge\n";
-        out << name << " " << row.gauge << "\n";
+        out << name << " ";
+        write_number(out, row.gauge);
+        out << "\n";
         break;
       case MetricRow::Kind::kHistogram: {
         out << "# TYPE " << name << " histogram\n";
@@ -59,7 +63,9 @@ std::string render_prometheus(const std::vector<MetricRow>& rows) {
               << "\"} " << cumulative << "\n";
         }
         out << name << "_bucket{le=\"+Inf\"} " << row.count << "\n";
-        out << name << "_sum " << row.sum << "\n";
+        out << name << "_sum ";
+        write_number(out, row.sum);
+        out << "\n";
         out << name << "_count " << row.count << "\n";
         break;
       }

@@ -4,7 +4,9 @@
 // 0.0.4): `# TYPE` headers, cumulative `_bucket{le="..."}` counts per
 // histogram (the registry stores per-bucket counts; Prometheus wants
 // running sums), an explicit `+Inf` bucket equal to `_count`, and
-// `_sum`/`_count` series.  Metric names are sanitized to the
+// `_sum`/`_count` series.  Gauge values and `_sum`s are written by
+// write_number(), so they read back as the exact doubles the registry
+// holds.  Metric names are sanitized to the
 // `[a-zA-Z_:][a-zA-Z0-9_:]*` charset (dots become underscores).
 //
 // Every histogram row comes from Histogram::cut(), so a scrape taken

@@ -122,22 +122,8 @@ std::string health_json() {
       .field("uptime_ns", now_ns())
       .field("metrics",
              static_cast<std::uint64_t>(Registry::global().rows().size()));
-  json.key("watchdog")
-      .begin_object()
-      .field("running", watchdog.running)
-      .field("armed", watchdog.armed)
-      .field("fired", watchdog.fired);
-  json.key("overruns").begin_array();
-  for (const WatchdogOverrun& o : watchdog.overruns) {
-    json.begin_object()
-        .field("phase", o.phase)
-        .field("rank", o.rank)
-        .field("deadline_s", o.deadline_s)
-        .field("overrun_s", o.overrun_s)
-        .end_object();
-  }
-  json.end_array();
-  json.end_object();
+  json.key("watchdog");
+  write_watchdog(json, watchdog);
   json.end_object();
   return out.str();
 }

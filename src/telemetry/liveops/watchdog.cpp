@@ -7,7 +7,6 @@
 #include <iostream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "telemetry/json_writer.hpp"
@@ -224,13 +223,9 @@ WatchdogStats watchdog_stats() {
   return stats;
 }
 
-std::string watchdog_section_json() {
-  const WatchdogStats stats = watchdog_stats();
-  if (!stats.ever_started) return "{\"enabled\":false}";
-  std::ostringstream out;
-  JsonWriter json(out);
+void write_watchdog(JsonWriter& json, const WatchdogStats& stats) {
   json.begin_object()
-      .field("enabled", true)
+      .field("enabled", stats.ever_started)
       .field("running", stats.running)
       .field("scale", stats.scale)
       .field("armed", stats.armed)
@@ -247,7 +242,6 @@ std::string watchdog_section_json() {
   }
   json.end_array();
   json.end_object();
-  return out.str();
 }
 
 void clear_watchdog() {

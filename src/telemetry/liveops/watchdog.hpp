@@ -9,13 +9,17 @@
 // names the phase/rank/deadline, the armed exports flush partially
 // (the stalled run leaves its trace + report on disk *while still
 // stalled*), and the overrun is recorded for /health and the report's
-// v4 "watchdog" section.  Firing never interrupts the phase — the
-// watchdog observes, operators act.
+// "watchdog" section, both written by write_watchdog().  Firing never
+// interrupts the phase — the watchdog observes, operators act.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+namespace senkf::telemetry {
+class JsonWriter;
+}
 
 namespace senkf::telemetry::liveops {
 
@@ -64,9 +68,10 @@ struct WatchdogStats {
 };
 WatchdogStats watchdog_stats();
 
-/// The run report's v4 "watchdog" section (one JSON object);
-/// {"enabled":false} when the monitor never started.
-std::string watchdog_section_json();
+/// Writes `stats` as one JSON object — the report's "watchdog" section
+/// and /health's "watchdog" member.  Every field is always written;
+/// "enabled" is false when the monitor never started.
+void write_watchdog(JsonWriter& json, const WatchdogStats& stats);
 
 /// Drops recorded overruns and counters (tests between runs); armed
 /// deadlines stay armed.

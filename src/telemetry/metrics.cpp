@@ -1,7 +1,6 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace senkf::telemetry {
@@ -169,34 +168,11 @@ std::uint64_t Registry::counter_value(std::string_view name) const {
              : 0;
 }
 
-std::int64_t Registry::gauge_value(std::string_view name) const {
+double Registry::gauge_value(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(name);
   return it != entries_.end() && it->second.gauge ? it->second.gauge->value()
-                                                  : 0;
-}
-
-std::string Registry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream out;
-  for (const auto& [name, entry] : entries_) {
-    if (entry.counter) {
-      out << "counter " << name << " " << entry.counter->value() << "\n";
-    } else if (entry.gauge) {
-      out << "gauge " << name << " " << entry.gauge->value() << "\n";
-    } else if (entry.histogram) {
-      const HistogramCut cut = entry.histogram->cut();
-      out << "histogram " << name << " count=" << cut.count
-          << " sum=" << cut.sum;
-      const auto& counts = cut.buckets;
-      const auto& bounds = entry.histogram->bounds();
-      for (std::size_t i = 0; i < bounds.size(); ++i) {
-        out << " le_" << bounds[i] << "=" << counts[i];
-      }
-      out << " inf=" << counts.back() << "\n";
-    }
-  }
-  return out.str();
+                                                  : 0.0;
 }
 
 MetricRow histogram_row(std::string name, const Histogram& histogram) {

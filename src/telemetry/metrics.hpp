@@ -1,6 +1,6 @@
 // Process-wide metrics registry (DESIGN.md §7): named counters, gauges
-// and fixed-bucket histograms with a text snapshot for humans and
-// programmatic access for tests.
+// and fixed-bucket histograms, read as MetricRows by the /metrics
+// exposition and the run report, and one value at a time by tests.
 //
 // Creation/lookup takes the registry mutex; call sites on hot paths hold
 // a `static` reference so steady-state updates are plain atomics.
@@ -31,15 +31,16 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
+/// The last value set, in the value's own unit (a ratio, a relative
+/// error, a byte count).
 class Gauge {
  public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  void set(double v) { value_.store(v, std::memory_order_relaxed); }
+  double value() const { return value_.load(std::memory_order_relaxed); }
+  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  std::atomic<double> value_{0.0};
 };
 
 /// A consistent point-in-time cut of one histogram: the bucket counts
@@ -106,7 +107,7 @@ struct MetricRow {
   std::string name;
   Kind kind = Kind::kCounter;
   std::uint64_t counter = 0;
-  std::int64_t gauge = 0;
+  double gauge = 0.0;
   std::vector<double> bounds;            ///< histogram only
   std::vector<std::uint64_t> buckets;    ///< bounds.size() + 1 entries
   std::uint64_t count = 0;               ///< histogram only
@@ -130,10 +131,7 @@ class Registry {
 
   /// Programmatic reads for tests/facades; absent names read as zero.
   std::uint64_t counter_value(std::string_view name) const;
-  std::int64_t gauge_value(std::string_view name) const;
-
-  /// Human-readable dump, one line per metric, sorted by name.
-  std::string snapshot() const;
+  double gauge_value(std::string_view name) const;
 
   /// Every registered metric with its current values, sorted by name.
   /// Values are read without stopping writers; concurrent updates may

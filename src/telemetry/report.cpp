@@ -61,8 +61,7 @@ const bool g_env_applied = (env_init(), true);
 
 using Kind = MetricRow::Kind;
 
-/// Writes `rows` as {counters, gauges, histograms}.  A gauge row holds
-/// one value, written as a distribution with count 1.
+/// Writes `rows` as {counters, gauges, histograms}.
 void write_rows(JsonWriter& json, const std::vector<MetricRow>& rows) {
   json.begin_object();
   json.key("counters").begin_object();
@@ -72,17 +71,7 @@ void write_rows(JsonWriter& json, const std::vector<MetricRow>& rows) {
   json.end_object();
   json.key("gauges").begin_object();
   for (const MetricRow& row : rows) {
-    if (row.kind != Kind::kGauge) continue;
-    const auto v = static_cast<double>(row.gauge);
-    json.key(row.name)
-        .begin_object()
-        .field("min", row.gauge)
-        .field("max", row.gauge)
-        .field("mean", v)
-        .field("sum", v)
-        .field("sumsq", v * v)
-        .field("count", std::uint64_t{1})
-        .end_object();
+    if (row.kind == Kind::kGauge) json.field(row.name, row.gauge);
   }
   json.end_object();
   json.key("histograms").begin_object();
@@ -223,60 +212,12 @@ void write_run_report(std::ostream& out) {
   // (parcomm, pfs faults, kernels) and survives even when no run
   // populated the report.
   json.key("metrics");
-  const std::vector<MetricRow> registry = Registry::global().rows();
-  write_rows(json, registry);
-
-  // Latency quantiles for every microsecond histogram, the registry's
-  // (thread-pool queue/exec wait) and the run's (stage obtain) — the
-  // triage view; the raw buckets stay available in the dumps above.
-  // Names are disjoint by convention ("senkf.rank.*" lives in the run).
-  json.key("latency").begin_object();
-  for (const auto* rows : {&registry, &report.aggregate}) {
-    for (const MetricRow& row : *rows) {
-      const std::string& name = row.name;
-      if (row.kind != Kind::kHistogram || name.size() < 3 ||
-          name.compare(name.size() - 3, 3, "_us") != 0) {
-        continue;
-      }
-      json.key(name)
-          .begin_object()
-          .field("p50", histogram_quantile(row.bounds, row.buckets, 0.50))
-          .field("p90", histogram_quantile(row.bounds, row.buckets, 0.90))
-          .field("p99", histogram_quantile(row.bounds, row.buckets, 0.99))
-          .field("count", row.count)
-          .end_object();
-    }
-  }
-  json.end_object();
-
-  // Convenience view of the analysis hot path (DESIGN.md §15): patch
-  // throughput, steady-state allocation events, arena occupancy and
-  // localization-cache effectiveness in one spot (counter totals and
-  // gauge values).
-  json.key("analysis").begin_object();
-  for (const MetricRow& row : registry) {
-    if (row.name.rfind("analysis.", 0) != 0) continue;
-    if (row.kind == Kind::kCounter) json.field(row.name, row.counter);
-    if (row.kind == Kind::kGauge) json.field(row.name, row.gauge);
-  }
-  json.end_object();
+  write_rows(json, Registry::global().rows());
 
   // Liveops section (DESIGN.md §16): the watchdog's armed deadlines and
-  // fired overruns.  A watchdog that never started writes
-  // {"enabled":false}, so checkers can rely on the key in every report.
-  json.key("watchdog").raw_value(liveops::watchdog_section_json());
-
-  // Convenience view for fault triage: the failure counters in one spot.
-  json.key("faults").begin_object();
-  for (const MetricRow& row : registry) {
-    if (row.kind != Kind::kCounter) continue;
-    const std::string& name = row.name;
-    if (name.rfind("pfs.fault.", 0) == 0 || name.rfind("senkf.read.", 0) == 0 ||
-        name == "senkf.member.dropped" || name == "senkf.straggler.warns") {
-      json.field(name, row.counter);
-    }
-  }
-  json.end_object();
+  // fired overruns, written as /health writes them.
+  json.key("watchdog");
+  liveops::write_watchdog(json, liveops::watchdog_stats());
 
   json.end_object();
 }

@@ -40,12 +40,12 @@ struct RankSample {
 
 struct RunReport {
   /// Bumped when the JSON layout changes incompatibly.  v2 added the
-  /// per-cycle critical paths and latency quantiles (DESIGN.md §13), v4
-  /// the liveops "watchdog" section (DESIGN.md §16; {"enabled": false}
-  /// when the watchdog never armed).  v5 dropped the job section v3 had
-  /// added, v6 the "timeseries" and "profile" sections of v2 and v4, and
-  /// v7 the per-rank "reissued" count.
-  static constexpr int kVersion = 7;
+  /// per-cycle critical paths (DESIGN.md §13), v4 the liveops "watchdog"
+  /// section (DESIGN.md §16).  v5 dropped the job section v3 had added,
+  /// v6 the "timeseries" and "profile" sections of v2 and v4, v7 the
+  /// per-rank "reissued" count, and v8 the "latency", "analysis" and
+  /// "faults" copies of "metrics"; v8 writes a gauge as its value.
+  static constexpr int kVersion = 8;
 
   std::string kind;     ///< "senkf"
   bool valid = false;   ///< a run populated this report
@@ -93,10 +93,8 @@ void mark_run_partial();
 RunReport run_report_copy();
 
 /// Writes schema "senkf-run-report" version RunReport::kVersion: the
-/// global RunReport plus the per-cycle critical paths, p50/p90/p99
-/// latency quantiles for every "*_us" histogram of the registry and the
-/// run, the liveops "watchdog" section, and a dump of every metric
-/// currently in the registry.
+/// global RunReport plus the per-cycle critical paths, every metric
+/// currently in the registry, and the liveops "watchdog" section.
 void write_run_report(std::ostream& out);
 void write_run_report(const std::string& path);
 

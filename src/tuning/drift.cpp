@@ -1,8 +1,5 @@
 #include "tuning/drift.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "telemetry/metrics.hpp"
 
 namespace senkf::tuning {
@@ -12,11 +9,6 @@ namespace {
 double rel_drift(double measured, double predicted) {
   if (predicted <= 0.0) return 0.0;
   return (measured - predicted) / predicted;
-}
-
-std::int64_t to_milli(double rel) {
-  const double clamped = std::clamp(rel * 1e3, -1e9, 1e9);
-  return static_cast<std::int64_t>(std::llround(clamped));
 }
 
 }  // namespace
@@ -30,9 +22,9 @@ PhaseDrift record_model_drift(const CostModel& model,
   drift.comm = rel_drift(measured_comm_s, model.t_comm(p));
   drift.comp = rel_drift(measured_comp_s, model.t_comp(p));
   auto& registry = telemetry::Registry::global();
-  registry.gauge("model.drift.read").set(to_milli(drift.read));
-  registry.gauge("model.drift.comm").set(to_milli(drift.comm));
-  registry.gauge("model.drift.comp").set(to_milli(drift.comp));
+  registry.gauge("model.drift.read").set(drift.read);
+  registry.gauge("model.drift.comm").set(drift.comm);
+  registry.gauge("model.drift.comp").set(drift.comp);
   return drift;
 }
 

@@ -20,9 +20,8 @@ struct PhaseDrift {
 /// Evaluates the model at `p` against the measured per-rank per-stage
 /// seconds (read/comm per I/O rank, comp per computation rank — the
 /// model's native normalization, see fig09) and publishes the drift as
-/// `model.drift.{read,comm,comp}` gauges into the global registry, in
-/// milli-units (gauge 250 = +25% drift, clamped to ±10^9 so a cold model
-/// can't overflow the int64).
+/// `model.drift.{read,comm,comp}` gauges into the global registry (0.25
+/// = +25%).
 PhaseDrift record_model_drift(const CostModel& model,
                               const vcluster::SenkfParams& p,
                               double measured_read_s, double measured_comm_s,

@@ -298,9 +298,9 @@ DenseSystem dense_system(const Scenario& sc, grid::Rect rect,
   const obs::LocalObservations local(sc.observations, rect);
   out.system = binv.inverse_covariance();
   linalg::axpy(1.0, local.ht_rinv_h(), out.system);
-  const linalg::Matrix innovations = linalg::weighted_residual(
-      local.select_rows(sc.ys), linalg::multiply(local.h(), out.xb),
-      local.r_inverse());
+  linalg::Matrix innovations = linalg::subtract(
+      local.select_rows(sc.ys), linalg::multiply(local.h(), out.xb));
+  linalg::row_scale(local.r_inverse(), innovations);
   out.rhs = linalg::multiply_at_b(local.h(), innovations);
   return out;
 }

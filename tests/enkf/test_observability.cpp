@@ -8,7 +8,8 @@
 //  * a run sends only data-plane messages (block batches and results);
 //  * the SENKF_REPORT writer emits schema-valid JSON whose run section
 //    matches the stats facade;
-//  * model.drift.* gauges are populated after every run;
+//  * model.drift.* gauges are populated after every run and hold the
+//    report's drift, and the senkf.skew.* gauges its skew ratios;
 //  * an injected straggler delay raises one senkf.straggler.* WARN per
 //    stage from the run-end straggler check;
 //  * the aggregation survives an injected-faulty PFS (SENKF_FAULTS).
@@ -27,6 +28,7 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "enkf/faulty_store.hpp"
@@ -180,19 +182,26 @@ TEST(Observability, RunReportJsonMatchesTheAggregate) {
   EXPECT_NEAR(run.at("phases").at("io_read_s").as_number(),
               stats.io_read_seconds, 1e-12);
 
-  // The run's per-stage acquisition histogram gets latency quantiles:
-  // one observation per I/O rank per stage.
+  // The run's per-stage acquisition histogram, with its quantiles: one
+  // observation per I/O rank per stage.
   const testjson::Value& stage_obtain =
-      doc.at("latency").at("senkf.rank.stage_obtain_us");
+      run.at("aggregate").at("histograms").at("senkf.rank.stage_obtain_us");
   EXPECT_DOUBLE_EQ(stage_obtain.at("count").as_number(),
                    static_cast<double>(senkf_config().io_ranks() *
                                        senkf_config().layers));
+  EXPECT_LE(stage_obtain.at("p50").as_number(),
+            stage_obtain.at("p99").as_number());
 
-  // Drift section mirrors the gauges (milli-units in the registry).
-  EXPECT_TRUE(run.at("drift").has("read"));
-  EXPECT_TRUE(run.at("drift").has("comm"));
-  EXPECT_TRUE(run.at("drift").has("comp"));
-  EXPECT_TRUE(doc.at("metrics").at("counters").has("senkf.io_read_ns"));
+  // The drift section and the drift gauges are one number each.
+  const testjson::Value& metrics = doc.at("metrics");
+  for (const char* phase : {"read", "comm", "comp"}) {
+    EXPECT_EQ(run.at("drift").at(phase).as_number(),
+              metrics.at("gauges")
+                  .at(std::string("model.drift.") + phase)
+                  .as_number())
+        << phase;
+  }
+  EXPECT_TRUE(metrics.at("counters").has("senkf.io_read_ns"));
 }
 
 TEST(Observability, SenkfSendsOnlyDataPlaneMessages) {
@@ -219,15 +228,15 @@ TEST(Observability, ModelDriftGaugesArePopulated) {
   (void)senkf(w.store, w.observations, w.ys, senkf_config());
 
   // The uncalibrated model cannot match an in-memory run: every phase
-  // drifts, and the gauges publish the relative error in milli-units.
+  // drifts, and the gauges publish the report's relative error.
   auto& registry = telemetry::Registry::global();
-  EXPECT_NE(registry.gauge_value("model.drift.read"), 0);
-  EXPECT_NE(registry.gauge_value("model.drift.comm"), 0);
-  EXPECT_NE(registry.gauge_value("model.drift.comp"), 0);
   const telemetry::RunReport report = telemetry::run_report_copy();
-  EXPECT_NE(report.drift.at("read"), 0.0);
-  EXPECT_NE(report.drift.at("comm"), 0.0);
-  EXPECT_NE(report.drift.at("comp"), 0.0);
+  for (const char* phase : {"read", "comm", "comp"}) {
+    EXPECT_NE(report.drift.at(phase), 0.0) << phase;
+    EXPECT_EQ(registry.gauge_value(std::string("model.drift.") + phase),
+              report.drift.at(phase))
+        << phase;
+  }
 }
 
 TEST(Observability, InjectedStragglerRaisesWarns) {
@@ -246,16 +255,17 @@ TEST(Observability, InjectedStragglerRaisesWarns) {
   EXPECT_EQ(stats.straggler_warns, static_cast<std::uint64_t>(config.layers));
   EXPECT_EQ(
       telemetry::Registry::global().gauge_value("senkf.straggler.last_rank"),
-      static_cast<std::int64_t>(config.computation_ranks()));
+      static_cast<double>(config.computation_ranks()));
   EXPECT_GT(stats.read_skew, 2.0);
   EXPECT_GT(telemetry::Registry::global().counter_value(
                 "senkf.straggler.warns"),
             warns_before);
-  EXPECT_GT(telemetry::Registry::global().gauge_value("senkf.skew.stage_read"),
-            1000);  // worst per-stage ratio > 1.0 (milli-units)
   const telemetry::RunReport report = telemetry::run_report_copy();
   EXPECT_GE(report.straggler_warns, 1u);
   EXPECT_GT(report.skew.at("stage.worst_ratio"), 2.0);
+  // The gauge holds the worst per-stage ratio itself.
+  EXPECT_EQ(telemetry::Registry::global().gauge_value("senkf.skew.stage_read"),
+            report.skew.at("stage.worst_ratio"));
   // The straggler's concurrent group (group 0) is the slower one.
   EXPECT_GT(report.skew.at("group.worst_ratio"), 1.0);
 }
@@ -373,16 +383,17 @@ TEST(Observability, SteadyStateAnalysisIsAllocationFree) {
   // Same observation set, same rects: the localization cache served the
   // repeat lookups instead of rebuilding H / R⁻¹ / HᵀR⁻¹H.
   EXPECT_GT(registry.counter_value("analysis.localization.hits"), 0u);
-  EXPECT_GT(registry.gauge_value("analysis.arena.high_water"), 0);
+  EXPECT_GT(registry.gauge_value("analysis.arena.high_water"), 0.0);
 
-  // The run report surfaces the plane as a convenience section.
+  // The run report carries the plane in its registry dump.
   std::ostringstream out;
   telemetry::write_run_report(out);
-  const testjson::Value doc = testjson::parse(out.str());
-  EXPECT_TRUE(doc.at("analysis").has("analysis.alloc.events"));
-  EXPECT_TRUE(doc.at("analysis").has("analysis.patches"));
-  EXPECT_TRUE(doc.at("analysis").has("analysis.arena.high_water"));
-  EXPECT_TRUE(doc.at("analysis").has("analysis.localization.hits"));
+  const testjson::Value metrics = testjson::parse(out.str()).at("metrics");
+  EXPECT_TRUE(metrics.at("counters").has("analysis.alloc.events"));
+  EXPECT_TRUE(metrics.at("counters").has("analysis.patches"));
+  EXPECT_TRUE(metrics.at("counters").has("analysis.localization.hits"));
+  EXPECT_EQ(metrics.at("gauges").at("analysis.arena.high_water").as_number(),
+            registry.gauge_value("analysis.arena.high_water"));
 }
 
 // Tracing state and the critical-path list are process-global; each tracing test arms them on entry and scrubs them on

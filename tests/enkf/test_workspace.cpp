@@ -242,8 +242,9 @@ OwningAnalysis reference_local_analysis(
   linalg::axpy(1.0, ht_rinv_h, system);
 
   const linalg::Matrix local_ys = local.select_rows(perturbed);
-  const linalg::Matrix innovations =
-      linalg::weighted_residual(local_ys, linalg::multiply(h, xb), rinv);
+  linalg::Matrix innovations =
+      linalg::subtract(local_ys, linalg::multiply(h, xb));
+  linalg::row_scale(rinv, innovations);
   const linalg::Matrix rhs = linalg::multiply_at_b(h, innovations);
 
   const linalg::Matrix delta = linalg::solve_spd(system, rhs);

@@ -95,18 +95,18 @@ TEST_F(LocalObsCache, NewObservationSetEvictsTheOldEpoch) {
   EXPECT_EQ(old_entry->rect().x.begin, rect.x.begin);
 }
 
-std::int64_t bytes_gauge() {
+double bytes_gauge() {
   auto& registry = telemetry::Registry::global();
   return registry.gauge("analysis.localization.bytes").value();
 }
 
 TEST_F(LocalObsCache, BytesGaugeTracksLiveEntries) {
   const Scenario sc(64);
-  std::int64_t live = 0;
+  double live = 0.0;
   for (const Index x : {0, 2, 4, 8}) {
     const auto entry =
         localized(sc.observations, grid::Rect{{x, x + 8}, {x / 2, x / 2 + 6}});
-    live += static_cast<std::int64_t>(entry->memory_bytes());
+    live += static_cast<double>(entry->memory_bytes());
     EXPECT_EQ(bytes_gauge(), live);
   }
   // A hit adds nothing.
@@ -117,10 +117,10 @@ TEST_F(LocalObsCache, BytesGaugeTracksLiveEntries) {
   const Scenario newer(64);
   const auto entry = localized(newer.observations, grid::Rect{{0, 8}, {0, 8}});
   EXPECT_EQ(localization_cache_size(), 1u);
-  EXPECT_EQ(bytes_gauge(), static_cast<std::int64_t>(entry->memory_bytes()));
+  EXPECT_EQ(bytes_gauge(), static_cast<double>(entry->memory_bytes()));
 
   clear_localization_cache();
-  EXPECT_EQ(bytes_gauge(), 0);
+  EXPECT_EQ(bytes_gauge(), 0.0);
 }
 
 TEST_F(LocalObsCache, SparseEntryOfTheFileWorkloadIsSmall) {
@@ -137,7 +137,7 @@ TEST_F(LocalObsCache, SparseEntryOfTheFileWorkloadIsSmall) {
   const auto entry = localized(network, grid::Rect{{60, 126}, {40, 66}});
   ASSERT_GT(entry->size(), 0u);
   EXPECT_LT(entry->memory_bytes(), 64u * 1024u);
-  EXPECT_EQ(bytes_gauge(), static_cast<std::int64_t>(entry->memory_bytes()));
+  EXPECT_EQ(bytes_gauge(), static_cast<double>(entry->memory_bytes()));
 }
 
 TEST_F(LocalObsCache, EpochsAreUniqueAndMonotonicPerConstruction) {

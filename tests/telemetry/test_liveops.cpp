@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/http_server.hpp"
 #include "telemetry/liveops/exposition.hpp"
 #include "telemetry/liveops/watchdog.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/report.hpp"
 #include "telemetry/shutdown.hpp"
 #include "test_json.hpp"
 
@@ -41,7 +46,7 @@ TEST(Exposition, RendersCounterGaugeAndHistogram) {
   MetricRow gauge;
   gauge.name = "senkf.backlog";
   gauge.kind = MetricRow::Kind::kGauge;
-  gauge.gauge = -3;
+  gauge.gauge = -3.0;
   rows.push_back(gauge);
   MetricRow hist;
   hist.name = "senkf.latency.us";
@@ -70,6 +75,46 @@ TEST(Exposition, RendersCounterGaugeAndHistogram) {
             std::string::npos);
   EXPECT_NE(text.find("senkf_latency_us_sum 42.5"), std::string::npos);
   EXPECT_NE(text.find("senkf_latency_us_count 6"), std::string::npos);
+}
+
+// A gauge holds a double in its own unit, and a histogram's sum is a
+// double: /metrics and the run report must both read back the exact
+// value the registry holds, not a rounded or integer copy.
+TEST(Exposition, ValuesReadBackExactly) {
+  auto& registry = Registry::global();
+  const std::vector<std::pair<std::string, double>> gauges = {
+      {"exact.gauge.tenth", 0.1},
+      {"exact.gauge.negative", -2.5},
+      {"exact.gauge.two_pow_53", 9007199254740992.0}};
+  for (const auto& [name, value] : gauges) registry.gauge(name).set(value);
+  const double sum = 1234567.891;
+  registry.histogram("exact.histogram", {1.0}).observe(sum);
+
+  const std::string text = render_prometheus();
+  const auto scraped = [&text](const std::string& series) {
+    const std::string line = "\n" + series + " ";
+    const auto at = text.find(line);
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no sample " << series;
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    return std::strtod(text.c_str() + at + line.size(), nullptr);
+  };
+  for (const auto& [name, value] : gauges) {
+    EXPECT_EQ(scraped(sanitize_metric_name(name)), value) << name;
+  }
+  EXPECT_EQ(scraped("exact_histogram_sum"), sum);
+
+  std::ostringstream report;
+  write_run_report(report);
+  const testjson::Value doc = testjson::parse(report.str());
+  const testjson::Value& metrics = doc.at("metrics");
+  for (const auto& [name, value] : gauges) {
+    EXPECT_EQ(metrics.at("gauges").at(name).as_number(), value) << name;
+  }
+  EXPECT_EQ(
+      metrics.at("histograms").at("exact.histogram").at("sum").as_number(),
+      sum);
 }
 
 TEST(Exposition, GlobalRegistryRendersEveryRow) {
@@ -119,7 +164,13 @@ TEST(LiveopsHttp, ServesMetricsHealthOverSocket) {
   const testjson::Value health_doc = testjson::parse(health);
   EXPECT_EQ(health_doc.at("status").as_string(), "ok");
   EXPECT_FALSE(health_doc.has("profiler"));
-  EXPECT_TRUE(health_doc.at("watchdog").as_object().count("fired"));
+  // The watchdog member is the report's watchdog section, every field
+  // present whether or not the monitor ever started.
+  const testjson::Value& watchdog = health_doc.at("watchdog");
+  for (const char* key :
+       {"enabled", "running", "armed", "fired", "status", "overruns"}) {
+    EXPECT_TRUE(watchdog.has(key)) << key;
+  }
 
   stop_liveops_http();
   EXPECT_FALSE(liveops_http_running());

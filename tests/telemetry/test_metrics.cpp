@@ -1,6 +1,6 @@
 // Metrics registry: counter/gauge identity, histogram "le" bucket
 // boundary semantics, registration error cases, concurrent updates, and
-// the text snapshot format downstream tools grep.
+// the sorted rows every exporter writes.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -25,11 +25,15 @@ TEST(Counter, AddsAndResets) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Gauge, SetAddAndNegative) {
+TEST(Gauge, HoldsTheLastValueSet) {
   Gauge g;
-  g.set(10);
-  g.add(-25);
-  EXPECT_EQ(g.value(), -15);
+  EXPECT_EQ(g.value(), 0.0);
+  g.set(1.25);
+  EXPECT_EQ(g.value(), 1.25);
+  g.set(-0.1);  // a fraction and a sign, as a relative drift has
+  EXPECT_EQ(g.value(), -0.1);
+  g.reset();
+  EXPECT_EQ(g.value(), 0.0);
 }
 
 TEST(Histogram, BucketBoundariesAreLessOrEqual) {
@@ -104,26 +108,27 @@ TEST(Registry, KindAndBoundsConflictsThrow) {
   EXPECT_THROW(r.histogram("metric.h", {1.0, 3.0}), std::logic_error);
 }
 
-TEST(Registry, SnapshotListsSortedMetrics) {
+TEST(Registry, RowsAreSortedByName) {
   Registry r;
   r.counter("b.counter").add(7);
-  r.gauge("a.gauge").set(-2);
+  r.gauge("a.gauge").set(-2.5);
   Histogram& h = r.histogram("c.hist", {1.0, 10.0});
   h.observe(0.5);
   h.observe(42.0);
 
-  const std::string snapshot = r.snapshot();
-  const auto pos_a = snapshot.find("a.gauge");
-  const auto pos_b = snapshot.find("b.counter");
-  const auto pos_c = snapshot.find("c.hist");
-  ASSERT_NE(pos_a, std::string::npos);
-  ASSERT_NE(pos_b, std::string::npos);
-  ASSERT_NE(pos_c, std::string::npos);
-  EXPECT_LT(pos_a, pos_b);
-  EXPECT_LT(pos_b, pos_c);
-  EXPECT_NE(snapshot.find("counter b.counter 7"), std::string::npos);
-  EXPECT_NE(snapshot.find("gauge a.gauge -2"), std::string::npos);
-  EXPECT_NE(snapshot.find("count=2"), std::string::npos);
+  const std::vector<MetricRow> rows = r.rows();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].name, "a.gauge");
+  EXPECT_EQ(rows[0].kind, MetricRow::Kind::kGauge);
+  EXPECT_EQ(rows[0].gauge, -2.5);
+  EXPECT_EQ(rows[1].name, "b.counter");
+  EXPECT_EQ(rows[1].kind, MetricRow::Kind::kCounter);
+  EXPECT_EQ(rows[1].counter, 7u);
+  EXPECT_EQ(rows[2].name, "c.hist");
+  EXPECT_EQ(rows[2].kind, MetricRow::Kind::kHistogram);
+  EXPECT_EQ(rows[2].count, 2u);
+  EXPECT_EQ(rows[2].buckets, (std::vector<std::uint64_t>{1, 0, 1}));
+  EXPECT_EQ(rows[2].sum, 42.5);
 }
 
 TEST(Registry, ResetZeroesButKeepsRegistrations) {

@@ -55,11 +55,11 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
   // acquisition histogram into a row.
   Registry run_metrics;
   run_metrics.counter("messages").add(42);
-  run_metrics.gauge("backlog").set(3);
+  run_metrics.gauge("backlog").set(3.0);
   Histogram& lat = run_metrics.histogram("lat_us", {10.0, 100.0, 1000.0});
   lat.observe(55.0);
   lat.observe(5000.0);  // past the last bound: the overflow bucket
-  Registry::global().gauge("report_test.level").set(-2);
+  Registry::global().gauge("report_test.level").set(-2.5);
 
   RunReport report;
   report.kind = "senkf";
@@ -87,7 +87,7 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
   write_run_report(out);
   const testjson::Value doc = testjson::parse(out.str());
   EXPECT_EQ(doc.at("schema").as_string(), "senkf-run-report");
-  EXPECT_DOUBLE_EQ(doc.at("version").as_number(), 7.0);
+  EXPECT_DOUBLE_EQ(doc.at("version").as_number(), 8.0);
   EXPECT_FALSE(doc.at("partial").as_bool());
   const testjson::Value& run = doc.at("run");
   EXPECT_EQ(run.at("kind").as_string(), "senkf");
@@ -102,31 +102,30 @@ TEST(ReportTest, WriteRunReportEmitsSchemaValidJson) {
   EXPECT_FALSE(run.at("ranks").as_array()[0].has("reissued"));
   const testjson::Value& agg = run.at("aggregate");
   EXPECT_DOUBLE_EQ(agg.at("counters").at("messages").as_number(), 42.0);
-  EXPECT_DOUBLE_EQ(agg.at("gauges").at("backlog").at("max").as_number(), 3.0);
+  EXPECT_EQ(agg.at("gauges").at("backlog").as_number(), 3.0);
   const testjson::Value& hist = agg.at("histograms").at("lat_us");
   EXPECT_DOUBLE_EQ(hist.at("count").as_number(), 2.0);
   EXPECT_DOUBLE_EQ(hist.at("sum").as_number(), 5055.0);
   ASSERT_EQ(hist.at("buckets").as_array().size(), 4u);
   EXPECT_DOUBLE_EQ(hist.at("buckets").as_array()[3].as_number(), 1.0);
-  // The run's own "*_us" histograms get latency quantiles too.
-  EXPECT_DOUBLE_EQ(doc.at("latency").at("lat_us").at("count").as_number(),
-                   2.0);
-  // A registry gauge row is one value, written in the distribution shape
-  // with count 1.
-  const testjson::Value& level =
-      doc.at("metrics").at("gauges").at("report_test.level");
-  EXPECT_DOUBLE_EQ(level.at("min").as_number(), -2.0);
-  EXPECT_DOUBLE_EQ(level.at("max").as_number(), -2.0);
-  EXPECT_DOUBLE_EQ(level.at("mean").as_number(), -2.0);
-  EXPECT_DOUBLE_EQ(level.at("sumsq").as_number(), 4.0);
-  EXPECT_DOUBLE_EQ(level.at("count").as_number(), 1.0);
-  EXPECT_TRUE(doc.has("faults"));
-  // The report carries the watchdog section but no time series and no
-  // profile (dropped in v6): per-stage and per-phase times are the
-  // ledger's and the trace's.
-  EXPECT_TRUE(doc.has("watchdog"));
-  EXPECT_FALSE(doc.has("timeseries"));
-  EXPECT_FALSE(doc.has("profile"));
+  // Quantiles are written once, with the histogram they derive from.
+  EXPECT_GT(hist.at("p50").as_number(), 10.0);
+  // A registry gauge row is its value.
+  EXPECT_EQ(doc.at("metrics").at("gauges").at("report_test.level").as_number(),
+            -2.5);
+  // The report carries the watchdog section, complete even when the
+  // monitor never started, and no copy of "metrics": no time series or
+  // profile (dropped in v6), no latency, analysis or faults view
+  // (dropped in v8).
+  const testjson::Value& watchdog = doc.at("watchdog");
+  for (const char* key :
+       {"enabled", "running", "scale", "armed", "fired", "status", "overruns"}) {
+    EXPECT_TRUE(watchdog.has(key)) << key;
+  }
+  for (const char* dropped :
+       {"timeseries", "profile", "latency", "analysis", "faults"}) {
+    EXPECT_FALSE(doc.has(dropped)) << dropped;
+  }
 
   mark_run_partial();
   std::ostringstream partial_out;

@@ -193,9 +193,8 @@ TEST(TelemetrySmoke, MetricsRegistrySawThePipeline) {
                 registry.counter_value("kernels.dispatch.avx512") +
                 registry.counter_value("kernels.dispatch.neon"),
             1u);
-  EXPECT_GT(registry.gauge_value("kernels.active"), 0);
-  const std::string snapshot = registry.snapshot();
-  EXPECT_NE(snapshot.find("senkf.io_read_ns"), std::string::npos);
+  EXPECT_GT(registry.gauge_value("kernels.active"), 0.0);
+  EXPECT_GT(registry.counter_value("senkf.io_read_ns"), 0u);
 }
 
 }  // namespace

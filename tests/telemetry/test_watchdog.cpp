@@ -1,19 +1,28 @@
 // Stall watchdog (DESIGN.md §16): env parsing, arm/disarm bookkeeping,
 // the injected-straggler acceptance (a phase that blows through its
 // deadline fires senkf.watchdog.* within one deadline), the scaled
-// deadlines, and the v4 report section.
+// deadlines, and the JSON object the report and /health write.
 #include "telemetry/liveops/watchdog.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <sstream>
 #include <thread>
 
+#include "telemetry/json_writer.hpp"
 #include "telemetry/metrics.hpp"
 #include "test_json.hpp"
 
 namespace senkf::telemetry::liveops {
 namespace {
+
+testjson::Value watchdog_json(const WatchdogStats& stats) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  write_watchdog(json, stats);
+  return testjson::parse(out.str());
+}
 
 class WatchdogTest : public ::testing::Test {
  protected:
@@ -117,7 +126,7 @@ TEST_F(WatchdogTest, ScopeArmsAndDisarmsRaii) {
   }
 }
 
-TEST_F(WatchdogTest, SectionJsonReportsStalledStatus) {
+TEST_F(WatchdogTest, JsonReportsStalledStatus) {
   start_watchdog(1.0);
   watchdog_arm("json_phase", 0.02, 4);
   const auto give_up = std::chrono::steady_clock::now() +
@@ -126,7 +135,7 @@ TEST_F(WatchdogTest, SectionJsonReportsStalledStatus) {
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  const testjson::Value doc = testjson::parse(watchdog_section_json());
+  const testjson::Value doc = watchdog_json(watchdog_stats());
   EXPECT_TRUE(doc.at("enabled").as_bool());
   EXPECT_DOUBLE_EQ(doc.at("scale").as_number(), 1.0);
   EXPECT_GE(doc.at("armed").as_number(), 1.0);
@@ -135,6 +144,17 @@ TEST_F(WatchdogTest, SectionJsonReportsStalledStatus) {
   ASSERT_EQ(doc.at("overruns").as_array().size(), 1u);
   EXPECT_EQ(doc.at("overruns").as_array()[0].at("phase").as_string(),
             "json_phase");
+}
+
+TEST(WatchdogJson, NeverStartedMonitorWritesEveryField) {
+  const testjson::Value doc = watchdog_json(WatchdogStats{});
+  EXPECT_FALSE(doc.at("enabled").as_bool());
+  EXPECT_FALSE(doc.at("running").as_bool());
+  EXPECT_EQ(doc.at("armed").as_number(), 0.0);
+  EXPECT_EQ(doc.at("fired").as_number(), 0.0);
+  EXPECT_EQ(doc.at("status").as_string(), "ok");
+  EXPECT_TRUE(doc.at("overruns").as_array().empty());
+  EXPECT_TRUE(doc.has("scale"));
 }
 
 TEST_F(WatchdogTest, ClearResetsTheLedger) {
