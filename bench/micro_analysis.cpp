@@ -3,8 +3,8 @@
 // deterministic ensemble transform, across expansion sizes and ensemble
 // sizes, plus the patch shape of the end-to-end ocean-stoch workload, a
 // cold observation localization and the per-cycle innovation χ² at both
-// end-to-end workloads' networks, and the model forecast a cycle runs
-// before its analysis.
+// end-to-end workloads' networks, the model forecast a cycle runs
+// before its analysis, and the synthetic scenario a set-up draws.
 // These are the per-stage compute costs the "c" constant of the cost
 // model abstracts.
 // Each entry also reports patches/sec (items_per_second) and a
@@ -207,6 +207,34 @@ void BM_ModelForecast(benchmark::State& state) {
 BENCHMARK(BM_ModelForecast)
     ->Args({180, 33})
     ->Args({360, 65})
+    ->Unit(benchmark::kMillisecond);
+
+// The synthetic scenario each end-to-end workload (e2ebench) draws in its
+// set-up: a truth and N members of 24 modes each, (nx, N) = (180, 16) on
+// ocean-stoch's 180×90 mesh and (360, 32) on ocean-det-files' 360×180,
+// with their correlation length, mean and background error.
+// items_per_second counts grid points generated.
+void BM_SyntheticEnsemble(benchmark::State& state) {
+  const auto nx = static_cast<grid::Index>(state.range(0));
+  const auto members = static_cast<grid::Index>(state.range(1));
+  const grid::LatLonGrid mesh(nx, nx / 2, 22.0, 22.0);
+  grid::SyntheticFieldOptions options;
+  options.correlation_length_km = 600.0;
+  options.mean = 15.0;
+  for (auto _ : state) {
+    Rng rng(1);
+    benchmark::DoNotOptimize(
+        grid::synthetic_ensemble(mesh, members, rng, 0.4, options));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(members + 1) *
+                          static_cast<std::int64_t>(mesh.size()));
+  state.SetLabel(std::to_string(members + 1) + " fields " +
+                 std::to_string(nx) + "x" + std::to_string(nx / 2));
+}
+BENCHMARK(BM_SyntheticEnsemble)
+    ->Args({180, 16})
+    ->Args({360, 32})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -32,8 +32,9 @@ class EnsembleStore {
   virtual const grid::LatLonGrid& grid() const = 0;
   virtual Index members() const = 0;
 
-  /// Reads the whole member (used to seed analysis fields and by the
-  /// single-reader L-EnKF path); counted as one contiguous read.
+  /// Reads the whole member (the serial reference's background); counted
+  /// as one contiguous read.  The parallel engines never call it: they
+  /// read blocks or bars and build their output from gathered results.
   virtual grid::Field load_member(Index k) const = 0;
 
   /// Block read: extracts `rect` of member `k`; costs one segment per

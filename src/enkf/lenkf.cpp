@@ -144,22 +144,9 @@ std::vector<grid::Field> lenkf(const EnsembleStore& store,
       return;
     }
 
-    std::vector<grid::Field> fields;
-    fields.reserve(n_members);
-    for (Index k = 0; k < n_members; ++k) fields.push_back(store.load_member(k));
-
     // Member ids are 0..N−1, so they double as the field slots.
-    insert_results(results.take_shared(), member_ids, fields);
-    for (int r = 1; r < world.size(); ++r) {
-      parcomm::Envelope envelope;
-      {
-        telemetry::TraceSpan wait_span(telemetry::Category::kWait,
-                                       "result_wait");
-        envelope = world.recv(r, kResultTag);
-        wait_span.set_flow(telemetry::FlowDir::kIn, envelope.ctx.span_id);
-      }
-      insert_results(envelope.payload, member_ids, fields);
-    }
+    auto fields = gather_results(world, kResultTag, world.size(), store.grid(),
+                                 member_ids, n_members, results.take_shared());
     std::lock_guard<std::mutex> lock(result_mutex);
     result = std::move(fields);
   });

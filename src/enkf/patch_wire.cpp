@@ -1,5 +1,9 @@
 #include "enkf/patch_wire.hpp"
 
+#include <string>
+
+#include "telemetry/trace.hpp"
+
 namespace senkf::enkf {
 
 namespace {
@@ -18,6 +22,24 @@ grid::Rect unpack_rect(parcomm::Unpacker& unpacker) {
   rect.y.begin = unpacker.get<std::uint64_t>();
   rect.y.end = unpacker.get<std::uint64_t>();
   return rect;
+}
+
+/// Inserts one rank's result payload and adds each block's value count
+/// to its field's tally in `received`.
+void insert_results(const parcomm::SharedPayload& payload,
+                    std::span<const grid::Index> slot,
+                    std::span<grid::Field> fields,
+                    std::span<grid::Index> received) {
+  parcomm::Unpacker unpacker(payload);
+  const auto count = unpacker.get<std::uint64_t>();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto member = unpacker.get<std::uint64_t>();
+    SENKF_REQUIRE(member < slot.size() && slot[member] < fields.size(),
+                  "insert_results: result for a dropped or unknown member");
+    const PatchView block = unpack_patch_view(unpacker);
+    fields[slot[member]].insert(block);
+    received[slot[member]] += block.size();
+  }
 }
 
 }  // namespace
@@ -62,17 +84,34 @@ PatchView unpack_patch_view(parcomm::Unpacker& unpacker) {
   return PatchView(rect, values);
 }
 
-void insert_results(const parcomm::SharedPayload& payload,
-                    std::span<const grid::Index> slot,
-                    std::span<grid::Field> fields) {
-  parcomm::Unpacker unpacker(payload);
-  const auto count = unpacker.get<std::uint64_t>();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto member = unpacker.get<std::uint64_t>();
-    SENKF_REQUIRE(member < slot.size() && slot[member] < fields.size(),
-                  "insert_results: result for a dropped or unknown member");
-    fields[slot[member]].insert(unpack_patch_view(unpacker));
+std::vector<grid::Field> gather_results(parcomm::Communicator& world, int tag,
+                                        int n_ranks,
+                                        const grid::LatLonGrid& grid,
+                                        std::span<const grid::Index> slot,
+                                        std::size_t n_fields,
+                                        const parcomm::SharedPayload& results) {
+  std::vector<grid::Field> fields(n_fields, grid::Field(grid));
+  std::vector<grid::Index> received(n_fields, 0);
+  insert_results(results, slot, fields, received);
+  for (int r = 1; r < n_ranks; ++r) {
+    parcomm::Envelope envelope;
+    {
+      telemetry::TraceSpan wait_span(telemetry::Category::kWait,
+                                     "result_wait");
+      envelope = world.recv(r, tag);
+      wait_span.set_flow(telemetry::FlowDir::kIn, envelope.ctx.span_id);
+    }
+    insert_results(envelope.payload, slot, fields, received);
   }
+  for (std::size_t f = 0; f < n_fields; ++f) {
+    if (received[f] != grid.size()) {
+      throw ProtocolError("gather_results: analysis field " +
+                          std::to_string(f) + " received " +
+                          std::to_string(received[f]) + " of " +
+                          std::to_string(grid.size()) + " values");
+    }
+  }
+  return fields;
 }
 
 }  // namespace senkf::enkf

@@ -1,4 +1,5 @@
-// Wire codec for grid patches used by every parcomm-based implementation.
+// Wire codec for grid patches used by every parcomm-based implementation,
+// and rank 0's result gather built on it.
 //
 // The wire format of one block is: 4 u64 rect bounds, then a u64 count,
 // then `count` doubles (the same framing as Packer::put_span, so the body
@@ -9,8 +10,10 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "grid/field.hpp"
+#include "parcomm/communicator.hpp"
 #include "parcomm/wire.hpp"
 
 namespace senkf::enkf {
@@ -48,13 +51,22 @@ std::span<double> pack_patch_slot(parcomm::Packer& packer, grid::Rect rect);
 /// handle alongside the view (DESIGN.md §10).
 PatchView unpack_patch_view(parcomm::Unpacker& unpacker);
 
-/// Decodes one rank's result payload, [u64 count]([u64 member][patch
-/// block])*, inserting each block straight from the payload bytes into
-/// fields[slot[member]] — no intermediate Patch.  A member without a
-/// slot (member ≥ slot.size() or slot[member] ≥ fields.size(): dropped
-/// or unknown) is rejected.
-void insert_results(const parcomm::SharedPayload& payload,
-                    std::span<const grid::Index> slot,
-                    std::span<grid::Field> fields);
+/// Rank 0's half of the result gather that L-, P- and S-EnKF share.
+/// Builds a zero field over `grid` for each of `n_fields` analysis slots,
+/// inserts rank 0's own `results`, then receives one `tag` payload from
+/// each of ranks 1 … n_ranks−1 in rank order and inserts it.  A result
+/// payload is [u64 count]([u64 member][patch block])*; each block goes
+/// straight from the payload bytes into fields[slot[member]] — no
+/// intermediate Patch — and a member without a slot (member ≥
+/// slot.size() or slot[member] ≥ n_fields: dropped or unknown) is
+/// rejected.  The ranks' layer targets tile the grid, so every field must
+/// receive exactly grid.size() values; any other count is a
+/// ProtocolError, since a lost block would otherwise read as zeros.
+std::vector<grid::Field> gather_results(parcomm::Communicator& world, int tag,
+                                        int n_ranks,
+                                        const grid::LatLonGrid& grid,
+                                        std::span<const grid::Index> slot,
+                                        std::size_t n_fields,
+                                        const parcomm::SharedPayload& results);
 
 }  // namespace senkf::enkf

@@ -648,36 +648,16 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
     return;
   }
 
-  // Rank 0 assembles the analysis fields for the surviving members.
-  const std::vector<Index> dropped = buffers.dead_members();
+  // Rank 0 assembles the analysis fields for the surviving members;
+  // `position` maps a member to its field slot, dropped members have none.
   std::vector<Index> position(n_members, n_members);
-  std::vector<grid::Field> fields;
-  fields.reserve(live.size());
-  const pfs::Sleeper sleeper = pfs::real_sleeper();
   for (std::size_t idx = 0; idx < live.size(); ++idx) {
-    const Index member = live[idx];
-    position[member] = static_cast<Index>(idx);
-    // Background loads go through the same retry policy as bar reads: a
-    // transient fault here must not abort a run the pipeline survived.
-    fields.push_back(pfs::with_retry(
-        config.fault.retry, pfs::op_key(member, ~std::uint64_t{0}), sleeper,
-        [&] { return store.load_member(member); },
-        [&](int) { counts.retries.add(1); }));
+    position[live[idx]] = static_cast<Index>(idx);
   }
-  // `position` maps a member to its field slot; dropped members have none.
-  insert_results(results.take_shared(), position, fields);
-  for (Index r = 1; r < config.computation_ranks(); ++r) {
-    parcomm::Envelope envelope;
-    {
-      telemetry::TraceSpan wait_span(telemetry::Category::kWait,
-                                     "result_wait");
-      envelope = world.recv(static_cast<int>(r), kResultTag);
-      wait_span.set_flow(telemetry::FlowDir::kIn, envelope.ctx.span_id);
-    }
-    insert_results(envelope.payload, position, fields);
-  }
-  *result_out = std::move(fields);
-  *dropped_out = dropped;
+  const int n_comp = static_cast<int>(config.computation_ranks());
+  *result_out = gather_results(world, kResultTag, n_comp, store.grid(),
+                               position, live.size(), results.take_shared());
+  *dropped_out = buffers.dead_members();
 }
 
 double seconds(std::uint64_t ns) { return static_cast<double>(ns) / 1e9; }

@@ -42,22 +42,36 @@ std::vector<Mode> draw_modes(const LatLonGrid& grid, Rng& rng,
   for (auto& mode : modes) mode.weight *= scale;
   return modes;
 }
+
+/// Adds Σ weight·cos(kx·x + ky·y + phase) over `modes` onto `field`.  The
+/// identity cos(a + b) = cos a·cos b − sin a·sin b separates each mode
+/// into a column table (a = kx·x) and a row pair (b = ky·y + phase), so a
+/// mode costs 2·(nx + ny) trig calls and two multiply-adds per point.
+void add_modes(Field& field, const std::vector<Mode>& modes) {
+  const Index nx = field.grid().nx();
+  const Index ny = field.grid().ny();
+  std::vector<double> cos_x(nx), sin_x(nx);
+  for (const Mode& mode : modes) {
+    for (Index x = 0; x < nx; ++x) {
+      const double kx_x = mode.kx * static_cast<double>(x);
+      cos_x[x] = std::cos(kx_x);
+      sin_x[x] = std::sin(kx_x);
+    }
+    for (Index y = 0; y < ny; ++y) {
+      const double ky_y = mode.ky * static_cast<double>(y) + mode.phase;
+      const double c = mode.weight * std::cos(ky_y);
+      const double s = mode.weight * std::sin(ky_y);
+      double* row = field.data().data() + y * nx;
+      for (Index x = 0; x < nx; ++x) row[x] += c * cos_x[x] - s * sin_x[x];
+    }
+  }
+}
 }  // namespace
 
 Field synthetic_field(const LatLonGrid& grid, Rng& rng,
                       const SyntheticFieldOptions& options) {
-  const std::vector<Mode> modes = draw_modes(grid, rng, options);
   Field field(grid, options.mean);
-  for (const Mode& mode : modes) {
-    for (Index y = 0; y < grid.ny(); ++y) {
-      const double ky_y = mode.ky * static_cast<double>(y) + mode.phase;
-      double* row = field.data().data() + y * grid.nx();
-      for (Index x = 0; x < grid.nx(); ++x) {
-        row[x] += mode.weight *
-                  std::cos(mode.kx * static_cast<double>(x) + ky_y);
-      }
-    }
-  }
+  add_modes(field, draw_modes(grid, rng, options));
   return field;
 }
 
@@ -72,12 +86,12 @@ SyntheticEnsemble synthetic_ensemble(const LatLonGrid& grid, Index n_members,
 
   SyntheticFieldOptions perturbation = options;
   perturbation.amplitude = background_error;
-  perturbation.mean = 0.0;
   for (Index k = 0; k < n_members; ++k) {
     Rng member_rng = rng.child(k + 1);
+    // The member's correlated error goes straight onto its copy of the
+    // truth, with no intermediate noise field.
     Field member = out.truth;
-    const Field noise = synthetic_field(grid, member_rng, perturbation);
-    for (Index i = 0; i < member.size(); ++i) member[i] += noise[i];
+    add_modes(member, draw_modes(grid, member_rng, perturbation));
     out.members.push_back(std::move(member));
   }
   return out;

@@ -8,6 +8,9 @@
 // segment counters.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "enkf/diagnostics.hpp"
 #include "enkf/lenkf.hpp"
 #include "enkf/penkf.hpp"
@@ -96,6 +99,42 @@ TEST(Agreement, SenkfSingleLayerMatchesPenkf) {
   const auto p = penkf(w.store, w.observations, w.ys, run_config(1));
   const auto s = senkf(w.store, w.observations, w.ys, senkf_config(1, 2));
   EXPECT_DOUBLE_EQ(max_ensemble_difference(p, s), 0.0);
+}
+
+/// Forwards block and bar reads to `base`, but a whole-member load throws:
+/// the engines build their output from gathered results alone, never by
+/// re-reading the background.
+class NoWholeMemberLoads final : public EnsembleStore {
+ public:
+  explicit NoWholeMemberLoads(const EnsembleStore& base) : base_(base) {}
+
+  const grid::LatLonGrid& grid() const override { return base_.grid(); }
+  Index members() const override { return base_.members(); }
+  grid::Field load_member(Index k) const override {
+    throw std::logic_error("load_member(" + std::to_string(k) +
+                           ") called by a parallel engine");
+  }
+  grid::Patch read_block(Index k, grid::Rect rect) const override {
+    return base_.read_block(k, rect);
+  }
+  grid::Patch read_bar(Index k, grid::IndexRange rows) const override {
+    return base_.read_bar(k, rows);
+  }
+
+ private:
+  const EnsembleStore& base_;
+};
+
+TEST(Agreement, ParallelEnginesNeverLoadWholeMembers) {
+  const World w(6);
+  const NoWholeMemberLoads store(w.store);
+  const auto gold = serial_enkf(w.store, w.observations, w.ys, run_config(3));
+  const auto l = lenkf(store, w.observations, w.ys, run_config(3));
+  const auto p = penkf(store, w.observations, w.ys, run_config(3));
+  const auto s = senkf(store, w.observations, w.ys, senkf_config(3, 2));
+  EXPECT_EQ(max_ensemble_difference(gold, l), 0.0);
+  EXPECT_EQ(max_ensemble_difference(gold, p), 0.0);
+  EXPECT_EQ(max_ensemble_difference(gold, s), 0.0);
 }
 
 TEST(Agreement, SenkfThreadedAnalysisMatchesSerialExactly) {
