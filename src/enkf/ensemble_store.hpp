@@ -34,7 +34,7 @@ class EnsembleStore {
 
   /// Reads the whole member (the serial reference's background); counted
   /// as one contiguous read.  The parallel engines never call it: they
-  /// read blocks or bars and build their output from gathered results.
+  /// read blocks or bars and write their output from the layer analyses.
   virtual grid::Field load_member(Index k) const = 0;
 
   /// Block read: extracts `rect` of member `k`; costs one segment per

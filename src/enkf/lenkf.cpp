@@ -1,7 +1,5 @@
 #include "enkf/lenkf.hpp"
 
-#include <mutex>
-
 #include "enkf/patch_wire.hpp"
 #include "parcomm/runtime.hpp"
 #include "telemetry/liveops/liveops.hpp"
@@ -12,7 +10,6 @@ namespace senkf::enkf {
 
 namespace {
 constexpr int kDataTag = 1;
-constexpr int kResultTag = 2;
 
 /// Phase totals in the registry, so an LEnKF run shows up in the metrics
 /// dump of the SENKF_REPORT export alongside the senkf.* counters.
@@ -47,8 +44,10 @@ std::vector<grid::Field> lenkf(const EnsembleStore& store,
       static_cast<int>(decomposition.subdomain_count());
   const Index n_members = store.members();
 
-  std::vector<grid::Field> result;
-  std::mutex result_mutex;
+  // One zero field per member; every rank writes its layer targets into
+  // them.  The targets tile the grid, so the writes are disjoint, and the
+  // Runtime::run join orders them before the return.
+  std::vector<grid::Field> result(n_members, grid::Field(store.grid()));
 
   // Live-operations arming, as in every engine: no-op unless
   // SENKF_HTTP / SENKF_WATCHDOG set.
@@ -108,23 +107,9 @@ std::vector<grid::Field> lenkf(const EnsembleStore& store,
 
     // --- local update: layer by layer, same kernel everywhere ------------
     // The kernel gathers each layer's expansion window in place from the
-    // subdomain views (no per-layer extract() copies) and projects the
-    // analysis straight into the results payload.
-    std::vector<Index> member_ids(n_members);
-    for (Index k = 0; k < n_members; ++k) member_ids[k] = k;
+    // subdomain views (no per-layer extract() copies); the rank inserts
+    // the analysis straight into the output fields.
     LocalAnalysisWorkspace& ws = LocalAnalysisWorkspace::for_this_thread();
-    parcomm::Packer results;
-    {
-      std::size_t bytes = sizeof(std::uint64_t);
-      for (Index l = 0; l < config.layers; ++l) {
-        bytes += n_members *
-                 (sizeof(std::uint64_t) +
-                  packed_patch_size(decomposition.layer(my_id, l,
-                                                        config.layers)));
-      }
-      results.reserve(bytes);
-    }
-    results.put<std::uint64_t>(config.layers * n_members);
     for (Index l = 0; l < config.layers; ++l) {
       telemetry::CountedSpan update_span(telemetry::Category::kUpdate,
                                          "local_analysis",
@@ -133,25 +118,13 @@ std::vector<grid::Field> lenkf(const EnsembleStore& store,
       const grid::Rect target = decomposition.layer(my_id, l, config.layers);
       const grid::Rect expansion =
           decomposition.layer_expansion(my_id, l, config.layers);
-      local_analysis_packed(my_members, expansion, target, observations,
-                            perturbed, config.analysis, member_ids, ws,
-                            results);
+      const AnalysisView local =
+          local_analysis_scratch(my_members, expansion, target, observations,
+                                 perturbed, config.analysis, ws);
+      for (Index k = 0; k < n_members; ++k) result[k].insert(local.members[k]);
     }
-
-    // --- gather at rank 0 -------------------------------------------------
-    if (world.rank() != 0) {
-      world.send(0, kResultTag, results.take());
-      return;
-    }
-
-    // Member ids are 0..N−1, so they double as the field slots.
-    auto fields = gather_results(world, kResultTag, world.size(), store.grid(),
-                                 member_ids, n_members, results.take_shared());
-    std::lock_guard<std::mutex> lock(result_mutex);
-    result = std::move(fields);
   });
 
-  SENKF_REQUIRE(!result.empty(), "lenkf: no result produced");
   return result;
 }
 

@@ -2,9 +2,10 @@
 //
 // One processor reads the background ensemble members one after another
 // and scatters each rank's expansion patch serially; every rank then runs
-// the same local analysis kernel and the results are gathered back.  The
-// reading strategy is the performance defect the paper starts from; the
-// numerics are identical to every other implementation.
+// the same local analysis kernel and writes its layer targets straight
+// into the output fields.  The reading strategy is the performance defect
+// the paper starts from; the numerics are identical to every other
+// implementation.
 #pragma once
 
 #include "enkf/serial_enkf.hpp"

@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "enkf/patch_wire.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/covariance.hpp"
@@ -245,57 +244,6 @@ linalg::Matrix deterministic_transform(const LoadedEnsemble& ens,
   return xa;
 }
 
-/// One engine behind both entry points: validate, localize (cached),
-/// skip or compute Xᵃ on the expansion.  Emission — views or wire
-/// bytes — is the caller's final step.
-struct EngineOutput {
-  std::shared_ptr<const obs::LocalObservations> local;
-  linalg::Matrix xa;  ///< workspace scratch; unset when local is empty
-};
-
-EngineOutput analyze(std::span<const grid::PatchView> background,
-                     grid::Rect expansion, grid::Rect target,
-                     const obs::ObservationSet& observations,
-                     const linalg::Matrix& perturbed,
-                     const AnalysisOptions& options,
-                     LocalAnalysisWorkspace& ws) {
-  SENKF_REQUIRE(background.size() >= 2,
-                "local_analysis: need at least 2 ensemble members");
-  for (const auto& patch : background) {
-    SENKF_REQUIRE(grid::rect_contains(patch.rect(), expansion),
-                  "local_analysis: members must cover the expansion rect");
-  }
-  SENKF_REQUIRE(grid::rect_contains(expansion, target),
-                "local_analysis: target must lie inside the expansion");
-  SENKF_REQUIRE(perturbed.cols() == background.size(),
-                "local_analysis: Ys must have one column per member");
-  SENKF_REQUIRE(perturbed.rows() == observations.size(),
-                "local_analysis: Ys must have one row per observation");
-
-  SENKF_REQUIRE(options.inflation >= 1.0,
-                "local_analysis: inflation must be >= 1");
-
-  patches_counter().add(1);
-
-  EngineOutput out;
-  out.local = obs::localized(observations, expansion);
-
-  if (out.local->empty()) {
-    // No information to assimilate: the analysis equals the background.
-    return out;
-  }
-
-  LoadedEnsemble ens =
-      load_ensemble(background, expansion, options.inflation, ws);
-  if (options.kind == AnalysisKind::kDeterministicTransform) {
-    out.xa = deterministic_transform(ens, *out.local, ws);
-  } else {
-    out.xa = stochastic_update(std::move(ens), *out.local, expansion,
-                               options, perturbed, ws);
-  }
-  return out;
-}
-
 /// Writes member k's target-rect values (the implicit P of eq. (6))
 /// row-major into `dst` — exactly the order Patch::local_index induces.
 void project_member(const linalg::Matrix& xa, Index k, grid::Rect target,
@@ -334,48 +282,54 @@ AnalysisView local_analysis_scratch(std::span<const grid::PatchView> background,
                                     const AnalysisOptions& options,
                                     LocalAnalysisWorkspace& workspace) {
   workspace.reset();
-  const EngineOutput out = analyze(background, expansion, target,
-                                   observations, perturbed, options,
-                                   workspace);
-  AnalysisView result;
-  result.local_observations = out.local->size();
+  SENKF_REQUIRE(background.size() >= 2,
+                "local_analysis: need at least 2 ensemble members");
+  for (const auto& patch : background) {
+    SENKF_REQUIRE(grid::rect_contains(patch.rect(), expansion),
+                  "local_analysis: members must cover the expansion rect");
+  }
+  SENKF_REQUIRE(grid::rect_contains(expansion, target),
+                "local_analysis: target must lie inside the expansion");
+  SENKF_REQUIRE(perturbed.cols() == background.size(),
+                "local_analysis: Ys must have one column per member");
+  SENKF_REQUIRE(perturbed.rows() == observations.size(),
+                "local_analysis: Ys must have one row per observation");
+
+  SENKF_REQUIRE(options.inflation >= 1.0,
+                "local_analysis: inflation must be >= 1");
+
+  patches_counter().add(1);
+
+  const std::shared_ptr<const obs::LocalObservations> local =
+      obs::localized(observations, expansion);
+  // Xᵃ on the expansion (workspace scratch); unset when there is no
+  // observation to assimilate and the analysis equals the background.
+  linalg::Matrix xa;
+  if (!local->empty()) {
+    LoadedEnsemble ens =
+        load_ensemble(background, expansion, options.inflation, workspace);
+    if (options.kind == AnalysisKind::kDeterministicTransform) {
+      xa = deterministic_transform(ens, *local, workspace);
+    } else {
+      xa = stochastic_update(std::move(ens), *local, expansion, options,
+                             perturbed, workspace);
+    }
+  }
+
   auto views = workspace.views(background.size());
   for (Index k = 0; k < background.size(); ++k) {
     auto slab = workspace.arena().allocate_span<double>(target.count());
-    if (out.local->empty()) {
+    if (local->empty()) {
       extract_member(background[k], target, slab);
     } else {
-      project_member(out.xa, k, target, expansion, slab);
+      project_member(xa, k, target, expansion, slab);
     }
     views[k] = grid::PatchView(target, slab);
   }
+  AnalysisView result;
   result.members = views;
+  result.local_observations = local->size();
   return result;
-}
-
-void local_analysis_packed(std::span<const grid::PatchView> background,
-                           grid::Rect expansion, grid::Rect target,
-                           const obs::ObservationSet& observations,
-                           const linalg::Matrix& perturbed,
-                           const AnalysisOptions& options,
-                           std::span<const Index> member_ids,
-                           LocalAnalysisWorkspace& workspace,
-                           parcomm::Packer& out) {
-  SENKF_REQUIRE(member_ids.size() == background.size(),
-                "local_analysis_packed: one member id per member");
-  workspace.reset();
-  const EngineOutput engine = analyze(background, expansion, target,
-                                      observations, perturbed, options,
-                                      workspace);
-  for (Index k = 0; k < background.size(); ++k) {
-    out.put<std::uint64_t>(member_ids[k]);
-    if (engine.local->empty()) {
-      pack_patch_block(out, background[k], target);
-    } else {
-      project_member(engine.xa, k, target, expansion,
-                     pack_patch_slot(out, target));
-    }
-  }
 }
 
 }  // namespace senkf::enkf

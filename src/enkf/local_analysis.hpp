@@ -19,15 +19,10 @@
 //
 // Execution model (DESIGN.md §15): all temporaries come from a
 // LocalAnalysisWorkspace, the observation localization comes from the
-// process-wide cache (obs/local_obs_cache.hpp), and results are emitted
-// two ways:
-//   * local_analysis_scratch — arena-backed views, zero allocation in
-//     steady state; what the serial reference and the benchmark's patch
-//     replay consume.
-//   * local_analysis_packed — projects straight into a Packer's payload
-//     bytes, for the L-, P- and S-EnKF ranks whose next step is the wire.
-// Both run the same engine, so their values agree bit-for-bit with each
-// other.
+// process-wide cache (obs/local_obs_cache.hpp), and the result is one
+// arena-backed view per member (local_analysis_scratch, zero allocation
+// in steady state).  Every engine inserts those views into its output
+// fields at the layer target.
 #pragma once
 
 #include <span>
@@ -37,10 +32,6 @@
 #include "linalg/modified_cholesky.hpp"
 #include "obs/local_obs.hpp"
 #include "obs/perturbed.hpp"
-
-namespace senkf::parcomm {
-class Packer;
-}  // namespace senkf::parcomm
 
 namespace senkf::enkf {
 
@@ -95,19 +86,6 @@ AnalysisView local_analysis_scratch(std::span<const grid::PatchView> background,
                                     const linalg::Matrix& perturbed,
                                     const AnalysisOptions& options,
                                     LocalAnalysisWorkspace& workspace);
-
-/// Same analysis, emitted straight onto the wire: for each member k the
-/// sequence [u64 member_ids[k]][patch block over `target`] is appended
-/// to `out`, the projection writing into the payload bytes in place.
-/// Byte-identical to pack_patch of local_analysis_scratch's views.
-void local_analysis_packed(std::span<const grid::PatchView> background,
-                           grid::Rect expansion, grid::Rect target,
-                           const obs::ObservationSet& observations,
-                           const linalg::Matrix& perturbed,
-                           const AnalysisOptions& options,
-                           std::span<const Index> member_ids,
-                           LocalAnalysisWorkspace& workspace,
-                           parcomm::Packer& out);
 
 /// The localized predecessor oracle used for B̂⁻¹: predecessors of a point
 /// are the earlier points (row-major order within the expansion) whose

@@ -1,8 +1,5 @@
 #include "enkf/penkf.hpp"
 
-#include <mutex>
-
-#include "enkf/patch_wire.hpp"
 #include "parcomm/runtime.hpp"
 #include "support/thread_pool.hpp"
 #include "telemetry/liveops/liveops.hpp"
@@ -12,7 +9,6 @@
 namespace senkf::enkf {
 
 namespace {
-constexpr int kResultTag = 2;
 
 /// Phase totals in the registry, so a PEnKF run shows up in the metrics
 /// dump of the SENKF_REPORT export alongside the senkf.* counters.
@@ -44,8 +40,10 @@ std::vector<grid::Field> penkf(const EnsembleStore& store,
   const int n_procs = static_cast<int>(decomposition.subdomain_count());
   const Index n_members = store.members();
 
-  std::vector<grid::Field> result;
-  std::mutex result_mutex;
+  // One zero field per member; every pool task of every rank writes its
+  // layer target into them.  The targets tile the grid, so the writes are
+  // disjoint, and the Runtime::run join orders them before the return.
+  std::vector<grid::Field> result(n_members, grid::Field(store.grid()));
 
   // Live-operations arming, as in every engine: no-op unless
   // SENKF_HTTP / SENKF_WATCHDOG set.
@@ -70,17 +68,12 @@ std::vector<grid::Field> penkf(const EnsembleStore& store,
 
     // --- phase 2: local update (no inter-processor communication) --------
     // The layer analyses are independent (they only read `my_members`),
-    // so they fan out across the rank's analysis pool; each task packs
-    // its layer straight off the projection and the payloads are
-    // concatenated in layer order afterwards, keeping the output
-    // bit-identical to the sequential loop for any pool width.  The
-    // kernel gathers each layer's expansion window in place from the
-    // subdomain bars — no per-layer extract() copies.
+    // so they fan out across the rank's analysis pool; each task inserts
+    // its layer straight into the output fields, so any pool width writes
+    // the same values.  The kernel gathers each layer's expansion window
+    // in place from the subdomain bars — no per-layer extract() copies.
     std::vector<grid::PatchView> member_views(my_members.begin(),
                                               my_members.end());
-    std::vector<Index> member_ids(n_members);
-    for (Index k = 0; k < n_members; ++k) member_ids[k] = k;
-    std::vector<parcomm::Packer> layer_packs(config.layers);
     ThreadPool pool(
         ThreadPool::resolve_thread_count(config.analysis_threads));
     const int my_rank = world.rank();
@@ -93,38 +86,14 @@ std::vector<grid::Field> penkf(const EnsembleStore& store,
       const grid::Rect target = decomposition.layer(my_id, l, config.layers);
       const grid::Rect expansion =
           decomposition.layer_expansion(my_id, l, config.layers);
-      parcomm::Packer& pack = layer_packs[l];
-      pack.reserve(n_members *
-                   (sizeof(std::uint64_t) + packed_patch_size(target)));
-      local_analysis_packed(member_views, expansion, target, observations,
-                            perturbed, config.analysis, member_ids,
-                            LocalAnalysisWorkspace::for_this_thread(), pack);
+      LocalAnalysisWorkspace& ws = LocalAnalysisWorkspace::for_this_thread();
+      const AnalysisView local =
+          local_analysis_scratch(member_views, expansion, target, observations,
+                                 perturbed, config.analysis, ws);
+      for (Index k = 0; k < n_members; ++k) result[k].insert(local.members[k]);
     });
-    parcomm::Packer results;
-    {
-      std::size_t bytes = sizeof(std::uint64_t);
-      for (Index l = 0; l < config.layers; ++l) bytes += layer_packs[l].size();
-      results.reserve(bytes);
-    }
-    results.put<std::uint64_t>(config.layers * n_members);
-    for (Index l = 0; l < config.layers; ++l) {
-      const parcomm::Payload payload = layer_packs[l].take();
-      results.put_raw(payload.data(), payload.size());
-    }
-
-    // --- gather at rank 0 -------------------------------------------------
-    if (world.rank() != 0) {
-      world.send(0, kResultTag, results.take());
-      return;
-    }
-    // Member ids are 0..N−1, so they double as the field slots.
-    auto fields = gather_results(world, kResultTag, world.size(), store.grid(),
-                                 member_ids, n_members, results.take_shared());
-    std::lock_guard<std::mutex> lock(result_mutex);
-    result = std::move(fields);
   });
 
-  SENKF_REQUIRE(!result.empty(), "penkf: no result produced");
   return result;
 }
 

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -30,13 +31,12 @@ namespace senkf::enkf {
 namespace {
 
 constexpr int kBlockTag = 1;
-constexpr int kResultTag = 2;
 
 /// Payload discriminators on kBlockTag (first u64 of every message).
 /// A kKindBlock message is a framed multi-block batch:
 ///   {kKindBlock, layer, block…} where block = {member, rect, count,
-///   doubles} — the pack_patch framing per block, read until the payload
-///   is exhausted.  Every field is 8 bytes, so each block body stays
+///   doubles} — the pack_patch_block framing per block, read until the
+///   payload is exhausted.  Every field is 8 bytes, so each block body stays
 ///   8-byte aligned and receivers consume it as a PatchView in place.
 constexpr std::uint64_t kKindBlock = 0;
 constexpr std::uint64_t kKindDead = 1;
@@ -233,16 +233,6 @@ class StageBuffers {
       if (accounted_[stage] == members_) ++complete;
     }
     return complete;
-  }
-
-  /// Sorted dead members (stable once every stage completed).
-  std::vector<Index> dead_members() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<Index> out;
-    for (Index k = 0; k < members_; ++k) {
-      if (dead_[k] != 0) out.push_back(k);
-    }
-    return out;
   }
 
  private:
@@ -474,8 +464,7 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
                    const obs::ObservationSet& observations,
                    const linalg::Matrix& perturbed,
                    const SenkfConfig& config, ObservabilityContext& ctx,
-                   std::vector<grid::Field>* result_out,
-                   std::vector<Index>* dropped_out) {
+                   std::span<grid::Field> result, std::vector<Index>& live) {
   const grid::SubdomainId my_id{layout.comp_i(world.rank()),
                                 layout.comp_j(world.rank())};
   const Index n_members = store.members();
@@ -536,17 +525,12 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   } join_guard{helper};
 
   std::vector<StageBuffers::Stage> stage_data(config.layers);
-  // Each task packs its layer's results straight off the analysis
-  // projection ([u64 member][patch block] per member, exact-reserved), so
-  // the main thread concatenates payload bytes instead of re-packing
-  // owning patches.
-  std::vector<parcomm::Packer> layer_packs(config.layers);
   // Analysis pool (§4.2 extended): each completed stage is submitted as
   // an independent task, so while the helper thread drains stage l+1 and
   // the main thread blocks on take_stage, up to `analysis_threads` layer
-  // analyses run concurrently.  Every task writes only its own slot of
-  // `stage_data` / `layer_packs`, and the results are packed in layer
-  // order below — bit-identical output for any pool width.
+  // analyses run concurrently.  Every task reads only its own slot of
+  // `stage_data` and writes only its layer target of the live members'
+  // output fields — bit-identical output for any pool width.
   // Declared after that data: on a throw, ~ThreadPool drains its queue first.
   ThreadPool pool(
       ThreadPool::resolve_thread_count(config.analysis_threads));
@@ -592,21 +576,19 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
       SENKF_REQUIRE(stage.patches.size() >= 2,
                     "local_analysis: need at least 2 ensemble members");
       const grid::Rect expansion = stage.patches.front().rect();
-      parcomm::Packer& pack = layer_packs[l];
-      pack.reserve(stage.live.size() *
-                   (sizeof(std::uint64_t) + packed_patch_size(target)));
       LocalAnalysisWorkspace& ws = LocalAnalysisWorkspace::for_this_thread();
       // N−k degradation: the analysis runs on the surviving members with
       // the matching Yˢ columns; every ensemble moment is computed over
       // the live count, so the weights renormalize by construction.
-      if (stage.live.size() == n_members) {
-        local_analysis_packed(stage.patches, expansion, target, observations,
-                              perturbed, config.analysis, stage.live, ws,
-                              pack);
-      } else {
-        const linalg::Matrix live_ys = select_columns(perturbed, stage.live);
-        local_analysis_packed(stage.patches, expansion, target, observations,
-                              live_ys, config.analysis, stage.live, ws, pack);
+      std::optional<linalg::Matrix> live_ys;
+      if (stage.live.size() != n_members) {
+        live_ys = select_columns(perturbed, stage.live);
+      }
+      const AnalysisView local = local_analysis_scratch(
+          stage.patches, expansion, target, observations,
+          live_ys ? *live_ys : perturbed, config.analysis, ws);
+      for (Index idx = 0; idx < stage.live.size(); ++idx) {
+        result[stage.live[idx]].insert(local.members[idx]);
       }
     });
   }
@@ -615,49 +597,15 @@ void run_comp_rank(parcomm::Communicator& world, const RankLayout& layout,
   // A member must be live in every stage or none: its file is dead from
   // the start or not at all (retry budgets outlast transient bursts).  A
   // mid-run death would mean stages analysed different ensembles.
-  const std::vector<Index>& live = stage_data[0].live;
   for (Index l = 1; l < config.layers; ++l) {
-    SENKF_REQUIRE(stage_data[l].live == live,
+    SENKF_REQUIRE(stage_data[l].live == stage_data[0].live,
                   "senkf: member died mid-run; stages saw different ensembles");
   }
-
-  parcomm::Packer results;
-  {
-    // Exact-size packing: one reserve (pool-recycled when a buffer
-    // fits), zero reallocation while the layers stream in.
-    std::size_t bytes = sizeof(std::uint64_t);
-    for (Index l = 0; l < config.layers; ++l) {
-      bytes += live.size() *
-               (sizeof(std::uint64_t) +
-                packed_patch_size(decomposition.layer(my_id, l, config.layers)));
-    }
-    results.reserve(bytes);
-  }
-  results.put<std::uint64_t>(config.layers * live.size());
-  for (Index l = 0; l < config.layers; ++l) {
-    const parcomm::Payload payload = layer_packs[l].take();
-    results.put_raw(payload.data(), payload.size());
-  }
+  live = std::move(stage_data[0].live);
   helper.join();
   if (helper_error) std::rethrow_exception(helper_error);
 
   counts.messages.add(helper_messages);
-
-  if (world.rank() != 0) {
-    world.send(0, kResultTag, results.take());
-    return;
-  }
-
-  // Rank 0 assembles the analysis fields for the surviving members;
-  // `position` maps a member to its field slot, dropped members have none.
-  std::vector<Index> position(n_members, n_members);
-  for (std::size_t idx = 0; idx < live.size(); ++idx) {
-    position[live[idx]] = static_cast<Index>(idx);
-  }
-  const int n_comp = static_cast<int>(config.computation_ranks());
-  *result_out = gather_results(world, kResultTag, n_comp, store.grid(),
-                               position, live.size(), results.take_shared());
-  *dropped_out = buffers.dead_members();
 }
 
 double seconds(std::uint64_t ns) { return static_cast<double>(ns) / 1e9; }
@@ -760,8 +708,8 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
                 "senkf: retry.jitter must be in [0, 1)");
 
   const RankLayout layout(config);
-  std::vector<grid::Field> result;
-  std::vector<Index> dropped;
+  // The members each computation rank analysed, written by that rank.
+  std::vector<std::vector<Index>> live(config.computation_ranks());
 
   // Arm the live operations plane (SENKF_HTTP endpoint, SENKF_WATCHDOG)
   // — no-ops when unset — and remember the cycle's start so the
@@ -793,6 +741,12 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     ctx.deadlines = tuning::phase_deadlines(model, params);
   }
 
+  // One zero field per member.  Every computation rank writes its layer
+  // targets into them; the targets tile the grid, so the writes are
+  // disjoint, and the Runtime::run join orders them before the reads
+  // below.
+  std::vector<grid::Field> result(store.members(), grid::Field(store.grid()));
+
   try {
     // A rank's failure (a PermanentReadError when drop_unreadable_members
     // is off) cancels the run: Runtime::run wakes every blocked rank and
@@ -804,9 +758,17 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
             run_io_rank(world, layout, decomposition, store, config, ctx);
           } else {
             run_comp_rank(world, layout, decomposition, store, observations,
-                          perturbed, config, ctx, &result, &dropped);
+                          perturbed, config, ctx, result, live[world.rank()]);
           }
         });
+    // A member dropped by the readers of some sub-domain rows only would
+    // keep its field at zero in those rows' bands (DESIGN.md §9).
+    for (std::size_t rank = 1; rank < live.size(); ++rank) {
+      if (live[rank] != live[0]) {
+        throw ProtocolError("senkf: computation rank " + std::to_string(rank) +
+                            " analysed a different ensemble than rank 0");
+      }
+    }
   } catch (...) {
     // The aborted prefix's reads, sends and retries reach the registry
     // first, so the partial report's metrics and faults sections carry
@@ -822,7 +784,17 @@ std::vector<grid::Field> senkf(const EnsembleStore& store,
     throw;
   }
 
-  SENKF_REQUIRE(!result.empty(), "senkf: no result produced");
+  // Members that no rank analysed were dropped: their fields leave the
+  // result (erased back to front, so the earlier indices stay valid).
+  std::vector<Index> dropped;
+  for (Index k = 0; k < store.members(); ++k) {
+    if (!std::binary_search(live[0].begin(), live[0].end(), k)) {
+      dropped.push_back(k);
+    }
+  }
+  for (auto k = dropped.rbegin(); k != dropped.rend(); ++k) {
+    result.erase(result.begin() + static_cast<std::ptrdiff_t>(*k));
+  }
   publish_ledger(ctx, dropped.size());
 
   // Everything below derives from the run ledger, never from

@@ -52,9 +52,9 @@ struct SenkfConfig {
   /// Width of each computation rank's analysis thread pool: completed
   /// stages are handed to the pool so several layers update concurrently
   /// while the helper thread keeps draining blocks.  0 = hardware
-  /// concurrency capped at 8 (ThreadPool::default_thread_count); results
-  /// are packed in layer order, so any width produces bit-identical
-  /// analyses.
+  /// concurrency capped at 8 (ThreadPool::default_thread_count); each
+  /// layer writes only its own target of the output fields, so any width
+  /// produces bit-identical analyses.
   Index analysis_threads = 0;
   AnalysisOptions analysis;
   FaultToleranceOptions fault;

@@ -29,9 +29,10 @@ struct EnkfRunConfig {
   Index layers = 1;  ///< L: latitude layers per sub-domain
   /// Per-rank analysis pool width for the parallel implementations that
   /// honour it (P-EnKF's update phase): independent layer analyses run
-  /// concurrently, results are consumed in layer order, so any width is
-  /// bit-identical.  0 = hardware concurrency capped at 8.  The serial
-  /// reference ignores this knob and always runs single-threaded.
+  /// concurrently, each writing only its own layer target of the output
+  /// fields, so any width is bit-identical.  0 = hardware concurrency
+  /// capped at 8.  The serial reference ignores this knob and always runs
+  /// single-threaded.
   Index analysis_threads = 0;
   AnalysisOptions analysis;
 };

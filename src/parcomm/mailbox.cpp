@@ -79,7 +79,7 @@ std::optional<Envelope> Mailbox::pop_until(
   for (;;) {
     if (auto envelope = take_matching_locked(source, tag)) {
       // Flow step: the message passed through this pop on its way to
-      // whichever wait it ultimately releases (stage_wait, result_wait).
+      // whichever wait it ultimately releases (S-EnKF's stage_wait).
       span.set_flow(telemetry::FlowDir::kStep, envelope->ctx.span_id);
       return envelope;
     }

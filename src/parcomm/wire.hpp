@@ -101,22 +101,6 @@ class Packer {
     return *this;
   }
 
-  /// Appends room for `count` Ts and returns a writable span over it, so
-  /// producers compute results straight into the payload instead of
-  /// staging them in a separate buffer first (e.g. the analysis
-  /// projection writing target-rect values).  No count prefix is
-  /// written and the copy counter is untouched — framing is the
-  /// caller's job, exactly as with put_raw.  The span is invalidated by
-  /// the next append to this Packer.
-  template <typename T>
-  std::span<T> put_uninit(std::size_t count) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "Packer::put_uninit requires trivially copyable elements");
-    const auto offset = bytes_.size();
-    bytes_.resize(offset + count * sizeof(T));
-    return {reinterpret_cast<T*>(bytes_.data() + offset), count};
-  }
-
   /// Raw append without a count prefix — the building block for framed
   /// formats that write their own headers (e.g. multi-block patch
   /// messages packing one row slice at a time).  Does not touch the

@@ -30,7 +30,7 @@ namespace senkf::telemetry {
 /// field, and what the smoke test asserts coverage of.
 enum class Category : std::uint8_t {
   kRead = 0,   ///< pfs / store reads (bars, blocks, whole members)
-  kSend,       ///< parcomm sends (block scatter, result gather)
+  kSend,       ///< parcomm sends (block scatter)
   kRecv,       ///< helper-thread drains and explicit receives
   kWait,       ///< blocked on stage data / mailbox
   kUpdate,     ///< local analysis compute

@@ -7,6 +7,8 @@
 //    survivors, bitwise identical to a fault-free run on that subset;
 //  * a straggling I/O rank only slows the run: the result is again
 //    bitwise identical;
+//  * a member dropped by the readers of some sub-domain rows only is a
+//    ProtocolError, never an analysis with zeros in those rows' bands;
 //  * a failing rank ends the call at once, in L-EnKF as in S-EnKF.
 // Every degradation is observable: pfs.fault.* and senkf.read.* counters
 // move, and SenkfStats reports retries and dropped members.
@@ -14,6 +16,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "enkf/diagnostics.hpp"
@@ -174,6 +177,48 @@ TEST(FaultSmoke, LenkfDeadMemberFailsFast) {
   EXPECT_THROW(lenkf(faulty, w.observations, w.ys, config),
                pfs::PermanentReadError);
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+/// Forwards every read to `base`, but member `dead`'s bars starting at
+/// row `first_row` or later are permanently unreadable.
+class DeadFromRow final : public EnsembleStore {
+ public:
+  DeadFromRow(const EnsembleStore& base, Index dead, Index first_row)
+      : base_(base), dead_(dead), first_row_(first_row) {}
+
+  const grid::LatLonGrid& grid() const override { return base_.grid(); }
+  Index members() const override { return base_.members(); }
+  grid::Field load_member(Index k) const override {
+    return base_.load_member(k);
+  }
+  grid::Patch read_block(Index k, grid::Rect rect) const override {
+    return base_.read_block(k, rect);
+  }
+  grid::Patch read_bar(Index k, grid::IndexRange rows) const override {
+    if (k == dead_ && rows.begin >= first_row_) {
+      throw pfs::PermanentReadError("member " + std::to_string(k) +
+                                    " unreadable from row " +
+                                    std::to_string(first_row_));
+    }
+    return base_.read_bar(k, rows);
+  }
+
+ private:
+  const EnsembleStore& base_;
+  Index dead_;
+  Index first_row_;
+};
+
+TEST(FaultSmoke, MemberDeadInOneRowOnlyIsRejected) {
+  // On 24×12 with n_sdy = 2, L = 3 and η = 1, row 0's stage bars start at
+  // rows 0, 1 and 3 and row 1's at rows 5, 7 and 9: only row 1's readers
+  // drop member 2.  Row 0's ranks still analyse it, so its field would
+  // keep zeros in row 1's band; the computation ranks' live sets must
+  // agree instead.
+  const World w(39);
+  const DeadFromRow store(w.store, 2, 5);
+  EXPECT_THROW(senkf(store, w.observations, w.ys, senkf_config()),
+               senkf::ProtocolError);
 }
 
 TEST(FaultSmoke, StragglerDelayJustSlowsTheRun) {

@@ -102,8 +102,8 @@ TEST(Agreement, SenkfSingleLayerMatchesPenkf) {
 }
 
 /// Forwards block and bar reads to `base`, but a whole-member load throws:
-/// the engines build their output from gathered results alone, never by
-/// re-reading the background.
+/// the engines build their output from the ranks' layer analyses alone,
+/// never by re-reading the background.
 class NoWholeMemberLoads final : public EnsembleStore {
  public:
   explicit NoWholeMemberLoads(const EnsembleStore& base) : base_(base) {}
@@ -139,8 +139,9 @@ TEST(Agreement, ParallelEnginesNeverLoadWholeMembers) {
 
 TEST(Agreement, SenkfThreadedAnalysisMatchesSerialExactly) {
   // The per-rank analysis pool only reschedules independent layer
-  // analyses; results are packed in layer order, so any pool width must
-  // be bitwise identical (the acceptance gate for intra-rank threading).
+  // analyses, each writing only its own layer target of the output
+  // fields, so any pool width must be bitwise identical (the acceptance
+  // gate for intra-rank threading).
   const World w(7);
   const auto gold = serial_enkf(w.store, w.observations, w.ys, run_config(3));
   SenkfConfig threaded = senkf_config(3, 2);

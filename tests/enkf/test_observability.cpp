@@ -5,7 +5,8 @@
 //    across a Registry::reset) never inherit totals;
 //  * the registry's senkf.* counters advance by exactly the ledger's
 //    totals, on the fault path too;
-//  * a run sends only data-plane messages (block batches and results);
+//  * a run sends only data-plane messages: the block batches (results
+//    are written into the output fields, not sent);
 //  * the SENKF_REPORT writer emits schema-valid JSON whose run section
 //    matches the stats facade;
 //  * model.drift.* gauges are populated after every run and hold the
@@ -216,11 +217,10 @@ TEST(Observability, SenkfSendsOnlyDataPlaneMessages) {
       registry.counter_value("parcomm.messages") - before;
 
   // Every I/O rank sends one block batch per stage to each computation
-  // rank of its row, and every computation rank but 0 sends its results
-  // to rank 0: 4·3·4 + 7 = 55 on this layout.  Telemetry adds nothing.
-  const std::uint64_t batches =
-      config.io_ranks() * config.layers * config.n_sdx;
-  EXPECT_EQ(sent, batches + config.computation_ranks() - 1);
+  // rank of its row, and nothing else: 4·3·4 = 48 on this layout.  The
+  // computation ranks write their results into the output fields, and
+  // telemetry adds nothing.
+  EXPECT_EQ(sent, config.io_ranks() * config.layers * config.n_sdx);
 }
 
 TEST(Observability, ModelDriftGaugesArePopulated) {

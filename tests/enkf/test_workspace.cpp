@@ -1,11 +1,10 @@
 // Workspace-reuse acceptance gate (DESIGN.md §15).
 //
 // Two kinds of comparison:
-//   * bitwise among production paths — the scratch-view and packed
-//     entry points, extracted vs in-place gathered members, reused
-//     workspaces of varying shapes, heap vs pooled arenas and concurrent
-//     threads all run the one engine, so their values (and wire bytes)
-//     must agree exactly;
+//   * bitwise among production paths — extracted vs in-place gathered
+//     members, reused workspaces of varying shapes, heap vs pooled arenas
+//     and concurrent threads all run the one engine, so their values must
+//     agree exactly;
 //   * tolerance vs the dense oracle — the reference below is a verbatim
 //     copy of the pre-workspace implementation (allocating linalg API,
 //     per-call LocalObservations, owning temporaries, a dense H̄ and a
@@ -16,8 +15,8 @@
 //     point and with bilinear stations.  The skip path, and the
 //     deterministic transform with point stations of unit weight (each
 //     sparse gather is then an exact copy), still match it bit-for-bit.
-// Both hold across analysis kinds, inflation settings, arena modes,
-// threads and the wire framing.
+// Both hold across analysis kinds, inflation settings, arena modes and
+// threads.
 #include "enkf/local_analysis.hpp"
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "enkf/patch_wire.hpp"
 #include "grid/synthetic.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/covariance.hpp"
@@ -37,7 +35,6 @@
 #include "obs/local_obs_cache.hpp"
 #include "obs/perturbed.hpp"
 #include "owning_analysis.hpp"
-#include "parcomm/wire.hpp"
 
 namespace senkf::enkf {
 namespace {
@@ -402,58 +399,6 @@ TEST_F(Workspace, ScratchViewsGatherInPlaceFromLargerRects) {
       expect_matches_oracle(want, oracle);
     }
   }
-}
-
-void expect_packed_matches_pack_patch(const Scenario& sc, grid::Rect rect,
-                                      const AnalysisOptions& opt,
-                                      LocalAnalysisWorkspace& ws) {
-  const auto background = sc.patches(rect);
-  const auto want =
-      owning_analysis(background, rect, sc.observations, sc.ys, opt);
-  parcomm::Packer want_pack;
-  for (Index k = 0; k < want.members.size(); ++k) {
-    want_pack.put<std::uint64_t>(k + 7);
-    pack_patch(want_pack, want.members[k]);
-  }
-
-  std::vector<grid::PatchView> views(background.begin(), background.end());
-  std::vector<Index> ids(background.size());
-  for (Index k = 0; k < ids.size(); ++k) ids[k] = k + 7;
-  parcomm::Packer got_pack;
-  local_analysis_packed(views, rect, rect, sc.observations, sc.ys, opt, ids,
-                        ws, got_pack);
-
-  EXPECT_TRUE(want_pack.take() == got_pack.take())
-      << "wire bytes differ for rect starting at x=" << rect.x.begin;
-}
-
-TEST_F(Workspace, PackedOutputIsByteIdenticalToPackPatchFraming) {
-  const AnalysisOptions opt =
-      options_for(AnalysisKind::kStochasticModifiedCholesky, 1.0);
-  LocalAnalysisWorkspace ws;
-
-  // A rect with observations exercises the projection-into-payload path.
-  const Scenario sc(14);
-  const grid::Rect rect{{0, 12}, {0, 8}};
-  expect_packed_matches_pack_patch(sc, rect, opt, ws);
-  expect_matches_oracle(
-      owning_analysis(sc.patches(rect), rect, sc.observations, sc.ys, opt),
-      reference_local_analysis(sc.patches(rect), rect, sc.observations,
-                               sc.ys, opt));
-
-  // A station-free rect exercises the skip path: the packed block must be
-  // byte-identical to pack_patch of the extracted background.
-  const Scenario sparse(2, 8, 1);
-  grid::Rect empty_rect{{0, 4}, {0, 4}};
-  const auto& comp = sparse.observations.components()[0];
-  if (comp.supported_by(empty_rect)) empty_rect = grid::Rect{{8, 12}, {6, 10}};
-  ASSERT_FALSE(comp.supported_by(empty_rect));
-  expect_packed_matches_pack_patch(sparse, empty_rect, opt, ws);
-  expect_identical(owning_analysis(sparse.patches(empty_rect), empty_rect,
-                                   sparse.observations, sparse.ys, opt),
-                   reference_local_analysis(sparse.patches(empty_rect),
-                                            empty_rect, sparse.observations,
-                                            sparse.ys, opt));
 }
 
 TEST_F(Workspace, HeapAndPooledArenaModesAgree) {

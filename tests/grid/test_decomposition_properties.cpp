@@ -60,21 +60,32 @@ TEST_P(DecompositionProperties, PartitionCoverageAndContainment) {
   }
   EXPECT_EQ(rows_covered, d.grid().ny());
 
-  // Every valid layer count partitions each sub-domain's rows, and the
-  // layer expansions stay within the sub-domain expansion.
+  // Every valid layer count partitions each sub-domain's rows, the layer
+  // targets of all sub-domains cover each grid point exactly once (the
+  // engines write each target straight into the output fields, so this is
+  // what makes those writes disjoint and complete), and the layer
+  // expansions stay within the sub-domain expansion.
   const Index rows = d.grid().ny() / d.n_sdy();
   for (Index layers = 1; layers <= rows; ++layers) {
     if (!d.valid_layer_count(layers)) continue;
+    covered.clear();
     for (const SubdomainId id : d.all_subdomains()) {
       Index layer_rows = 0;
       for (Index l = 0; l < layers; ++l) {
         const Rect layer_rect = d.layer(id, l, layers);
         layer_rows += layer_rect.y.size();
+        for (Index y = layer_rect.y.begin; y < layer_rect.y.end; ++y) {
+          for (Index x = layer_rect.x.begin; x < layer_rect.x.end; ++x) {
+            ASSERT_TRUE(covered.insert(d.grid().flat_index(x, y)).second)
+                << "L=" << layers << " covers (" << x << ", " << y << ") twice";
+          }
+        }
         EXPECT_TRUE(rect_contains(d.expansion(id),
                                   d.layer_expansion(id, l, layers)));
       }
       EXPECT_EQ(layer_rows, rows);
     }
+    EXPECT_EQ(covered.size(), d.grid().size()) << "L=" << layers;
   }
 }
 
